@@ -155,7 +155,9 @@ def cmd_train(args) -> int:
             ("C", model.config.C),
             ("eta", model.config.eta),
             ("iterations", model.meta.get("iterations", 0)),
-            ("objective", model.meta.get("objective", float("nan")))]
+            ("objective", model.meta.get("objective", float("nan"))),
+            ("prox_fallbacks", model.meta.get("prox_fallbacks")),
+            ("prox_rank", model.meta.get("prox_rank"))]
     if isinstance(model, SvmModel):
         rows += [("f_min", model.meta.get("f_min")),
                  ("f_max", model.meta.get("f_max")),

@@ -1,7 +1,8 @@
-"""Dense symmetric linear algebra used throughout the package.
+"""Symmetric linear algebra used throughout the package.
 
 Provides the eigendecomposition, the eigenvalue soft-thresholding operator
 (the proximal map of the nuclear norm restricted to symmetric matrices),
+its low-rank form for PSD input that the solvers call every iteration,
 and the four matrix norms the solvers rely on.
 """
 
@@ -14,12 +15,33 @@ from .errors import DataError, NumericalError, ParameterError
 # Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
 
+# Subspace iteration in psd_soft_threshold: the first block holds the ones
+# vector and _START_BLOCK - 1 fixed vectors; after _BLOCK_STEPS steps at one
+# size the block doubles, up to a quarter of the dimension.
+_START_BLOCK = 8
+_BLOCK_STEPS = 4
+
 
 class EigenPair(NamedTuple):
     """Eigendecomposition with eigenvalues sorted non-increasing."""
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+class SpectralProx(NamedTuple):
+    """Soft-thresholded PSD matrix with what its factorization found.
+
+    ``nuclear`` is the sum of the shrunk spectrum, the nuclear norm of
+    ``matrix``.  ``rank`` counts the eigenpairs kept above the threshold;
+    it is 0 at threshold 0, where nothing is factored.  ``dense`` is True
+    when the dense fallback ran.
+    """
+
+    matrix: np.ndarray
+    nuclear: float
+    rank: int
+    dense: bool
 
 
 class MatrixNorms(NamedTuple):
@@ -81,6 +103,92 @@ def soft_threshold(A, threshold: float) -> np.ndarray:
     """Proximal map of ``threshold * ||.||_*`` on symmetric matrices."""
     B, _ = soft_threshold_spectrum(A, threshold)
     return B
+
+
+def psd_soft_threshold(A, threshold: float, floor: float = 0.0) -> SpectralProx:
+    """Eigenvalue soft-thresholding of a PSD matrix, factoring only its top.
+
+    ``floor`` is a lower bound on the smallest eigenvalue of A: zero for an
+    exactly PSD matrix, slightly negative when round-off leaves the Gram
+    matrix behind A a little indefinite.  The input is not checked for
+    symmetry.
+
+    At threshold 0 the map is the identity and A itself is returned.  For
+    a threshold t > 0, block subspace iteration with Rayleigh-Ritz runs
+    from the ones vector and fixed vectors made per call.  The r Ritz pairs
+    (theta_k, v_k) with theta_k > t are accepted when their residuals are
+    at round-off (n eps theta_1) and a trace test holds for some p >= r:
+    max(theta_{r+1}, tr(A) - sum_{k<=p} theta_k), plus the residual norm
+    of pairs r+1..p, is below t by a round-off margin.  By Ky Fan's
+    inequality tr(A) - sum_{k<=p} theta_k is the sum of A's spectrum off
+    the top p Ritz vectors, which for PSD A bounds its largest eigenvalue
+    there; so no eigenvalue outside the r kept pairs exceeds t, and the
+    result is rebuilt from them in O(n^2 r).  When no block up to a
+    quarter of the dimension passes after a few steps, or the Ritz values
+    already show that none would, the dense :func:`soft_threshold_spectrum`
+    gives the result, so both paths agree to round-off everywhere.
+    """
+    if threshold < 0:
+        raise ParameterError(f"threshold must be nonnegative, got {threshold}")
+    A = np.asarray(A, dtype=float)
+    if threshold == 0:
+        return SpectralProx(A, float(np.trace(A)), 0, False)
+    prox = _subspace_soft_threshold(A, threshold, floor)
+    if prox is None:
+        B, shrunk = soft_threshold_spectrum(A, threshold)
+        prox = SpectralProx(B, float(np.sum(np.abs(shrunk))),
+                            int(np.count_nonzero(shrunk)), True)
+    return prox
+
+
+def _subspace_soft_threshold(A, threshold, floor):
+    """Certified low-rank soft-threshold, or None when the test never passes."""
+    n = A.shape[0]
+    block = _START_BLOCK
+    if block > n // 4 or -floor >= threshold:
+        return None
+    eps = np.finfo(float).eps
+    trace = float(np.trace(A))
+    # Past the p-th Ritz pair, n - p - 1 eigenvalues other than the largest
+    # are each at least ``floor``, so they can hide up to (n - p) |floor| of
+    # the tail; the last term covers round-off in tr(A) and the Ritz values.
+    slack = max(0.0, -floor) * (n - np.arange(n + 1)) + 16.0 * n * eps * abs(trace)
+    rng = np.random.default_rng(0)
+    # Each step orthonormalizes A times the previous Ritz vectors (at first,
+    # the start block) and runs Rayleigh-Ritz on that subspace.
+    AV = A @ np.column_stack([np.ones(n), rng.standard_normal((n, block - 1))])
+    while True:
+        for _ in range(_BLOCK_STEPS):
+            Q = np.linalg.qr(AV)[0]
+            AQ = A @ Q
+            theta, U = np.linalg.eigh(Q.T @ AQ)
+            theta, U = theta[::-1], U[:, ::-1]
+            V = Q @ U
+            AV = AQ @ U
+            residual = np.linalg.norm(AV - V * theta, axis=0)
+            r = int(np.count_nonzero(theta > threshold))
+            if residual[:r].max(initial=0.0) <= n * eps * max(theta[0], 0.0):
+                # Candidates p = r..block: the pairs r+1..p, coupled to the
+                # rest by at most their residual norm, and the tail past p.
+                p = np.arange(r, block + 1)
+                tail = trace - np.concatenate([[0.0], np.cumsum(theta)])[p] + slack[p]
+                lead = np.where(p > r, theta[min(r, block - 1)], 0.0)
+                coupling = np.sqrt(np.concatenate([[0.0], np.cumsum(residual[r:] ** 2)]))
+                if np.any(np.maximum(lead, tail) + coupling < threshold):
+                    shrunk = theta[:r] - threshold
+                    W = V[:, :r] * np.sqrt(shrunk)
+                    # np.dot uses a symmetric BLAS product for W W' (the
+                    # result is exactly symmetric) also at rank one.
+                    return SpectralProx(np.dot(W, W.T), float(np.sum(shrunk)), r, False)
+            # Give up early when even n/4 vectors, each as large as the
+            # smallest Ritz value, could not bring the tail below the threshold.
+            if trace - theta.sum() - (n // 4 - block) * max(theta[-1], 0.0) >= threshold:
+                return None
+        if block == n // 4:
+            return None
+        grown = min(2 * block, n // 4)
+        AV = np.column_stack([AV, A @ rng.standard_normal((n, grown - block))])
+        block = grown
 
 
 def matrix_norms(A) -> MatrixNorms:

@@ -314,6 +314,8 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
         "f_min": float(F.min()),
         "f_max": float(F.max()),
         "f_rank": _numerical_rank(F),
+        "prox_fallbacks": sum(t.prox_fallbacks for t in blocks.traces),
+        "prox_rank": max(t.prox_rank for t in blocks.traces),
         "objective": decomposition_objective(blocks.alpha_bar, y, K, F, config.eta),
         "warnings": [],
     }

@@ -12,6 +12,13 @@ minimization has a closed form: F(a) is the eigenvalue soft-threshold of
 problem maximizes the resulting concave value function h(a), whose
 (envelope) gradient is 1 - Y(F(a) o K)Ya, by projected gradient ascent
 with optional Nesterov acceleration.
+
+11' + G(a) is PSD, so F(a) comes from :func:`linalg.psd_soft_threshold`.
+At tau = 0 the threshold is the identity and no factorization runs.  For
+tau > 0 only the eigenpairs above tau/2 are computed, after a trace test
+certifies that no others exceed it; a dense eigendecomposition is the
+fallback when the test does not pass.  The smallest eigenvalue of K,
+taken once per solve by the PSD check, enters that test's margin.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .linalg import soft_threshold_spectrum
+from .linalg import SpectralProx, psd_soft_threshold
 
 VARIANTS = ("nesterov", "pgd", "monotone-nesterov")
 
@@ -88,6 +95,9 @@ class SolveTrace:
     nesterov and pgd variants (one extra entry for the final iterate), and
     the carried h(theta^(t)) sequence (length ``iterations``) for the
     monotone variant.  ``alpha_step_history[t]`` is ||a^(t+1) - a^(t)||_2.
+    ``prox_fallbacks`` counts the spectral prox calls that fell back to
+    the dense eigendecomposition, and ``prox_rank`` is the largest number
+    of eigenpairs one call kept (both stay 0 at tau = 0).
     """
 
     iterations: int = 0
@@ -97,6 +107,12 @@ class SolveTrace:
     warnings: list = field(default_factory=list)
     final_beta: np.ndarray | None = None
     iterates: dict | None = None
+    prox_fallbacks: int = 0
+    prox_rank: int = 0
+
+    def record_prox(self, prox: SpectralProx) -> None:
+        self.prox_fallbacks += int(prox.dense)
+        self.prox_rank = max(self.prox_rank, prox.rank)
 
 
 def weighted_gram(alpha, y, K, eta: float) -> np.ndarray:
@@ -111,15 +127,30 @@ def weighted_gram(alpha, y, K, eta: float) -> np.ndarray:
 
 def adaptive_matrix(alpha, y, K, tau: float, eta: float) -> np.ndarray:
     """Optimal adaptive matrix for fixed duals: threshold(11' + G(a), tau/2)."""
-    F, _ = adaptive_matrix_spectrum(alpha, y, K, tau, eta)
-    return F
+    return adaptive_matrix_spectrum(alpha, y, K, tau, eta).matrix
 
 
-def adaptive_matrix_spectrum(alpha, y, K, tau, eta):
-    """As :func:`adaptive_matrix`, also returning the shrunk spectrum."""
+def adaptive_matrix_spectrum(alpha, y, K, tau, eta, lam_min_K: float = 0.0) -> SpectralProx:
+    """As :func:`adaptive_matrix`, returning the whole prox record.
+
+    K must be PSD; ``lam_min_K`` is its smallest eigenvalue when round-off
+    puts it slightly below zero.
+    """
     G = weighted_gram(alpha, y, K, eta)
+    w = np.asarray(alpha, dtype=float) * np.asarray(y, dtype=float)
+    return _weighted_prox(G, w, tau, eta, lam_min_K)
+
+
+def _weighted_prox(G, w, tau: float, eta: float, lam_min_K: float) -> SpectralProx:
+    """Soft-threshold of 11' + G at tau/2, for G = diag(w) K diag(w) / (4 eta).
+
+    Overwrites G.  The smallest eigenvalue of G is at least
+    min(0, lam_min(K)) max_i w_i^2 / (4 eta), the floor the certified
+    low-rank path needs.
+    """
     G += 1.0
-    return soft_threshold_spectrum(G, 0.5 * tau)
+    floor = min(0.0, lam_min_K) * float(np.max(w * w, initial=0.0)) / (4.0 * eta)
+    return psd_soft_threshold(G, 0.5 * tau, floor)
 
 
 def adaptive_spectral_bound(n: int, C: float, tau: float, eta: float,
@@ -128,15 +159,14 @@ def adaptive_spectral_bound(n: int, C: float, tau: float, eta: float,
     return n - 0.5 * tau + n * C * C * lam_max_K / (4.0 * eta)
 
 
-def _objective_terms(alpha, y, K, F, spectrum, tau, eta):
+def _objective_terms(alpha, y, K, F, nuclear, tau, eta):
     w = np.asarray(y, dtype=float) * np.asarray(alpha, dtype=float)
     quad = float(w @ ((F * K) @ w))
     value = float(np.sum(alpha)) - 0.5 * quad
     dev = F - 1.0
     value += eta * float((dev * dev).sum())
     if tau > 0:
-        # PSD argument: the shrunk spectrum is nonnegative, so its sum is ||F||_*.
-        value += tau * eta * float(np.sum(np.abs(spectrum)))
+        value += tau * eta * nuclear
     return value
 
 
@@ -144,23 +174,18 @@ def dual_objective(alpha, y, K, config: SolverConfig, freeze_f: bool = False) ->
     """Value function h(a) = H(a, F(a)) of the outer maximization."""
     if freeze_f:
         n = len(np.asarray(alpha))
-        F = np.ones((n, n))
-        spectrum = np.array([float(n)])
         eta = _eta_for_frozen(config)
-        return _objective_terms(alpha, y, K, F, spectrum, config.tau, eta)
+        return _objective_terms(alpha, y, K, np.ones((n, n)), float(n), config.tau, eta)
     eta = _require_eta(config)
-    F, spectrum = adaptive_matrix_spectrum(alpha, y, K, config.tau, eta)
-    return _objective_terms(alpha, y, K, F, spectrum, config.tau, eta)
+    prox = adaptive_matrix_spectrum(alpha, y, K, config.tau, eta)
+    return _objective_terms(alpha, y, K, prox.matrix, prox.nuclear, config.tau, eta)
 
 
 def saddle_value(alpha, y, K, F, eta: float, tau: float = 0.0) -> float:
     """H(a, F) for an arbitrary (not necessarily optimal) adaptive matrix."""
     F = np.asarray(F, dtype=float)
-    if tau > 0:
-        spectrum = np.linalg.eigvalsh(0.5 * (F + F.T))
-    else:
-        spectrum = np.zeros(1)
-    return _objective_terms(alpha, y, K, F, spectrum, tau, eta)
+    nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (F + F.T))))) if tau > 0 else 0.0
+    return _objective_terms(alpha, y, K, F, nuclear, tau, eta)
 
 
 def dual_gradient(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> np.ndarray:
@@ -170,9 +195,7 @@ def dual_gradient(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> 
     if freeze_f:
         FK = np.asarray(K, dtype=float)
     else:
-        eta = _require_eta(config)
-        F, _ = adaptive_matrix_spectrum(alpha, y, K, config.tau, eta)
-        FK = F * K
+        FK = adaptive_matrix(alpha, y, K, config.tau, _require_eta(config)) * K
     return 1.0 - y * (FK @ (y * alpha))
 
 
@@ -217,26 +240,35 @@ def project_exact(z, y, C: float) -> np.ndarray:
     """Exact Euclidean projection onto {0 <= a <= C, a.y = 0} for +-1 labels.
 
     The projection is clip(z + lam * y, 0, C) where lam is the root of the
-    nondecreasing piecewise-linear map lam -> y . clip(z + lam * y, 0, C);
-    the root is located by breakpoint search and linear interpolation.
-    Both classes must be present for a root to exist.
+    nondecreasing piecewise-linear map f(lam) = y . clip(z + lam * y, 0, C).
+    Coordinate i adds slope 1 to f while lam lies in [s_i, s_i + C], with
+    s_i = -z_i for y_i = +1 and z_i - C for y_i = -1.  One sort of the 2n
+    breakpoints gives the slope of every segment, a cumulative sum gives f
+    at every breakpoint, and the root is interpolated in the first segment
+    where f reaches zero: O(n log n) time and O(n) memory.  Both classes
+    must be present for a root to exist.
     """
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
-    lower_bp = np.where(y > 0, -z, z - C)
-    bps = np.unique(np.concatenate([lower_bp, lower_bp + C]))
-    vals = np.clip(z[None, :] + bps[:, None] * y[None, :], 0.0, C) @ y
-    k = int(np.searchsorted(vals, 0.0))
+    n = z.size
+    starts = np.where(y > 0, -z, z - C)
+    events = np.concatenate([starts, starts + C])
+    order = np.argsort(events, kind="stable")
+    bps = events[order]
+    slopes = np.cumsum(np.where(order < n, 1.0, -1.0))
+    # Left of every breakpoint the +1 coordinates sit at 0 and the -1 at C.
+    f = np.empty(2 * n)
+    f[0] = -C * float(np.count_nonzero(y < 0))
+    np.cumsum(slopes[:-1] * np.diff(bps), out=f[1:])
+    f[1:] += f[0]
+    k = int(np.searchsorted(f, 0.0))
     if k == 0:
         lam = bps[0]
-    elif k == len(bps):
+    elif k == 2 * n:
         lam = bps[-1]
     else:
-        v0, v1 = vals[k - 1], vals[k]
-        if v1 == v0:
-            lam = bps[k - 1]
-        else:
-            lam = bps[k - 1] - v0 * (bps[k] - bps[k - 1]) / (v1 - v0)
+        # f rises from f[k-1] < 0, so the segment's slope is positive.
+        lam = bps[k - 1] - f[k - 1] / slopes[k - 1]
     return np.clip(z + lam * y, 0.0, C)
 
 
@@ -271,7 +303,8 @@ def _check_labels(y, require_both_classes: bool) -> np.ndarray:
     return y
 
 
-def _check_psd_gram(K) -> np.ndarray:
+def _check_psd_gram(K) -> tuple[np.ndarray, float]:
+    """Reject a non-square or indefinite K; returns K and lambda_min(K)."""
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DataError(f"kernel matrix must be square, got shape {K.shape}")
@@ -279,7 +312,7 @@ def _check_psd_gram(K) -> np.ndarray:
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     if lam_min < -1e-8 * max(1.0, lam_max):
         raise DataError(f"kernel matrix is not PSD: lambda_min = {lam_min:.3e}")
-    return K
+    return K, lam_min
 
 
 def solve(K, y, config: SolverConfig, freeze_f: bool = False,
@@ -303,7 +336,7 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
     :func:`project_feasible` lands measurably away from the true
     projection and stalls convergence.
     """
-    K = _check_psd_gram(K)
+    K, lam_min_K = _check_psd_gram(K)
     y = _check_labels(y, require_both_classes=with_equality)
     n = y.size
     if K.shape[0] != n:
@@ -334,17 +367,21 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
             return np.clip(v, 0.0, C)
 
     ones_F = np.ones((n, n))
-    frozen_spec = np.array([float(n)])
+
+    def prox_at(a):
+        prox = adaptive_matrix_spectrum(a, y, K, tau, eta, lam_min_K)
+        trace.record_prox(prox)
+        return prox
 
     def evaluate(a):
         """Gradient and objective at a, sharing one factorization."""
         if freeze_f:
             g = 1.0 - y * (K @ (y * a))
-            h = _objective_terms(a, y, K, ones_F, frozen_spec, tau, eta)
+            h = _objective_terms(a, y, K, ones_F, float(n), tau, eta)
         else:
-            F, spectrum = adaptive_matrix_spectrum(a, y, K, tau, eta)
-            g = 1.0 - y * ((F * K) @ (y * a))
-            h = _objective_terms(a, y, K, F, spectrum, tau, eta)
+            prox = prox_at(a)
+            g = 1.0 - y * ((prox.matrix * K) @ (y * a))
+            h = _objective_terms(a, y, K, prox.matrix, prox.nuclear, tau, eta)
         return g, h
 
     def objective(a):
@@ -408,10 +445,7 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
         trace.objective_history.append(objective(a))
     trace.final_beta = None if beta is None else beta.copy()
 
-    if freeze_f:
-        F_final = ones_F
-    else:
-        F_final, _ = adaptive_matrix_spectrum(a, y, K, tau, eta)
+    F_final = ones_F if freeze_f else prox_at(a).matrix
     return DualState(alpha=a, y=y), F_final, trace
 
 

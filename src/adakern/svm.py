@@ -101,6 +101,8 @@ def _training_meta(F: np.ndarray, trace: SolveTrace) -> dict:
         "f_min": float(F.min()),
         "f_max": float(F.max()),
         "f_rank": rank,
+        "prox_fallbacks": trace.prox_fallbacks,
+        "prox_rank": trace.prox_rank,
         "warnings": list(trace.warnings),
     }
 

@@ -7,8 +7,8 @@ import numpy as np
 from .data import Scaler, apply_minmax, fit_minmax, inverse_minmax
 from .errors import DataError, ParameterError
 from .kernel import cross_gram, gaussian_gram
-from .linalg import soft_threshold_spectrum
-from .solver import SolverConfig, SolveTrace, project_exact
+from .linalg import SpectralProx
+from .solver import SolverConfig, SolveTrace, _check_psd_gram, _weighted_prox, project_exact
 from .svm import extend_adaptive, reciprocal_similarity
 
 _MARGIN_RTOL = 1e-6
@@ -87,24 +87,29 @@ def svr_weighted_gram(alpha_hat, alpha_check, K, eta: float) -> np.ndarray:
 
 
 def svr_adaptive_matrix(alpha_hat, alpha_check, K, tau: float, eta: float) -> np.ndarray:
-    F, _ = svr_adaptive_spectrum(alpha_hat, alpha_check, K, tau, eta)
-    return F
+    return svr_adaptive_spectrum(alpha_hat, alpha_check, K, tau, eta).matrix
 
 
-def svr_adaptive_spectrum(alpha_hat, alpha_check, K, tau, eta):
+def svr_adaptive_spectrum(alpha_hat, alpha_check, K, tau, eta,
+                          lam_min_K: float = 0.0) -> SpectralProx:
+    """Soft-threshold of 11' + svr_weighted_gram at tau/2; K must be PSD.
+
+    ``lam_min_K`` is the smallest eigenvalue of K when round-off puts it
+    slightly below zero.
+    """
     G = svr_weighted_gram(alpha_hat, alpha_check, K, eta)
-    G += 1.0
-    return soft_threshold_spectrum(G, 0.5 * tau)
+    w = np.asarray(alpha_hat, dtype=float) - np.asarray(alpha_check, dtype=float)
+    return _weighted_prox(G, w, tau, eta, lam_min_K)
 
 
-def _svr_terms(alpha_hat, alpha_check, y, K, F, spectrum, epsilon, tau, eta):
+def _svr_terms(alpha_hat, alpha_check, y, K, F, nuclear, epsilon, tau, eta):
     w = alpha_hat - alpha_check
     quad = float(w @ ((F * K) @ w))
     value = -0.5 * quad + float(w @ y) - epsilon * float(np.sum(alpha_hat + alpha_check))
     dev = F - 1.0
     value += eta * float((dev * dev).sum())
     if tau > 0:
-        value += tau * eta * float(np.sum(np.abs(spectrum)))
+        value += tau * eta * nuclear
     return value
 
 
@@ -117,12 +122,13 @@ def svr_objective(alpha_hat, alpha_check, y, K, epsilon: float,
     if freeze_f:
         n = alpha_hat.size
         F = np.ones((n, n))
-        spectrum = np.array([float(n)])
+        nuclear = float(n)
         eta = config.eta if config.eta is not None else 0.0
     else:
         eta = _require_eta(config)
-        F, spectrum = svr_adaptive_spectrum(alpha_hat, alpha_check, K, config.tau, eta)
-    return _svr_terms(alpha_hat, alpha_check, y, K, F, spectrum, epsilon, config.tau, eta)
+        prox = svr_adaptive_spectrum(alpha_hat, alpha_check, K, config.tau, eta)
+        F, nuclear = prox.matrix, prox.nuclear
+    return _svr_terms(alpha_hat, alpha_check, y, K, F, nuclear, epsilon, config.tau, eta)
 
 
 def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
@@ -139,8 +145,7 @@ def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
         FK = np.asarray(K, dtype=float)
     else:
         eta = _require_eta(config)
-        F, _ = svr_adaptive_spectrum(alpha_hat, alpha_check, K, config.tau, eta)
-        FK = F * K
+        FK = svr_adaptive_matrix(alpha_hat, alpha_check, K, config.tau, eta) * K
     q = FK @ (alpha_hat - alpha_check)
     g_hat = -epsilon - q + y
     g_check = -epsilon + q - y
@@ -184,10 +189,12 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     Works on the concatenated state [hat; check] with ascent step 1/(2L)
     and dual-averaging step 1/(4L); the feasible set is the box on both
     blocks plus the equality constraint on the difference.  Stops when the
-    step of hat - check drops to ``tol`` or at t_max.  Returns
-    (SvrDualState, F, SolveTrace).
+    step of hat - check drops to ``tol`` or at t_max.  K must be PSD, as
+    for the classifier solver (DataError otherwise); the adaptive matrix
+    comes from the same spectral prox.  Returns (SvrDualState, F,
+    SolveTrace).
     """
-    K = np.asarray(K, dtype=float)
+    K, lam_min_K = _check_psd_gram(K)
     y = np.asarray(y, dtype=float)
     n = y.size
     if K.shape != (n, n):
@@ -221,20 +228,25 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
         return project_exact(z, u, C)
 
     ones_F = np.ones((n, n))
-    frozen_spec = np.array([float(n)])
+
+    def prox_at(z):
+        prox = svr_adaptive_spectrum(z[:n], z[n:], K, tau, eta, lam_min_K)
+        trace.record_prox(prox)
+        return prox
 
     def evaluate(z):
         ah, ac = z[:n], z[n:]
         if freeze_f:
             FK = K
-            F_spec = frozen_spec
+            nuclear = float(n)
             F_here = ones_F
         else:
-            F_here, F_spec = svr_adaptive_spectrum(ah, ac, K, tau, eta)
+            prox = prox_at(z)
+            F_here, nuclear = prox.matrix, prox.nuclear
             FK = F_here * K
         q = FK @ (ah - ac)
         g = np.concatenate([-epsilon - q + y, -epsilon + q - y])
-        h = _svr_terms(ah, ac, y, K, F_here, F_spec, epsilon, tau, eta)
+        h = _svr_terms(ah, ac, y, K, F_here, nuclear, epsilon, tau, eta)
         return g, h
 
     def objective(z):
@@ -298,10 +310,7 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     trace.final_beta = None if beta is None else beta.copy()
 
     ah, ac = z[:n], z[n:]
-    if freeze_f:
-        F_final = ones_F
-    else:
-        F_final, _ = svr_adaptive_spectrum(ah, ac, K, tau, eta)
+    F_final = ones_F if freeze_f else prox_at(z).matrix
     state = SvrDualState(alpha_hat=ah, alpha_check=ac, epsilon=epsilon)
     return state, F_final, trace
 
@@ -385,6 +394,8 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = 0.1,
         "objective": trace.objective_history[-1] if trace.objective_history else float("nan"),
         "terminated_by": trace.terminated_by,
         "complementarity_gap": state.complementarity_gap(),
+        "prox_fallbacks": trace.prox_fallbacks,
+        "prox_rank": trace.prox_rank,
         "warnings": list(trace.warnings),
     }
     return SvrModel(

@@ -71,8 +71,14 @@ def oracle_project(z, y, C):
     return np.clip(z + lam * y, 0.0, C)
 
 
-def reference_pgd_qp(K, y, C, iterations):
-    """Long-run projected-gradient solve of the frozen-F SVM dual."""
+def reference_pgd_qp(K, y, C, iterations, detect_cycle=True):
+    """Long-run projected-gradient solve of the frozen-F SVM dual.
+
+    Returns the iterate after ``iterations`` steps from a = 0.  Each step is
+    a fixed function of the iterate's bits, so once an iterate repeats the
+    sequence is periodic; with ``detect_cycle`` the loop stops at the first
+    repeat and returns the iterate the full loop would end on, bit for bit.
+    """
     M = K * np.outer(y, y)
     L = float(np.linalg.eigvalsh(K)[-1])
     n = len(y)
@@ -80,7 +86,9 @@ def reference_pgd_qp(K, y, C, iterations):
     f0 = -C * float((~pos).sum())
     deltas_base = np.concatenate([np.ones(n), -np.ones(n)])
     a = np.zeros(n)
-    for _ in range(iterations):
+    history = [a]
+    seen = {a.tobytes(): 0}
+    for step in range(1, iterations + 1):
         z = a + (1.0 - M @ a) / L
         starts = np.where(pos, -z, z - C)
         events = np.concatenate([starts, starts + C])
@@ -97,6 +105,11 @@ def reference_pgd_qp(K, y, C, iterations):
             slope = slopes[k - 1]
             lam = bps[k - 1] + (-fvals[k - 1] / slope if slope > 0 else 0.0)
         a = np.clip(z + lam * y, 0.0, C)
+        if detect_cycle:
+            first = seen.setdefault(a.tobytes(), step)
+            if first != step:
+                return history[first + (iterations - first) % (step - first)]
+            history.append(a)
     return a
 
 

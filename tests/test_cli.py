@@ -39,7 +39,7 @@ class TestTrainPredictEval:
         assert code == 0
         assert os.path.exists(model_path)
         keys = dict(line.split(",", 1) for line in out.strip().splitlines())
-        assert "iterations" in keys and "f_rank" in keys
+        assert {"iterations", "f_rank", "prox_fallbacks", "prox_rank"} <= keys.keys()
 
         code, out, _ = run(["predict", "--model", model_path, "--data", path], capsys)
         assert code == 0

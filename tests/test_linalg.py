@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+import adakern.linalg as linalg
 from adakern.errors import DataError, ParameterError
-from adakern.linalg import matrix_norms, soft_threshold, sym_eig
+from adakern.kernel import gaussian_gram
+from adakern.linalg import (
+    matrix_norms,
+    psd_soft_threshold,
+    soft_threshold,
+    soft_threshold_spectrum,
+    sym_eig,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -87,6 +95,71 @@ class TestSoftThreshold:
             lam_max_in = np.linalg.eigvalsh(A)[-1]
             assert evals[0] >= -1e-10
             assert np.isclose(evals[-1], max(0.0, lam_max_in - t), atol=1e-9)
+
+
+def adaptive_input(rng, n, sigma, scale):
+    """11' + diag(w) K diag(w) for a Gaussian K and random weights w."""
+    K = gaussian_gram(rng.normal(size=(n, 2)), sigma)
+    w = rng.uniform(-1.0, 1.0, n)
+    return 1.0 + K * np.outer(w, w) * scale
+
+
+def assert_matches_dense(prox, A, threshold):
+    F, shrunk = soft_threshold_spectrum(A, threshold)
+    nuclear = np.abs(shrunk).sum()
+    assert np.max(np.abs(prox.matrix - F)) <= 1e-10
+    assert abs(prox.nuclear - nuclear) <= 1e-10 * nuclear
+    assert prox.rank == np.count_nonzero(shrunk)
+
+
+class TestPsdSoftThreshold:
+    @pytest.mark.parametrize("n, sigma, scale", [
+        (40, 2.0, 1e-3), (120, 0.3, 1e-4), (120, 2.0, 1e-2), (200, 0.8, 1e-3),
+        (200, 1.0, 1e-2),
+    ])
+    def test_low_rank_path_matches_dense(self, rng, n, sigma, scale):
+        ranks = set()
+        for _ in range(5):
+            A = adaptive_input(rng, n, sigma, scale)
+            prox = psd_soft_threshold(A, 0.005)
+            assert not prox.dense
+            assert_matches_dense(prox, A, 0.005)
+            ranks.add(prox.rank)
+        assert max(ranks) >= (1 if scale < 1e-3 else 2)
+
+    def test_heavy_tail_falls_back_to_dense(self):
+        # K = I with the weighted diagonal just below the threshold: every
+        # tail eigenvalue is below it, but their sum is far above.
+        n, threshold = 64, 0.005
+        A = np.ones((n, n)) + 0.9 * threshold * np.eye(n)
+        prox = psd_soft_threshold(A, threshold)
+        assert prox.dense
+        assert_matches_dense(prox, A, threshold)
+
+    def test_zero_threshold_returns_input_unfactored(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no factorization expected at threshold 0")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(linalg, "sym_eig", forbidden)
+        A = adaptive_input(rng, 50, 0.5, 0.1)
+        prox = psd_soft_threshold(A, 0.0)
+        assert prox.matrix is A
+        assert prox.nuclear == pytest.approx(np.trace(A))
+        assert (prox.rank, prox.dense) == (0, False)
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2])
+    def test_output_exactly_symmetric_and_deterministic(self, rng, scale):
+        A = adaptive_input(rng, 120, 2.0, scale)
+        first = psd_soft_threshold(A, 0.005)
+        second = psd_soft_threshold(A, 0.005)
+        assert not first.dense and first.rank == (1 if scale < 1e-3 else 7)
+        assert np.array_equal(first.matrix, first.matrix.T)
+        assert np.array_equal(first.matrix, second.matrix)
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ParameterError):
+            psd_soft_threshold(np.eye(40), -0.1)
 
 
 class TestMatrixNorms:

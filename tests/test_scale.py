@@ -269,6 +269,8 @@ class TestTrainScalable:
         assert model.bias == 0.0
         assert model.mode == "scalable"
         assert model.assignment is not None
+        # blocks drop the nuclear term, so the prox is the identity
+        assert (model.meta["prox_fallbacks"], model.meta["prox_rank"]) == (0, 0)
         labels = model.predict(X)
         assert set(np.unique(labels)) <= {-1.0, 1.0}
 

@@ -3,8 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import adakern.linalg as linalg
+import adakern.solver as solver
+from adakern.data import apply_minmax, fit_minmax, gen_step, gen_two_class_toy
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram
+from adakern.linalg import SpectralProx, soft_threshold_spectrum
 from adakern.solver import (
     DualState,
     SolverConfig,
@@ -24,7 +28,9 @@ from adakern.solver import (
     weighted_gram,
 )
 
-from conftest import random_feasible, two_blobs
+from adakern.svr import solve_svr, svr_adaptive_spectrum
+
+from conftest import oracle_project, random_feasible, reference_pgd_qp, two_blobs
 
 
 def labels(n):
@@ -324,6 +330,30 @@ class TestProjection:
             assert np.all(exact >= 0.0) and np.all(exact <= C)
             assert abs(exact @ y) < 1e-9
 
+    def test_exact_projection_matches_sort_oracle(self, rng):
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            y = rng.choice([-1.0, 1.0], n)
+            y[:2] = (1.0, -1.0)
+            C = float(rng.uniform(0.2, 3.0))
+            z = rng.normal(0.0, 2.0, n)
+            if trial % 2:
+                # ties: repeated coordinates and breakpoints one C apart
+                z = np.round(z, 1)
+                z[n // 2:] = z[:n - n // 2]
+            np.testing.assert_allclose(project_exact(z, y, C), oracle_project(z, y, C),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_exact_projection_with_every_coordinate_clipped(self, rng):
+        # +1/-1 pairs share a value far outside [0, C]: the hyperplane
+        # residual is zero on a whole interval and every coordinate clips.
+        C = 1.0
+        y = labels(20)
+        z = np.repeat(rng.choice([-3.0, 3.0 + C], 10), 2)
+        out = project_exact(z, y, C)
+        assert np.array_equal(out, np.clip(z, 0.0, C))
+        np.testing.assert_allclose(out, oracle_project(z, y, C), rtol=0.0, atol=1e-12)
+
     def test_output_feasibility(self, rng):
         C = 0.7
         y = labels(9)[:9]
@@ -357,6 +387,17 @@ class TestSolve:
             a = project_exact(a + (1.0 - M @ a) / L, y, 1.0)
         obj = lambda v: v.sum() - 0.5 * v @ M @ v
         assert abs(obj(state.alpha) - obj(a)) < 1e-6
+
+    def test_reference_qp_cycle_shortcut_matches_plain_loop(self):
+        # The c01 problem: its iterates repeat from step 6037 with period 117.
+        X, y = two_blobs(40, separation=2.2, seed=101, spread=0.5)
+        K = gaussian_gram(apply_minmax(fit_minmax(X), X), 0.7)
+        for iterations in (6400, 6444):
+            plain = reference_pgd_qp(K, y, 1.0, iterations, detect_cycle=False)
+            assert np.array_equal(reference_pgd_qp(K, y, 1.0, iterations), plain)
+        # the runs end inside the cycle
+        earlier = reference_pgd_qp(K, y, 1.0, 6444 - 117, detect_cycle=False)
+        assert np.array_equal(earlier, plain)
 
     def test_monotone_history_non_decreasing(self, rng):
         X, y = two_blobs(24, seed=2)
@@ -502,3 +543,113 @@ def test_dual_state_validation(rng):
     bad = DualState(alpha=(y + 1.0) / 2.0, y=y)  # box ok, hyperplane violated
     with pytest.raises(DataError):
         bad.validate(1.5)
+
+
+def dense_prox(A, threshold, floor=0.0):
+    """A full eigendecomposition on every call: the reference for the certified prox."""
+    B, shrunk = soft_threshold_spectrum(A, threshold)
+    return SpectralProx(B, float(np.sum(np.abs(shrunk))), int(np.count_nonzero(shrunk)), True)
+
+
+def criteria_fixtures():
+    """(K, y, config) of the c05, c06 and c11 classification criteria, shortened."""
+    cases = []
+    for n, seed, noise, sigma, eta in ((60, 205, 0.2, 0.4, 8.0), (135, 306, 0.35, 0.1, None),
+                                       (200, 42, 0.2, 0.3, None)):
+        ds = gen_two_class_toy(n, seed=seed, noise=noise)
+        K = gaussian_gram(apply_minmax(fit_minmax(ds.X), ds.X), sigma)
+        cfg = resolve_eta(K, ds.y, SolverConfig(C=1.0, tau=0.01, eta=eta, t_max=120,
+                                                tol=1e-300))
+        cases.append((K, ds.y, cfg))
+    return cases
+
+
+class TestCertifiedProx:
+    def test_matches_dense_on_random_duals(self, rng):
+        # c04's problem: random feasible duals on a 50-point Gaussian kernel.
+        # At its eta = 3 the weighted Gram matrix is too heavy for the trace
+        # test and the dense fallback runs; at eta = 3000 the low-rank path does.
+        n, C, tau = 50, 1.5, 0.05
+        K = gaussian_gram(rng.normal(size=(n, 3)), 1.0)
+        y = labels(n)
+        paths = set()
+        for eta in (3.0, 3000.0):
+            for _ in range(10):
+                a = random_feasible(rng, y, C)
+                prox = adaptive_matrix_spectrum(a, y, K, tau, eta)
+                reference = dense_prox(1.0 + weighted_gram(a, y, K, eta), tau / 2)
+                paths.add((eta, prox.dense))
+                assert prox.rank == reference.rank
+                assert np.max(np.abs(prox.matrix - reference.matrix)) <= 1e-10
+                assert abs(prox.nuclear - reference.nuclear) <= 1e-10 * reference.nuclear
+        assert paths == {(3.0, True), (3000.0, False)}
+
+    def test_solves_match_dense_path_on_criteria_fixtures(self, monkeypatch):
+        for K, y, cfg in criteria_fixtures():
+            state, F, trace = solve(K, y, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "psd_soft_threshold", dense_prox)
+                ref_state, ref_F, ref_trace = solve(K, y, cfg)
+            # c06's narrow kernel may fall back now and then, never mostly
+            assert ref_trace.prox_fallbacks == trace.iterations + 2
+            assert 2 * trace.prox_fallbacks < trace.iterations
+            assert trace.prox_rank == ref_trace.prox_rank >= 1
+            assert np.max(np.abs(state.alpha - ref_state.alpha)) <= 1e-12
+            assert np.max(np.abs(F - ref_F)) <= 1e-10
+
+    def test_svr_solve_matches_dense_path(self, monkeypatch):
+        # c09's step function, shortened
+        ds = gen_step(np.random.default_rng(909).uniform(-5.0, 5.0, 150))
+        Xs = apply_minmax(fit_minmax(ds.X), ds.X)
+        ys = apply_minmax(fit_minmax(ds.y[:, None]), ds.y[:, None])[:, 0]
+        K = gaussian_gram(Xs, 0.05)
+        cfg = SolverConfig(C=2.0, tau=0.01, eta=20.0, t_max=300, tol=1e-300)
+        state, F, trace = solve_svr(K, ys, cfg, epsilon=0.02)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "psd_soft_threshold", dense_prox)
+            ref_state, ref_F, _ = solve_svr(K, ys, cfg, epsilon=0.02)
+        assert trace.prox_fallbacks == 0 and trace.prox_rank >= 1
+        assert np.max(np.abs(state.alpha_hat - ref_state.alpha_hat)) <= 1e-12
+        assert np.max(np.abs(state.alpha_check - ref_state.alpha_check)) <= 1e-12
+        assert np.max(np.abs(F - ref_F)) <= 1e-10
+        prox = svr_adaptive_spectrum(state.alpha_hat, state.alpha_check, K, cfg.tau, cfg.eta)
+        assert np.array_equal(prox.matrix, F)
+
+    def test_heavy_tail_counts_fallbacks(self, monkeypatch):
+        # K = I: every weighted diagonal entry a_i^2 / (4 eta) <= 1/4 stays
+        # below tau/2 = 0.3, while their sum exceeds it once the duals grow.
+        n = 40
+        K, y = np.eye(n), labels(n)
+        cfg = SolverConfig(C=1.0, tau=0.6, eta=1.0, t_max=60, tol=1e-300)
+        state, F, trace = solve(K, y, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "psd_soft_threshold", dense_prox)
+            ref_state, ref_F, _ = solve(K, y, cfg)
+        assert trace.prox_fallbacks > 0
+        assert np.max(np.abs(state.alpha - ref_state.alpha)) <= 1e-12
+        assert np.max(np.abs(F - ref_F)) <= 1e-10
+
+    def test_two_solves_bit_identical(self):
+        X, y = two_blobs(80, seed=9)
+        K = gaussian_gram(X, 0.9)
+        cfg = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=80, tol=1e-14)
+        s1, F1, t1 = solve(K, y, cfg)
+        s2, F2, t2 = solve(K, y, cfg)
+        assert t1.prox_fallbacks == 0
+        assert np.array_equal(s1.alpha, s2.alpha)
+        assert np.array_equal(F1, F2)
+
+    def test_zero_tau_factors_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no eigendecomposition expected at tau = 0")
+
+        X, y = two_blobs(40, seed=6)
+        K = gaussian_gram(X, 0.8)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(linalg, "sym_eig", forbidden)
+        cfg = SolverConfig(C=1.0, tau=0.0, eta=2.0, t_max=30, tol=1e-300)
+        _, F, trace = solve(K, y, cfg)
+        _, F_svr, svr_trace = solve_svr(K, y, cfg, epsilon=0.1)
+        assert (trace.prox_fallbacks, trace.prox_rank) == (0, 0)
+        assert (svr_trace.prox_fallbacks, svr_trace.prox_rank) == (0, 0)
+        assert np.all(np.isfinite(F)) and np.all(np.isfinite(F_svr))

@@ -67,6 +67,7 @@ class TestTrain:
         model = train(ds.X, ds.y, 0.25, small_config())
         assert 0.8 <= model.meta["f_min"] and model.meta["f_max"] <= 1.2
         assert model.meta["f_rank"] <= 15
+        assert model.meta["prox_fallbacks"] == 0 and model.meta["prox_rank"] >= 1
 
     def test_label_symmetry(self):
         X, y = two_blobs(20, seed=13)

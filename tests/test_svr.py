@@ -199,6 +199,11 @@ class TestSolve:
         assert np.allclose(state.alpha_hat, 0.0, atol=1e-10)
         assert np.allclose(state.alpha_check, 0.0, atol=1e-10)
 
+    def test_indefinite_kernel_rejected(self):
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+        with pytest.raises(DataError):
+            solve_svr(K, np.array([0.0, 1.0]), config(), epsilon=0.1)
+
     def test_iterate_feasibility(self, rng):
         n = 8
         K = gaussian_gram(rng.normal(size=(n, 1)), 0.8)
@@ -293,6 +298,9 @@ class TestTrainPredict:
         model = train_svr(X, y, 0.6, config(eta=None), epsilon=0.08)
         assert model.config.eta is not None and model.config.eta > 0
         assert model.meta["complementarity_gap"] < 0.5
+        # ten points are too few for the low-rank path: every call is dense
+        assert model.meta["prox_fallbacks"] > model.meta["iterations"]
+        assert model.meta["prox_rank"] >= 1
 
 
 class TestRmse:
