@@ -8,7 +8,7 @@ bit-identical to the in-memory model on the same platform.
 import numpy as np
 
 from .data import Scaler
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .solver import SolverConfig
 from .svm import SvmModel
 from .svr import SvrModel
@@ -82,99 +82,171 @@ def save_model(model, path: str) -> None:
         stream.write("\n".join(lines) + "\n")
 
 
+# Lines every model file has besides its X and F rows (or F blocks), and
+# the lines that only one task has.
+_COMMON_KEYS = ("task", "mode", "variant", "sigma", "bias", "C", "tau", "eta", "t_max",
+                "tol", "projection_rounds", "clusters", "seed", "n", "d", "scaler_min",
+                "scaler_max", "y", "meta_iterations", "meta_objective")
+_TASK_KEYS = {"svm": ("alpha",),
+              "svr": ("epsilon", "y_scaler_min", "y_scaler_max", "alpha_hat", "alpha_check")}
+_KNOWN_KEYS = set(_COMMON_KEYS).union(*_TASK_KEYS.values())
+# Vector lines and the length each must have.
+_VECTOR_LENGTHS = {"y": "n", "alpha": "n", "alpha_hat": "n", "alpha_check": "n",
+                   "assignment": "n", "scaler_min": "d", "scaler_max": "d",
+                   "y_scaler_min": 1, "y_scaler_max": 1}
+
+
+def _matrix(rows, count: int, width: int, what: str) -> np.ndarray:
+    """Parse the text rows of a count x width matrix in one pass."""
+    # loadtxt skips blank rows, so they are counted as missing here.
+    if len(rows) != count or not all(row.strip() for row in rows):
+        raise DataError(f"stored {what} does not have {count} rows")
+    try:
+        matrix = np.loadtxt(rows, ndmin=2, comments=None) if rows else np.empty((0, 0))
+    except ValueError as exc:
+        raise DataError(f"stored {what} does not parse: {exc}") from exc
+    if matrix.shape != (count, width):
+        raise DataError(f"stored {what} is not {count} x {width}")
+    return matrix
+
+
+def _parse(lines):
+    """Split the body lines into fields and the text of X rows, F rows and F blocks."""
+    fields: dict = {}
+    x_rows: list[str] = []
+    f_rows: list[str] = []
+    blocks: dict[int, tuple[int, list[str]]] = {}
+    current = None
+    for line in lines:
+        key, _, rest = line.partition(" ")
+        try:
+            if key == "X":
+                x_rows.append(rest)
+            elif key == "F":
+                f_rows.append(rest)
+            elif key == "B":
+                blocks[current][1].append(rest)
+            elif key == "block":
+                current, size = (int(t) for t in rest.split())
+                if current in blocks:
+                    raise ValueError("repeated block")
+                blocks[current] = (size, [])
+            elif key in fields:
+                raise ValueError("repeated key")
+            elif key == "assignment":
+                fields[key] = np.array(rest.split(), dtype=int)
+            elif key in _VECTOR_LENGTHS:
+                fields[key] = np.array(rest.split(), dtype=float)
+            elif key in _KNOWN_KEYS:
+                fields[key] = rest
+            else:
+                raise ValueError("unknown key")
+        except (ValueError, KeyError) as exc:
+            raise DataError(f"malformed line {line[:60]!r}: {exc}") from exc
+    return fields, x_rows, f_rows, blocks
+
+
 def load_model(path: str):
+    """Read a model written by ``save_model``.
+
+    Any defect in the file (wrong header or version, a missing, repeated or
+    unknown key, a value that does not parse, an array of the wrong length,
+    a non-finite array entry, no closing ``end`` line) raises ``DataError``.
+    """
     with open(path) as stream:
-        lines = stream.read().splitlines()
+        lines = [line for line in stream.read().splitlines() if line]
     if not lines:
         raise DataError(f"{path}: empty model file")
     header = lines[0].split()
     if len(header) != 2 or header[0] != FORMAT_NAME:
         raise DataError(f"{path}: not a model file")
-    if int(header[1]) != FORMAT_VERSION:
+    if header[1] != str(FORMAT_VERSION):
         raise DataError(
             f"{path}: unsupported model format version {header[1]} "
             f"(expected {FORMAT_VERSION})"
         )
-
-    scalars: dict[str, str] = {}
-    vectors: dict[str, np.ndarray] = {}
-    x_rows: list[np.ndarray] = []
-    f_rows: list[np.ndarray] = []
-    blocks: dict[int, list[np.ndarray]] = {}
-    current_block = None
-    for line in lines[1:]:
-        if not line or line == "end":
-            continue
-        key, _, rest = line.partition(" ")
-        try:
-            if key == "X":
-                x_rows.append(np.fromstring(rest, sep=" "))
-            elif key == "F":
-                f_rows.append(np.fromstring(rest, sep=" "))
-            elif key == "block":
-                current_block = int(rest.split()[0])
-                blocks[current_block] = []
-            elif key == "B":
-                blocks[current_block].append(np.fromstring(rest, sep=" "))
-            elif key in ("y", "alpha", "alpha_hat", "alpha_check", "scaler_min",
-                         "scaler_max", "y_scaler_min", "y_scaler_max"):
-                vectors[key] = np.fromstring(rest, sep=" ")
-            elif key == "assignment":
-                vectors[key] = np.array([int(t) for t in rest.split()])
-            else:
-                scalars[key] = rest
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"{path}: malformed line {line[:60]!r}") from exc
-
+    if lines[-1] != "end":
+        raise DataError(f"{path}: truncated model file (no closing 'end' line)")
     try:
-        task = scalars["task"]
-        n = int(scalars["n"])
-        d = int(scalars["d"])
+        return _build(*_parse(lines[1:-1]))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _build(fields, x_rows, f_rows, blocks):
+    """Check the parsed fields against each other and make the model."""
+    task = fields.get("task")
+    if task not in _TASK_KEYS:
+        raise DataError(f"unknown task {task!r}")
+    keys = _COMMON_KEYS + _TASK_KEYS[task]
+    missing = [k for k in keys if k not in fields]
+    if missing:
+        raise DataError(f"incomplete model file, missing {', '.join(missing)}")
+    extra = set(fields) - set(keys) - {"assignment"}
+    if extra:
+        raise DataError(f"keys {sorted(extra)} do not belong in a {task} model")
+    try:
+        n, d = int(fields["n"]), int(fields["d"])
+        sigma, bias = float(fields["sigma"]), float(fields["bias"])
         config = SolverConfig(
-            C=float(scalars["C"]),
-            tau=float(scalars["tau"]),
-            eta=float(scalars["eta"]),
-            t_max=int(scalars["t_max"]),
-            tol=float(scalars["tol"]),
-            projection_rounds=int(scalars["projection_rounds"]),
-            variant=scalars["variant"],
+            C=float(fields["C"]),
+            tau=float(fields["tau"]),
+            eta=float(fields["eta"]),
+            t_max=int(fields["t_max"]),
+            tol=float(fields["tol"]),
+            projection_rounds=int(fields["projection_rounds"]),
+            variant=fields["variant"],
         )
-        X = np.vstack(x_rows)
-        scaler = Scaler(mins=vectors["scaler_min"], maxs=vectors["scaler_max"])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: incomplete model file") from exc
-    if X.shape != (n, d):
-        raise DataError(f"{path}: stored X has shape {X.shape}, expected ({n}, {d})")
+        meta = {
+            "iterations": int(fields["meta_iterations"]),
+            "objective": float(fields["meta_objective"]),
+            "clusters": int(fields["clusters"]),
+            "seed": int(fields["seed"]),
+        }
+        epsilon = float(fields.get("epsilon", 0.0))
+    except (ValueError, ParameterError) as exc:
+        raise DataError(f"bad scalar value: {exc}") from exc
+    if n < 1 or d < 1:
+        raise DataError(f"bad sizes n = {n}, d = {d}")
+    if not (sigma > 0 and np.all(np.isfinite([sigma, bias, epsilon]))):
+        raise DataError("sigma, bias and epsilon must be finite, sigma positive")
+    sizes = {"n": n, "d": d}
+    for key, value in fields.items():
+        if key in _VECTOR_LENGTHS:
+            expected = sizes.get(_VECTOR_LENGTHS[key], _VECTOR_LENGTHS[key])
+            if value.shape != (expected,):
+                raise DataError(f"{key} has length {value.size}, expected {expected}")
 
-    assignment = vectors.get("assignment")
-    if assignment is not None:
-        F = np.ones((n, n))
-        for c, rows in blocks.items():
-            idx = np.flatnonzero(assignment == c)
-            block = np.vstack(rows)
-            if block.shape != (idx.size, idx.size):
-                raise DataError(f"{path}: block {c} has inconsistent shape")
-            F[np.ix_(idx, idx)] = block
+    X = _matrix(x_rows, n, d, "X")
+    assignment = fields.get("assignment")
+    mode = fields["mode"]
+    if mode not in ("exact", "scalable") or (assignment is not None) != (mode == "scalable"):
+        raise DataError(f"mode {mode!r} does not match the stored F")
+    if assignment is None:
+        if blocks:
+            raise DataError("F blocks without a cluster assignment")
+        F = _matrix(f_rows, n, n, "F")
     else:
-        F = np.vstack(f_rows)
-        if F.shape != (n, n):
-            raise DataError(f"{path}: stored F has shape {F.shape}, expected ({n}, {n})")
+        if task != "svm" or f_rows or assignment.min() < 0:
+            raise DataError("a cluster assignment needs an SVM model with F blocks")
+        if sorted(blocks) != list(range(assignment.max() + 1)):
+            raise DataError("F blocks do not match the cluster assignment")
+        F = np.ones((n, n))
+        for c, (size, rows) in blocks.items():
+            idx = np.flatnonzero(assignment == c)
+            if size != idx.size:
+                raise DataError(f"block {c} declares {size} rows, assignment has {idx.size}")
+            F[np.ix_(idx, idx)] = _matrix(rows, size, size, f"block {c}")
+    arrays = [X, F] + [v for k, v in fields.items() if k in _VECTOR_LENGTHS]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise DataError("stored arrays contain non-finite values")
 
-    meta = {
-        "iterations": int(scalars.get("meta_iterations", 0)),
-        "objective": float(scalars.get("meta_objective", "nan")),
-        "clusters": int(scalars.get("clusters", 1)),
-        "seed": int(scalars.get("seed", 0)),
-    }
-    common = dict(X=X, y=vectors["y"], F=F, bias=float(scalars["bias"]),
-                  sigma=float(scalars["sigma"]), config=config, scaler=scaler)
+    common = dict(X=X, y=fields["y"], F=F, bias=bias, sigma=sigma, config=config,
+                  scaler=Scaler(mins=fields["scaler_min"], maxs=fields["scaler_max"]),
+                  meta=meta)
     if task == "svm":
-        return SvmModel(alpha=vectors["alpha"], mode=scalars.get("mode", "exact"),
-                        assignment=assignment, meta=meta, **common)
-    if task == "svr":
-        y_scaler = Scaler(mins=vectors["y_scaler_min"], maxs=vectors["y_scaler_max"])
-        return SvrModel(alpha_hat=vectors["alpha_hat"],
-                        alpha_check=vectors["alpha_check"],
-                        epsilon=float(scalars["epsilon"]),
-                        y_scaler=y_scaler, meta=meta, **common)
-    raise DataError(f"{path}: unknown task {task!r}")
+        return SvmModel(alpha=fields["alpha"], mode=mode, assignment=assignment, **common)
+    return SvrModel(alpha_hat=fields["alpha_hat"], alpha_check=fields["alpha_check"],
+                    epsilon=epsilon,
+                    y_scaler=Scaler(mins=fields["y_scaler_min"], maxs=fields["y_scaler_max"]),
+                    **common)

@@ -30,21 +30,35 @@ class SvmModel:
     meta: dict = field(default_factory=dict)
 
     def decision_function(self, X_test) -> np.ndarray:
-        X_test = np.asarray(X_test, dtype=float)
-        if X_test.ndim != 2 or X_test.shape[1] != self.X.shape[1]:
-            raise DataError(
-                f"feature dimension mismatch: model has {self.X.shape[1]}, "
-                f"got {X_test.shape[1:]}"
-            )
-        Xs = apply_minmax(self.scaler, X_test)
-        M = reciprocal_similarity(self.X, Xs)
-        F_ext = extend_adaptive(self.F, M)
-        Kx = cross_gram(self.X, Xs, self.sigma)
-        return (self.alpha * self.y) @ (F_ext * Kx) + self.bias
+        return _expansion(self, self.alpha * self.y, X_test)
 
     def predict(self, X_test) -> np.ndarray:
         decisions = self.decision_function(X_test)
         return np.where(decisions >= 0.0, 1.0, -1.0)
+
+
+def _expansion(model, coef, X_test) -> np.ndarray:
+    """sum_i coef_i F_ext[i, j] K(x_i, x_j) + bias for each test row j.
+
+    The one prediction body of the SVM and SVR models, in the model's
+    scaled target space: checks the test features, min-max scales them and
+    extends the trained adaptive matrix to them by reciprocal rank.
+    """
+    X_test = np.asarray(X_test, dtype=float)
+    if X_test.ndim != 2 or X_test.shape[1] != model.X.shape[1]:
+        raise DataError(
+            f"feature dimension mismatch: model has {model.X.shape[1]}, "
+            f"got {X_test.shape[1:]}"
+        )
+    if not np.all(np.isfinite(X_test)):
+        raise DataError("test features contain non-finite values")
+    Xs = apply_minmax(model.scaler, X_test)
+    F_ext = extend_adaptive(model.F, reciprocal_similarity(model.X, Xs))
+    # In place into the C-ordered kernel matrix: the product then has the
+    # memory layout, and so the matmul its summation order, of F_ext * Kx.
+    Kx = cross_gram(model.X, Xs, model.sigma)
+    Kx *= F_ext
+    return coef @ Kx + model.bias
 
 
 def _validate_training_inputs(X, y, sigma):
@@ -154,19 +168,107 @@ def reciprocal_similarity(X_train, X_test) -> np.ndarray:
     to training point i; s is the rank of training point i among all
     training points sorted by distance to test point j.  Ranks are 1-based
     over the full opposite set, so every entry is positive.  Distance ties
-    break by index order.
+    break by index order: of two test points at equal distance from
+    training point i, the one with the smaller index ranks first, and
+    likewise for training points.  NaN distances (from non-finite
+    features) have no rank and raise ``DataError``.
+
+    Cost for n training and m test points: O(nm log m + nm log n) time for
+    one sort of each row and each column of the distance matrix.  Peak
+    memory is about 29 bytes per n x m entry, and about 45 on a grid of
+    test points where a quarter of the distances equal others up to
+    round-off; the 8-byte result is allocated after the working arrays are
+    freed.  Ranks are int32 and their product is exact in float64, so M is
+    exact for n, m < 2**31 and nm < 2**53.
     """
     D = pairwise_sq_dists(X_train, X_test)
-    n, m = D.shape
-    r = np.empty((n, m), dtype=float)
-    order_rows = np.argsort(D, axis=1, kind="stable")
-    rows = np.arange(n)[:, None]
-    r[rows, order_rows] = np.arange(1, m + 1)[None, :]
-    s = np.empty((n, m), dtype=float)
-    order_cols = np.argsort(D, axis=0, kind="stable")
-    cols = np.arange(m)[None, :]
-    s[order_cols, cols] = np.arange(1, n + 1)[:, None]
-    return 1.0 / (r * s)
+    if np.isnan(D).any():
+        raise DataError("distances contain NaN; features must be finite")
+    r = _stable_ranks(D)
+    D = np.ascontiguousarray(D.T)
+    s = _stable_ranks(D)
+    del D
+    M = np.multiply(r, s.T, dtype=float)
+    np.divide(1.0, M, out=M)
+    return M
+
+
+# Width of the packed int64 keys in the near-tie re-sort.  Blocks beyond
+# what one key can number are sorted in several parts.
+_KEY_BITS = 63
+
+
+def _stable_ranks(V) -> np.ndarray:
+    """1-based rank of each entry within its row of V, ties by column (int32)."""
+    order = _stable_row_order(V)
+    ranks = np.empty(V.shape, dtype=np.int32)
+    ranks.ravel()[order] = np.arange(1, V.shape[1] + 1, dtype=np.int32)
+    return ranks
+
+
+def _stable_row_order(V) -> np.ndarray:
+    """Flat indices of V that list each row in stable ascending order.
+
+    V is C-contiguous, non-negative and NaN-free, so the int64 view of a
+    value orders like the value.  Each row is sorted once as int64 keys:
+    the value's bits with the low b bits replaced by the column index
+    (m <= 2**b).  Equal values share every kept bit, so exact ties come
+    out in column order.  Values that differ only in the dropped bits
+    form a block of equal keys' high bits and come out in column order
+    too, which can put a larger value first; only blocks that show such
+    a descent are sorted again.
+    """
+    n, m = V.shape
+    b = (m - 1).bit_length()
+    low = (1 << b) - 1
+    order = V.view(np.int64) & ~low
+    order |= np.arange(m)
+    order.sort(axis=1)
+    order &= low
+    order += np.arange(0, n * m, m)[:, None]
+    values = V.ravel()[order]
+    descent = np.zeros((n, m), dtype=bool)
+    np.less(values[:, 1:], values[:, :-1], out=descent[:, 1:])
+    rows = np.flatnonzero(descent.any(axis=1))
+    if rows.size:
+        values, descent = values[rows], descent[rows]
+        _resort_near_ties(order, values, descent, rows, b)
+    return order
+
+
+def _resort_near_ties(order, values, descent, rows, b) -> None:
+    """Sort by (value, column), in place in ``order``, each key block with a descent.
+
+    ``values`` and ``descent`` hold the listed ``rows`` of the sorted
+    values and of their descent flags.  Within a block the values agree
+    above the low b bits, so the packed key (block number, low bits,
+    column) orders it exactly.
+    """
+    k, m = values.shape
+    low = (1 << b) - 1
+    bits = values.view(np.int64).ravel()
+    # Block bounds: row starts, changes above the low bits, and the end.
+    start = np.ones(k * m + 1, dtype=bool)
+    np.greater(bits[1:] ^ bits[:-1], low, out=start[1:-1])
+    start[:-1:m] = True
+    bounds = np.flatnonzero(start)
+    block = np.searchsorted(bounds, np.flatnonzero(descent), side="right") - 1
+    block = block[np.diff(block, prepend=-1) > 0]
+    # Positions of every entry of those blocks, each labelled 0, 1, ... by block.
+    first, sizes = bounds[block], bounds[block + 1] - bounds[block]
+    label = np.repeat(np.arange(block.size), sizes)
+    pos = np.arange(label.size) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
+    row_start = rows[pos // m] * m
+    where = row_start + pos % m
+    span = 1 << (_KEY_BITS - 2 * b)
+    key = (label & (span - 1)) << (2 * b)
+    key |= (bits[pos] & low) << b
+    key |= order.ravel()[where] - row_start
+    for part in np.split(key, np.searchsorted(label, np.arange(span, block.size, span))):
+        part.sort()
+    key &= low
+    key += row_start
+    order.ravel()[where] = key
 
 
 def extend_adaptive(F, M) -> np.ndarray:

@@ -6,10 +6,10 @@ import numpy as np
 
 from .data import Scaler, apply_minmax, fit_minmax, inverse_minmax
 from .errors import DataError, ParameterError
-from .kernel import cross_gram, gaussian_gram
+from .kernel import gaussian_gram
 from .linalg import SpectralProx
 from .solver import SolverConfig, SolveTrace, _check_psd_gram, _weighted_prox, project_exact
-from .svm import extend_adaptive, reciprocal_similarity
+from .svm import _expansion
 
 _MARGIN_RTOL = 1e-6
 
@@ -59,17 +59,7 @@ class SvrModel:
     meta: dict = field(default_factory=dict)
 
     def predict(self, X_test) -> np.ndarray:
-        X_test = np.asarray(X_test, dtype=float)
-        if X_test.ndim != 2 or X_test.shape[1] != self.X.shape[1]:
-            raise DataError(
-                f"feature dimension mismatch: model has {self.X.shape[1]}, "
-                f"got {X_test.shape[1:]}"
-            )
-        Xs = apply_minmax(self.scaler, X_test)
-        M = reciprocal_similarity(self.X, Xs)
-        F_ext = extend_adaptive(self.F, M)
-        Kx = cross_gram(self.X, Xs, self.sigma)
-        scaled = (self.alpha_hat - self.alpha_check) @ (F_ext * Kx) + self.bias
+        scaled = _expansion(self, self.alpha_hat - self.alpha_check, X_test)
         return inverse_minmax(self.y_scaler, scaled[:, None])[:, 0]
 
 

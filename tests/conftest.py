@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adakern.kernel import pairwise_sq_dists
 from adakern.solver import project_exact
 
 
@@ -111,6 +112,25 @@ def reference_pgd_qp(K, y, C, iterations, detect_cycle=True):
                 return history[first + (iterations - first) % (step - first)]
             history.append(a)
     return a
+
+
+def oracle_reciprocal_similarity(X_train, X_test):
+    """Reciprocal-rank similarity from two stable argsorts.
+
+    The straightforward form of the rule, kept as the reference for the
+    sort-key implementation in ``adakern.svm``.
+    """
+    D = pairwise_sq_dists(X_train, X_test)
+    n, m = D.shape
+    r = np.empty((n, m), dtype=float)
+    order_rows = np.argsort(D, axis=1, kind="stable")
+    rows = np.arange(n)[:, None]
+    r[rows, order_rows] = np.arange(1, m + 1)[None, :]
+    s = np.empty((n, m), dtype=float)
+    order_cols = np.argsort(D, axis=0, kind="stable")
+    cols = np.arange(m)[None, :]
+    s[order_cols, cols] = np.arange(1, n + 1)[:, None]
+    return 1.0 / (r * s)
 
 
 @pytest.fixture

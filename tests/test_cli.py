@@ -1,11 +1,13 @@
 import io
 import os
+import re
 
 import numpy as np
 import pytest
 
 from adakern.cli import main
 from adakern.data import Dataset, gen_two_class_toy, write_libsvm
+from adakern.errors import DataError
 from adakern.persist import load_model, save_model
 
 from conftest import two_blobs
@@ -285,3 +287,87 @@ def test_cv_selects_from_grid(tmp_path, capsys):
     assert len(table) == 2
     best_row = max(table, key=lambda r: r[2])
     assert best_row[0] == sigma
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """(model text, data path) for an exact SVM, a scalable SVM and an SVR model."""
+    from adakern.data import CLASSIFICATION, REGRESSION
+    from adakern.scale import train_scalable
+    from adakern.solver import SolverConfig
+    from adakern.svm import train
+    from adakern.svr import train_svr
+
+    root = tmp_path_factory.mktemp("models")
+    X, y = two_blobs(12, seed=8)
+    config = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=30)
+    classes = str(root / "classes.libsvm")
+    write_dataset(classes, Dataset(X=X, y=y, mode=CLASSIFICATION))
+    targets = str(root / "targets.libsvm")
+    write_dataset(targets, Dataset(X=X, y=X[:, 0], mode=REGRESSION))
+    cases = {}
+    for name, model, data in [
+        ("svm", train(X, y, 0.6, config), classes),
+        ("scalable", train_scalable(X, y, 0.6, config, 3, 0), classes),
+        ("svr", train_svr(X, X[:, 0], 0.6, config, epsilon=0.05), targets),
+    ]:
+        path = str(root / f"{name}.model")
+        save_model(model, path)
+        with open(path) as stream:
+            cases[name] = (stream.read(), data)
+    return cases
+
+
+def _mutations(text, rng):
+    """Truncated and mutated copies of a model file; none of them is a valid model."""
+    for cut in sorted(set(rng.integers(0, len(text) - 1, 30).tolist())):
+        yield f"truncated at byte {cut}", text[:cut]
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split(" ")
+        t = int(rng.integers(len(tokens)))
+        edits = {
+            "deleted": lines[:i] + lines[i + 1:],
+            "duplicated": lines[:i + 1] + lines[i:],
+            f"token {t} garbled": lines[:i] + [" ".join(tokens[:t] + ["x1"] + tokens[t + 1:])]
+            + lines[i + 1:],
+            "token appended": lines[:i] + [line + " 0.5"] + lines[i + 1:],
+            "last token dropped": lines[:i] + [" ".join(tokens[:-1])] + lines[i + 1:],
+        }
+        for what, mutated in edits.items():
+            yield f"line {i} ({line[:20]!r}) {what}", "\n".join(mutated) + "\n"
+    # a key of the other task, or a second one of this task's
+    for line in ("epsilon 1.0", "alpha_hat 0.5"):
+        yield f"{line!r} added", "\n".join(lines[:-1] + [line, lines[-1]]) + "\n"
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize("name", ["svm", "scalable", "svr"])
+    def test_every_mutation_is_a_data_error(self, name, saved_models, tmp_path, capsys):
+        text, data = saved_models[name]
+        path = str(tmp_path / "mutated.model")
+        assert run(["predict", "--model", _write(path, text), "--data", data], capsys)[0] == 0
+        rng = np.random.default_rng(11)
+        for what, mutated in _mutations(text, rng):
+            code, _, err = run(["predict", "--model", _write(path, mutated), "--data", data],
+                               capsys)
+            assert (code, err.startswith("data error")) == (2, True), what
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t: t.replace("adakern-model 1", "adakern-model x", 1),
+        lambda t: t.replace("\nalpha ", "\nalpha 0.5 ", 1),
+        lambda t: re.sub(r"\ny \S+ ", "\ny ", t, count=1),
+        lambda t: t.replace("\nscaler_min ", "\nscaler_min 0.5 ", 1),
+    ], ids=["version-x", "alpha-longer-than-n", "y-shorter-than-n", "scaler-longer-than-d"])
+    def test_reported_defects_raise_data_error(self, mutate, saved_models, tmp_path):
+        text, _ = saved_models["svm"]
+        mutated = mutate(text)
+        assert mutated != text
+        with pytest.raises(DataError):
+            load_model(_write(str(tmp_path / "bad.model"), mutated))
+
+
+def _write(path, text):
+    with open(path, "w") as stream:
+        stream.write(text)
+    return path

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from adakern.data import gen_two_class_toy
+from adakern import svm
+from adakern.data import apply_minmax, gen_two_class_toy, inverse_minmax
 from adakern.errors import DataError, ParameterError
-from adakern.kernel import gaussian_gram
+from adakern.kernel import cross_gram, gaussian_gram
 from adakern.solver import SolverConfig, project_exact
 from adakern.svm import (
     accuracy,
@@ -13,8 +14,9 @@ from adakern.svm import (
     reciprocal_similarity,
     train,
 )
+from adakern.svr import train_svr
 
-from conftest import two_blobs
+from conftest import oracle_reciprocal_similarity, two_blobs
 
 
 def small_config(**kwargs):
@@ -157,6 +159,102 @@ class TestReciprocalSimilarity:
         perm = rng.permutation(4)
         M_perm = reciprocal_similarity(X_train, X_test[perm])
         assert np.allclose(M_perm, M[:, perm])
+
+
+def _oracle_cases():
+    """(X_train, X_test) pairs, many of them rich in equal or near-equal distances."""
+    rng = np.random.default_rng(7)
+    cases = {}
+    for n, m, d in [(2, 1, 1), (1, 5, 2), (7, 1, 2), (2, 9, 3), (30, 200, 2),
+                    (120, 500, 1), (40, 60, 5)]:
+        cases[f"random-{n}x{m}x{d}"] = (rng.normal(size=(n, d)), rng.normal(size=(m, d)))
+    cases["quantized"] = (np.round(rng.uniform(0, 4, (50, 2))) / 4,
+                          np.round(rng.uniform(0, 4, (300, 2))) / 4)
+    # the test points of `adakern grid`
+    xs = np.linspace(-1.0, 1.0, 25)
+    uu, vv = np.meshgrid(xs, xs, indexing="ij")
+    grid = np.column_stack([uu.ravel(), vv.ravel()])
+    cases["grid"] = (np.round(rng.uniform(-5, 5, (40, 2))) / 5, grid)
+    base = rng.normal(size=(10, 2))
+    cases["repeated-test-rows"] = (rng.normal(size=(15, 2)), np.repeat(base, 20, axis=0))
+    cases["repeated-train-rows"] = (np.tile(base, (3, 1)), rng.normal(size=(80, 2)))
+    X = rng.normal(size=(25, 3))
+    cases["test-equals-train"] = (X, X)
+    # test points mirrored around training point 0, so distances pair up
+    # exactly or up to round-off
+    center, offsets = 0.3, rng.uniform(0.0, 1.0, 40)
+    cases["mirror-1d"] = (np.array([[center], [center + 0.5], [center - 0.5]]),
+                          np.concatenate([center + offsets, center - offsets])[:, None])
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestReciprocalOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_matches_stable_argsort_oracle(self, name):
+        X_train, X_test = ORACLE_CASES[name]
+        assert np.array_equal(reciprocal_similarity(X_train, X_test),
+                              oracle_reciprocal_similarity(X_train, X_test))
+
+    @pytest.mark.parametrize("name", ["grid", "mirror-1d", "quantized"])
+    def test_near_tie_resort_in_several_parts(self, name, monkeypatch):
+        # The smallest key width that holds one block label bit: every part
+        # of the near-tie re-sort then holds at most two blocks.
+        X_train, X_test = ORACLE_CASES[name]
+        b = max((len(X_train) - 1).bit_length(), (len(X_test) - 1).bit_length())
+        monkeypatch.setattr(svm, "_KEY_BITS", 2 * b + 1)
+        assert np.array_equal(reciprocal_similarity(X_train, X_test),
+                              oracle_reciprocal_similarity(X_train, X_test))
+
+    def test_grid_takes_the_near_tie_path(self, monkeypatch):
+        calls = []
+        original = svm._resort_near_ties
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return original(*args)
+
+        monkeypatch.setattr(svm, "_resort_near_ties", counting)
+        reciprocal_similarity(*ORACLE_CASES["grid"])
+        assert calls
+
+    def test_nan_distances_rejected(self):
+        with np.errstate(invalid="ignore"), pytest.raises(DataError, match="NaN"):
+            reciprocal_similarity(np.array([[0.0], [1.0]]), np.array([[np.inf]]))
+
+    def test_svm_decisions_match_oracle_expansion(self):
+        X, y = two_blobs(30, seed=5)
+        model = train(X, y, 0.6, small_config(tau=0.1))
+        probe = ORACLE_CASES["grid"][1] * 3.0
+        Xs = apply_minmax(model.scaler, probe)
+        F_ext = extend_adaptive(model.F, oracle_reciprocal_similarity(model.X, Xs))
+        expected = (model.alpha * model.y) @ (F_ext * cross_gram(model.X, Xs, model.sigma))
+        assert np.array_equal(model.decision_function(probe), expected + model.bias)
+
+    def test_svr_predictions_match_oracle_expansion(self):
+        X = np.linspace(-1.0, 1.0, 21)[:, None]
+        model = train_svr(X, np.sign(X[:, 0]), 0.2,
+                          SolverConfig(C=2.0, tau=0.01, eta=5.0, t_max=300), epsilon=0.05)
+        probe = np.concatenate([0.1 + np.linspace(0, 1, 30), 0.1 - np.linspace(0, 1, 30)])[:, None]
+        Xs = apply_minmax(model.scaler, probe)
+        F_ext = extend_adaptive(model.F, oracle_reciprocal_similarity(model.X, Xs))
+        scaled = ((model.alpha_hat - model.alpha_check)
+                  @ (F_ext * cross_gram(model.X, Xs, model.sigma)) + model.bias)
+        expected = inverse_minmax(model.y_scaler, scaled[:, None])[:, 0]
+        assert np.array_equal(model.predict(probe), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_test_features_rejected(self, bad):
+        X, y = two_blobs(12, seed=2)
+        model = train(X, y, 0.6, small_config(tau=0.0))
+        probe = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(DataError, match="non-finite"):
+            model.decision_function(probe)
+        regressor = train_svr(X, X[:, 0], 0.6, SolverConfig(C=1.0, eta=1.0, t_max=50))
+        with pytest.raises(DataError, match="non-finite"):
+            regressor.predict(probe)
 
 
 class TestExtendAdaptive:
