@@ -87,13 +87,16 @@ def build_parser() -> _Parser:
 
 def _read_dataset(path: str, fmt: str, mode: str) -> dataio.Dataset:
     parser = dataio.parse_libsvm if fmt == "libsvm" else dataio.parse_csv
-    if path == "-":
-        return parser(sys.stdin.read(), mode)
     try:
-        with open(path) as stream:
+        if path == "-":
+            return parser(sys.stdin.read(), mode)
+        with open(path, encoding="utf-8") as stream:
             return parser(stream, mode)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{'standard input' if path == '-' else path} is not UTF-8 "
+                        f"text: {exc}") from exc
 
 
 def _resolve_eta_flag(value):

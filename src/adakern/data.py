@@ -113,7 +113,13 @@ def parse_libsvm(lines, mode: str = CLASSIFICATION) -> Dataset:
         width = max(width, prev)
     if not rows:
         raise DataError("no data rows found")
-    X = np.zeros((len(rows), max(width, 1)))
+    try:
+        X = np.zeros((len(rows), max(width, 1)))
+    except (MemoryError, ValueError) as exc:
+        raise DataError(
+            f"a dense {len(rows)} x {width} feature matrix (largest feature index "
+            f"{width}) cannot be allocated"
+        ) from exc
     for i, entries in enumerate(rows):
         for idx, val in entries.items():
             X[i, idx - 1] = val

@@ -2,8 +2,9 @@
 
 Provides the eigendecomposition, the eigenvalue soft-thresholding operator
 (the proximal map of the nuclear norm restricted to symmetric matrices),
-its low-rank form for PSD input that the solvers call every iteration,
-and the four matrix norms the solvers rely on.
+its certified low-rank form for PSD input, kept as a factor, with the
+matrix-free variant the solvers call every iteration, and the four matrix
+norms the solvers rely on.
 """
 
 from typing import NamedTuple
@@ -30,18 +31,33 @@ class EigenPair(NamedTuple):
 
 
 class SpectralProx(NamedTuple):
-    """Soft-thresholded PSD matrix with what its factorization found.
+    """Soft-thresholded PSD matrix F, kept as its factor.
 
-    ``nuclear`` is the sum of the shrunk spectrum, the nuclear norm of
-    ``matrix``.  ``rank`` counts the eigenpairs kept above the threshold;
-    it is 0 at threshold 0, where nothing is factored.  ``dense`` is True
-    when the dense fallback ran.
+    ``factor`` is W (n x rank) with F = W W'; its columns are orthogonal
+    and their squared norms are the shrunk spectrum.  At threshold 0 the
+    map is the identity: nothing is factored, ``factor`` is None and
+    ``unfactored`` holds F itself.  ``nuclear`` is the sum of the shrunk
+    spectrum, the nuclear norm of F.  ``rank`` counts the eigenpairs kept
+    above the threshold; it is 0 at threshold 0.  ``dense`` is True when
+    the dense fallback ran.  ``basis`` holds the Ritz vectors a certified
+    subspace iteration ended on, to warm-start the next call; it is None
+    after the dense fallback.
     """
 
-    matrix: np.ndarray
+    factor: np.ndarray | None
     nuclear: float
     rank: int
     dense: bool
+    basis: np.ndarray | None = None
+    unfactored: np.ndarray | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """F itself; formed from the factor (exactly symmetric) on each access."""
+        if self.factor is None:
+            return self.unfactored
+        # np.dot uses a symmetric BLAS product for W W', also at rank one.
+        return np.dot(self.factor, self.factor.T)
 
 
 class MatrixNorms(NamedTuple):
@@ -123,44 +139,88 @@ def psd_soft_threshold(A, threshold: float, floor: float = 0.0) -> SpectralProx:
     inequality tr(A) - sum_{k<=p} theta_k is the sum of A's spectrum off
     the top p Ritz vectors, which for PSD A bounds its largest eigenvalue
     there; so no eigenvalue outside the r kept pairs exceeds t, and the
-    result is rebuilt from them in O(n^2 r).  When no block up to a
-    quarter of the dimension passes after a few steps, or the Ritz values
-    already show that none would, the dense :func:`soft_threshold_spectrum`
-    gives the result, so both paths agree to round-off everywhere.
+    factor is W = V_r sqrt(theta_r - t).  When no block up to a quarter of
+    the dimension passes after a few steps, or the Ritz values already
+    show that none would, a dense eigendecomposition gives the factor, so
+    both paths agree to round-off everywhere.
     """
     if threshold < 0:
         raise ParameterError(f"threshold must be nonnegative, got {threshold}")
     A = np.asarray(A, dtype=float)
+    trace = float(np.trace(A))
     if threshold == 0:
-        return SpectralProx(A, float(np.trace(A)), 0, False)
-    prox = _subspace_soft_threshold(A, threshold, floor)
+        return SpectralProx(None, trace, 0, False, unfactored=A)
+    return _factored_soft_threshold(A.__matmul__, trace, lambda: A, A.shape[0],
+                                    threshold, floor, None)
+
+
+def gram_soft_threshold(K, w, scale: float, threshold: float, floor: float = 0.0,
+                        start=None) -> SpectralProx:
+    """:func:`psd_soft_threshold` of A = 11' + scale diag(w) K diag(w), without forming A.
+
+    K is PSD (up to ``floor``) and the threshold positive.  The subspace
+    iteration applies A to a block V as 1(1'V) + scale w o (K (w o V)), one
+    product with K, and takes tr(A) = n + scale sum_i w_i^2 K_ii.  ``start``
+    is the ``basis`` of a previous call on a nearby A: the first power step
+    then starts from that block instead of the fixed start block.  The
+    acceptance test is the same either way, so a start only changes how
+    soon it passes.  Only the dense fallback forms A.
+    """
+    if not threshold > 0:
+        raise ParameterError(f"threshold must be positive, got {threshold}")
+    K = np.asarray(K, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if K.ndim != 2 or K.shape != (w.size, w.size):
+        raise DataError("weights and kernel matrix have inconsistent sizes")
+    col = w[:, None]
+
+    def apply(V):
+        AV = K @ (col * V)
+        AV *= col * scale
+        AV += V.sum(axis=0)
+        return AV
+
+    trace = w.size + scale * float((w * w) @ np.diagonal(K))
+    return _factored_soft_threshold(apply, trace, lambda: K * np.outer(w, w) * scale + 1.0,
+                                    w.size, threshold, floor, start)
+
+
+def _factored_soft_threshold(apply, trace, dense, n, threshold, floor, start) -> SpectralProx:
+    """Certified subspace result, else the factor from a dense eigendecomposition."""
+    prox = _subspace_soft_threshold(apply, trace, n, threshold, floor, start)
+    if prox is None and start is not None:
+        # A warm start may begin at the largest block, with no sizes to
+        # grow through; the cold schedule runs before the dense fallback.
+        prox = _subspace_soft_threshold(apply, trace, n, threshold, floor, None)
     if prox is None:
-        B, shrunk = soft_threshold_spectrum(A, threshold)
-        prox = SpectralProx(B, float(np.sum(np.abs(shrunk))),
-                            int(np.count_nonzero(shrunk)), True)
+        values, vectors = sym_eig(dense())
+        r = int(np.count_nonzero(values > threshold))
+        shrunk = values[:r] - threshold
+        prox = SpectralProx(vectors[:, :r] * np.sqrt(shrunk), float(np.sum(shrunk)), r, True)
     return prox
 
 
-def _subspace_soft_threshold(A, threshold, floor):
+def _subspace_soft_threshold(apply, trace, n, threshold, floor, start):
     """Certified low-rank soft-threshold, or None when the test never passes."""
-    n = A.shape[0]
-    block = _START_BLOCK
+    block = _START_BLOCK if start is None else start.shape[1]
     if block > n // 4 or -floor >= threshold:
         return None
     eps = np.finfo(float).eps
-    trace = float(np.trace(A))
     # Past the p-th Ritz pair, n - p - 1 eigenvalues other than the largest
     # are each at least ``floor``, so they can hide up to (n - p) |floor| of
     # the tail; the last term covers round-off in tr(A) and the Ritz values.
     slack = max(0.0, -floor) * (n - np.arange(n + 1)) + 16.0 * n * eps * abs(trace)
-    rng = np.random.default_rng(0)
     # Each step orthonormalizes A times the previous Ritz vectors (at first,
     # the start block) and runs Rayleigh-Ritz on that subspace.
-    AV = A @ np.column_stack([np.ones(n), rng.standard_normal((n, block - 1))])
+    rng = None
+    if start is None:
+        rng = np.random.default_rng(0)
+        start = np.column_stack([np.ones(n), rng.standard_normal((n, block - 1))])
+    AV = apply(start)
     while True:
         for _ in range(_BLOCK_STEPS):
             Q = np.linalg.qr(AV)[0]
-            AQ = A @ Q
+            AQ = apply(Q)
             theta, U = np.linalg.eigh(Q.T @ AQ)
             theta, U = theta[::-1], U[:, ::-1]
             V = Q @ U
@@ -176,10 +236,8 @@ def _subspace_soft_threshold(A, threshold, floor):
                 coupling = np.sqrt(np.concatenate([[0.0], np.cumsum(residual[r:] ** 2)]))
                 if np.any(np.maximum(lead, tail) + coupling < threshold):
                     shrunk = theta[:r] - threshold
-                    W = V[:, :r] * np.sqrt(shrunk)
-                    # np.dot uses a symmetric BLAS product for W W' (the
-                    # result is exactly symmetric) also at rank one.
-                    return SpectralProx(np.dot(W, W.T), float(np.sum(shrunk)), r, False)
+                    return SpectralProx(V[:, :r] * np.sqrt(shrunk), float(np.sum(shrunk)),
+                                        r, False, basis=V)
             # Give up early when even n/4 vectors, each as large as the
             # smallest Ritz value, could not bring the tail below the threshold.
             if trace - theta.sum() - (n // 4 - block) * max(theta[-1], 0.0) >= threshold:
@@ -187,7 +245,9 @@ def _subspace_soft_threshold(A, threshold, floor):
         if block == n // 4:
             return None
         grown = min(2 * block, n // 4)
-        AV = np.column_stack([AV, A @ rng.standard_normal((n, grown - block))])
+        if rng is None:
+            rng = np.random.default_rng(0)
+        AV = np.column_stack([AV, apply(rng.standard_normal((n, grown - block)))])
         block = grown
 
 

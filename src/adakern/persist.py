@@ -3,6 +3,12 @@
 Key-value lines with dense arrays in 17-significant-digit scientific
 notation, which round-trips float64 exactly, so save -> load -> predict is
 bit-identical to the in-memory model on the same platform.
+
+Format 2 stores the adaptive matrix as its factor when the model has one
+whose product W W' is F bit for bit: a ``rank r`` line and n ``W`` rows of
+r values (none at r = 0), and loading forms F = W W' the same way.  Other
+models store n ``F`` rows, or F blocks for the decomposition mode, as
+format 1 does; format 1 files still load.
 """
 
 import numpy as np
@@ -14,7 +20,9 @@ from .svm import SvmModel
 from .svr import SvrModel
 
 FORMAT_NAME = "adakern-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Versions load_model reads; format 1 has no factor lines.
+_READABLE = ("1", "2")
 
 
 def _fmt(x: float) -> str:
@@ -71,6 +79,10 @@ def save_model(model, path: str) -> None:
             lines.append(f"block {c} {idx.size}")
             for row in block:
                 lines.append(f"B {_fmt_vec(row)}")
+    elif model.W is not None and np.array_equal(np.dot(model.W, model.W.T), model.F):
+        lines.append(f"rank {model.W.shape[1]}")
+        if model.W.shape[1]:
+            lines.extend(f"W {_fmt_vec(row)}" for row in model.W)
     else:
         for row in model.F:
             lines.append(f"F {_fmt_vec(row)}")
@@ -111,19 +123,16 @@ def _matrix(rows, count: int, width: int, what: str) -> np.ndarray:
 
 
 def _parse(lines):
-    """Split the body lines into fields and the text of X rows, F rows and F blocks."""
+    """Split the body lines into fields, the text of X, F and W rows, and F blocks."""
     fields: dict = {}
-    x_rows: list[str] = []
-    f_rows: list[str] = []
+    rows: dict[str, list[str]] = {"X": [], "F": [], "W": []}
     blocks: dict[int, tuple[int, list[str]]] = {}
     current = None
     for line in lines:
         key, _, rest = line.partition(" ")
         try:
-            if key == "X":
-                x_rows.append(rest)
-            elif key == "F":
-                f_rows.append(rest)
+            if key in rows:
+                rows[key].append(rest)
             elif key == "B":
                 blocks[current][1].append(rest)
             elif key == "block":
@@ -133,7 +142,7 @@ def _parse(lines):
                 blocks[current] = (size, [])
             elif key in fields:
                 raise ValueError("repeated key")
-            elif key == "assignment":
+            elif key in ("assignment", "rank"):
                 fields[key] = np.array(rest.split(), dtype=int)
             elif key in _VECTOR_LENGTHS:
                 fields[key] = np.array(rest.split(), dtype=float)
@@ -143,7 +152,7 @@ def _parse(lines):
                 raise ValueError("unknown key")
         except (ValueError, KeyError) as exc:
             raise DataError(f"malformed line {line[:60]!r}: {exc}") from exc
-    return fields, x_rows, f_rows, blocks
+    return fields, rows, blocks
 
 
 def load_model(path: str):
@@ -153,27 +162,33 @@ def load_model(path: str):
     unknown key, a value that does not parse, an array of the wrong length,
     a non-finite array entry, no closing ``end`` line) raises ``DataError``.
     """
-    with open(path) as stream:
-        lines = [line for line in stream.read().splitlines() if line]
+    try:
+        with open(path, encoding="utf-8") as stream:
+            lines = [line for line in stream.read().splitlines() if line]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read model {path}: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty model file")
     header = lines[0].split()
     if len(header) != 2 or header[0] != FORMAT_NAME:
         raise DataError(f"{path}: not a model file")
-    if header[1] != str(FORMAT_VERSION):
+    if header[1] not in _READABLE:
         raise DataError(
             f"{path}: unsupported model format version {header[1]} "
-            f"(expected {FORMAT_VERSION})"
+            f"(expected one of {', '.join(_READABLE)})"
         )
     if lines[-1] != "end":
         raise DataError(f"{path}: truncated model file (no closing 'end' line)")
     try:
-        return _build(*_parse(lines[1:-1]))
+        fields, rows, blocks = _parse(lines[1:-1])
+        if header[1] == "1" and ("rank" in fields or rows["W"]):
+            raise DataError("format 1 has no factor lines")
+        return _build(fields, rows, blocks)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _build(fields, x_rows, f_rows, blocks):
+def _build(fields, rows, blocks):
     """Check the parsed fields against each other and make the model."""
     task = fields.get("task")
     if task not in _TASK_KEYS:
@@ -182,7 +197,7 @@ def _build(fields, x_rows, f_rows, blocks):
     missing = [k for k in keys if k not in fields]
     if missing:
         raise DataError(f"incomplete model file, missing {', '.join(missing)}")
-    extra = set(fields) - set(keys) - {"assignment"}
+    extra = set(fields) - set(keys) - {"assignment", "rank"}
     if extra:
         raise DataError(f"keys {sorted(extra)} do not belong in a {task} model")
     try:
@@ -217,17 +232,19 @@ def _build(fields, x_rows, f_rows, blocks):
             if value.shape != (expected,):
                 raise DataError(f"{key} has length {value.size}, expected {expected}")
 
-    X = _matrix(x_rows, n, d, "X")
+    X = _matrix(rows["X"], n, d, "X")
     assignment = fields.get("assignment")
     mode = fields["mode"]
     if mode not in ("exact", "scalable") or (assignment is not None) != (mode == "scalable"):
         raise DataError(f"mode {mode!r} does not match the stored F")
+    W = None
     if assignment is None:
         if blocks:
             raise DataError("F blocks without a cluster assignment")
-        F = _matrix(f_rows, n, n, "F")
+        W = _factor(fields.get("rank"), rows, n)
+        F = _matrix(rows["F"], n, n, "F") if W is None else np.dot(W, W.T)
     else:
-        if task != "svm" or f_rows or assignment.min() < 0:
+        if task != "svm" or rows["F"] or rows["W"] or "rank" in fields or assignment.min() < 0:
             raise DataError("a cluster assignment needs an SVM model with F blocks")
         if sorted(blocks) != list(range(assignment.max() + 1)):
             raise DataError("F blocks do not match the cluster assignment")
@@ -243,10 +260,23 @@ def _build(fields, x_rows, f_rows, blocks):
 
     common = dict(X=X, y=fields["y"], F=F, bias=bias, sigma=sigma, config=config,
                   scaler=Scaler(mins=fields["scaler_min"], maxs=fields["scaler_max"]),
-                  meta=meta)
+                  meta=meta, W=W)
     if task == "svm":
         return SvmModel(alpha=fields["alpha"], mode=mode, assignment=assignment, **common)
     return SvrModel(alpha_hat=fields["alpha_hat"], alpha_check=fields["alpha_check"],
                     epsilon=epsilon,
                     y_scaler=Scaler(mins=fields["y_scaler_min"], maxs=fields["y_scaler_max"]),
                     **common)
+
+
+def _factor(rank, rows, n: int):
+    """The stored factor W (n x rank), or None when the file holds F rows."""
+    if rank is None:
+        if rows["W"]:
+            raise DataError("W rows without a rank line")
+        return None
+    if rows["F"] or rank.shape != (1,) or rank[0] < 0:
+        raise DataError("a factor needs one non-negative rank and no F rows")
+    if rank[0] == 0 and not rows["W"]:
+        return np.zeros((n, 0))
+    return _matrix(rows["W"], n, int(rank[0]), "W")

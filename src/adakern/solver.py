@@ -13,12 +13,17 @@ problem maximizes the resulting concave value function h(a), whose
 (envelope) gradient is 1 - Y(F(a) o K)Ya, by projected gradient ascent
 with optional Nesterov acceleration.
 
-11' + G(a) is PSD, so F(a) comes from :func:`linalg.psd_soft_threshold`.
-At tau = 0 the threshold is the identity and no factorization runs.  For
-tau > 0 only the eigenpairs above tau/2 are computed, after a trace test
-certifies that no others exceed it; a dense eigendecomposition is the
-fallback when the test does not pass.  The smallest eigenvalue of K,
-taken once per solve by the PSD check, enters that test's margin.
+11' + G(a) is PSD.  At tau = 0 the threshold is the identity: F(a) is the
+dense 11' + G(a), and no factorization runs.  For tau > 0, F(a) is kept as
+its factor W (n x r, F = W W') from :func:`linalg.gram_soft_threshold`,
+which computes only the eigenpairs above tau/2, after a trace test
+certifies that no others exceed it, by products with K alone; each call
+warm-starts from the Ritz vectors of the call before, and a dense
+eigendecomposition is the fallback when the test does not pass.  The
+gradient and value then come from W in O(n^2 r), so neither G(a) nor F(a)
+is formed inside the loop; the solve returns F = W W' once, at the end.
+The eigenvalues of K, taken once per solve by the PSD check, give the
+test's margin and the pgd step constant.
 """
 
 from dataclasses import dataclass, field, replace
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .linalg import SpectralProx, psd_soft_threshold
+from .linalg import SpectralProx, gram_soft_threshold, psd_soft_threshold
 
 VARIANTS = ("nesterov", "pgd", "monotone-nesterov")
 
@@ -97,7 +102,9 @@ class SolveTrace:
     monotone variant.  ``alpha_step_history[t]`` is ||a^(t+1) - a^(t)||_2.
     ``prox_fallbacks`` counts the spectral prox calls that fell back to
     the dense eigendecomposition, and ``prox_rank`` is the largest number
-    of eigenpairs one call kept (both stay 0 at tau = 0).
+    of eigenpairs one call kept (both stay 0 at tau = 0).  ``factor`` is
+    W with F = W W' for the returned F, None when F is not factored
+    (tau = 0).
     """
 
     iterations: int = 0
@@ -109,6 +116,7 @@ class SolveTrace:
     iterates: dict | None = None
     prox_fallbacks: int = 0
     prox_rank: int = 0
+    factor: np.ndarray | None = None
 
     def record_prox(self, prox: SpectralProx) -> None:
         self.prox_fallbacks += int(prox.dense)
@@ -136,21 +144,84 @@ def adaptive_matrix_spectrum(alpha, y, K, tau, eta, lam_min_K: float = 0.0) -> S
     K must be PSD; ``lam_min_K`` is its smallest eigenvalue when round-off
     puts it slightly below zero.
     """
-    G = weighted_gram(alpha, y, K, eta)
-    w = np.asarray(alpha, dtype=float) * np.asarray(y, dtype=float)
-    return _weighted_prox(G, w, tau, eta, lam_min_K)
+    alpha = np.asarray(alpha, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if alpha.shape != y.shape:
+        raise DataError("alpha and y have inconsistent shapes")
+    return _adaptive_prox(alpha * y, K, tau, eta, lam_min_K)
 
 
-def _weighted_prox(G, w, tau: float, eta: float, lam_min_K: float) -> SpectralProx:
-    """Soft-threshold of 11' + G at tau/2, for G = diag(w) K diag(w) / (4 eta).
+def _adaptive_prox(w, K, tau: float, eta: float, lam_min_K: float = 0.0,
+                   start=None) -> SpectralProx:
+    """Soft-threshold of 11' + diag(w) K diag(w) / (4 eta) at tau/2.
 
-    Overwrites G.  The smallest eigenvalue of G is at least
-    min(0, lam_min(K)) max_i w_i^2 / (4 eta), the floor the certified
-    low-rank path needs.
+    At tau = 0 the dense matrix is formed and returned unfactored.  For
+    tau > 0 the factor comes from :func:`linalg.gram_soft_threshold`, which
+    never forms the matrix on its certified path; ``start`` warm-starts
+    it.  The smallest eigenvalue of the weighted Gram part is at least
+    min(0, lam_min(K)) max_i w_i^2 / (4 eta), the floor its test needs.
     """
-    G += 1.0
+    K = np.asarray(K, dtype=float)
+    if K.shape != (w.size, w.size):
+        raise DataError("dual weights and kernel matrix have inconsistent sizes")
+    if tau == 0:
+        G = (K * np.outer(w, w)) / (4.0 * eta)
+        G += 1.0
+        return psd_soft_threshold(G, 0.0)
     floor = min(0.0, lam_min_K) * float(np.max(w * w, initial=0.0)) / (4.0 * eta)
-    return psd_soft_threshold(G, 0.5 * tau, floor)
+    return gram_soft_threshold(K, w, 1.0 / (4.0 * eta), 0.5 * tau, floor, start)
+
+
+def _evaluate(prox: SpectralProx, K, w, base: float, tau: float, eta: float):
+    """(F o K) w and base - w'(F o K)w / 2 + eta ||F - 11'||_F^2 + tau eta ||F||_*.
+
+    The shared value/gradient body of both solvers; w is the dual weight
+    vector (a o y, or hat - check).  With a factor W of F, (F o K) w is
+    sum_k W_k o (K (W_k o w)), O(n^2 r), and the deviation term comes from
+    :func:`_deviation_sq`.  An unfactored F is used as it is.
+    """
+    W = prox.factor
+    if W is None:
+        F = prox.unfactored
+        q = (F * K) @ w
+        dev = F - 1.0
+        dev_sq = float((dev * dev).sum())
+    else:
+        q = np.sum(W * (K @ (W * w[:, None])), axis=1)
+        dev_sq = _deviation_sq(W)
+    value = base - 0.5 * float(w @ q) + eta * dev_sq
+    if tau > 0:
+        value += tau * eta * prox.nuclear
+    return q, value
+
+
+def _deviation_sq(W) -> float:
+    """||W W' - 11'||_F^2 from the n x r factor, in O(n r^2).
+
+    With c = W'1 / n and E = W - 1c' (so 1'E = 0), the four terms of
+    W W' - 11' = (c'c - 1) 11' + 1(Ec)' + (Ec)1' + EE' are orthogonal, so
+    the square is n^2 (c'c - 1)^2 + 2n ||Ec||^2 + ||E'E||_F^2, a sum of
+    non-negative terms.  c'c - 1 is d (d + 2) plus the other squares of c,
+    where d = |c_k| - 1 for the largest |c_k| is the mean of +-W_k - 1:
+    near F = 11' those differences are exact, so nothing cancels.
+    """
+    n, r = W.shape
+    c = W.sum(axis=0) / n
+    E = W - c
+    Ec = E @ c
+    excess = -1.0
+    if r:
+        k = int(np.argmax(np.abs(c)))
+        d = float(np.sum(np.copysign(1.0, c[k]) * W[:, k] - 1.0)) / n
+        others = c * c
+        others[k] = 0.0
+        excess = d * (d + 2.0) + float(others.sum())
+    return n * n * excess ** 2 + 2.0 * n * float(Ec @ Ec) + float(np.sum(np.square(E.T @ E)))
+
+
+def _frozen_prox(n: int) -> SpectralProx:
+    """F = 11' as its factor, the standard-SVM (frozen) adaptive matrix."""
+    return SpectralProx(np.ones((n, 1)), float(n), 1, False)
 
 
 def adaptive_spectral_bound(n: int, C: float, tau: float, eta: float,
@@ -159,44 +230,42 @@ def adaptive_spectral_bound(n: int, C: float, tau: float, eta: float,
     return n - 0.5 * tau + n * C * C * lam_max_K / (4.0 * eta)
 
 
-def _objective_terms(alpha, y, K, F, nuclear, tau, eta):
-    w = np.asarray(y, dtype=float) * np.asarray(alpha, dtype=float)
-    quad = float(w @ ((F * K) @ w))
-    value = float(np.sum(alpha)) - 0.5 * quad
-    dev = F - 1.0
-    value += eta * float((dev * dev).sum())
-    if tau > 0:
-        value += tau * eta * nuclear
-    return value
-
-
 def dual_objective(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> float:
     """Value function h(a) = H(a, F(a)) of the outer maximization."""
-    if freeze_f:
-        n = len(np.asarray(alpha))
-        eta = _eta_for_frozen(config)
-        return _objective_terms(alpha, y, K, np.ones((n, n)), float(n), config.tau, eta)
-    eta = _require_eta(config)
-    prox = adaptive_matrix_spectrum(alpha, y, K, config.tau, eta)
-    return _objective_terms(alpha, y, K, prox.matrix, prox.nuclear, config.tau, eta)
+    return _dual_terms(alpha, y, K, config, freeze_f)[1]
 
 
 def saddle_value(alpha, y, K, F, eta: float, tau: float = 0.0) -> float:
     """H(a, F) for an arbitrary (not necessarily optimal) adaptive matrix."""
     F = np.asarray(F, dtype=float)
     nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (F + F.T))))) if tau > 0 else 0.0
-    return _objective_terms(alpha, y, K, F, nuclear, tau, eta)
+    w = np.asarray(y, dtype=float) * np.asarray(alpha, dtype=float)
+    prox = SpectralProx(None, nuclear, 0, False, unfactored=F)
+    return _evaluate(prox, np.asarray(K, dtype=float), w, float(np.sum(alpha)), tau, eta)[1]
 
 
 def dual_gradient(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> np.ndarray:
     """Envelope gradient of h: 1 - Y(F(a) o K)Ya with F(a) held at its optimum."""
+    return _dual_terms(alpha, y, K, config, freeze_f)[0]
+
+
+def _dual_terms(alpha, y, K, config, freeze_f):
+    """Gradient and value of h at alpha, from one prox."""
     alpha = np.asarray(alpha, dtype=float)
     y = np.asarray(y, dtype=float)
+    K = np.asarray(K, dtype=float)
+    w = y * alpha
+    prox, eta = _prox_for(w, K, config, freeze_f)
+    q, value = _evaluate(prox, K, w, float(np.sum(alpha)), config.tau, eta)
+    return 1.0 - y * q, value
+
+
+def _prox_for(w, K, config: SolverConfig, freeze_f: bool):
+    """The prox at dual weights w and the eta it used, for the public value functions."""
     if freeze_f:
-        FK = np.asarray(K, dtype=float)
-    else:
-        FK = adaptive_matrix(alpha, y, K, config.tau, _require_eta(config)) * K
-    return 1.0 - y * (FK @ (y * alpha))
+        return _frozen_prox(w.size), _eta_for_frozen(config)
+    eta = _require_eta(config)
+    return _adaptive_prox(w, K, config.tau, eta), eta
 
 
 def lipschitz_svm(n: int, C: float, K, eta: float) -> float:
@@ -213,7 +282,11 @@ def lipschitz_pgd(n: int, C: float, K, eta: float, tau: float) -> float:
     if not eta > 0:
         raise ParameterError(f"eta must be positive, got {eta}")
     lam_max = float(np.linalg.eigvalsh(np.asarray(K, dtype=float))[-1])
-    return n - 0.5 * tau + n * C * C * lam_max / (4.0 * eta)
+    return _pgd_constant(n, C, lam_max, eta, tau)
+
+
+def _pgd_constant(n: int, C: float, lam_max_K: float, eta: float, tau: float) -> float:
+    return n - 0.5 * tau + n * C * C * lam_max_K / (4.0 * eta)
 
 
 def project_feasible(alpha, y, C: float, rounds: int = 10) -> np.ndarray:
@@ -303,8 +376,8 @@ def _check_labels(y, require_both_classes: bool) -> np.ndarray:
     return y
 
 
-def _check_psd_gram(K) -> tuple[np.ndarray, float]:
-    """Reject a non-square or indefinite K; returns K and lambda_min(K)."""
+def _check_psd_gram(K) -> tuple[np.ndarray, float, float]:
+    """Reject a non-square or indefinite K; returns K, lambda_min(K) and lambda_max(K)."""
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DataError(f"kernel matrix must be square, got shape {K.shape}")
@@ -312,7 +385,7 @@ def _check_psd_gram(K) -> tuple[np.ndarray, float]:
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     if lam_min < -1e-8 * max(1.0, lam_max):
         raise DataError(f"kernel matrix is not PSD: lambda_min = {lam_min:.3e}")
-    return K, lam_min
+    return K, lam_min, lam_max
 
 
 def solve(K, y, config: SolverConfig, freeze_f: bool = False,
@@ -336,7 +409,7 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
     :func:`project_feasible` lands measurably away from the true
     projection and stalls convergence.
     """
-    K, lam_min_K = _check_psd_gram(K)
+    K, lam_min_K, lam_max_K = _check_psd_gram(K)
     y = _check_labels(y, require_both_classes=with_equality)
     n = y.size
     if K.shape[0] != n:
@@ -353,7 +426,7 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
         L = float(np.linalg.norm(K))
         eta = _eta_for_frozen(config)
     elif config.variant == "pgd":
-        L = lipschitz_pgd(n, C, K, _require_eta(config), tau)
+        L = _pgd_constant(n, C, lam_max_K, _require_eta(config), tau)
         eta = config.eta
     else:
         L = lipschitz_svm(n, C, K, _require_eta(config))
@@ -366,23 +439,13 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
         def proj(v):
             return np.clip(v, 0.0, C)
 
-    ones_F = np.ones((n, n))
-
-    def prox_at(a):
-        prox = adaptive_matrix_spectrum(a, y, K, tau, eta, lam_min_K)
-        trace.record_prox(prox)
-        return prox
+    prox_at = _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f)
 
     def evaluate(a):
         """Gradient and objective at a, sharing one factorization."""
-        if freeze_f:
-            g = 1.0 - y * (K @ (y * a))
-            h = _objective_terms(a, y, K, ones_F, float(n), tau, eta)
-        else:
-            prox = prox_at(a)
-            g = 1.0 - y * ((prox.matrix * K) @ (y * a))
-            h = _objective_terms(a, y, K, prox.matrix, prox.nuclear, tau, eta)
-        return g, h
+        w = y * a
+        q, h = _evaluate(prox_at(w), K, w, float(np.sum(a)), tau, eta)
+        return 1.0 - y * q, h
 
     def objective(a):
         return evaluate(a)[1]
@@ -445,8 +508,41 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
         trace.objective_history.append(objective(a))
     trace.final_beta = None if beta is None else beta.copy()
 
-    F_final = ones_F if freeze_f else prox_at(a).matrix
-    return DualState(alpha=a, y=y), F_final, trace
+    return DualState(alpha=a, y=y), _final_matrix(prox_at, y * a, trace), trace
+
+
+def _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f):
+    """The adaptive-matrix prox of one solve, as a function of the dual weights.
+
+    Each call warm-starts from the Ritz block of the call before (a cold
+    start after a dense fallback); ``warm=False`` starts cold.  Calls are
+    counted in ``trace``.  With ``freeze_f`` every call returns the factor
+    W = 1 of F = 11'.
+    """
+    frozen = _frozen_prox(K.shape[0]) if freeze_f else None
+    basis = None
+
+    def prox_at(w, warm=True):
+        nonlocal basis
+        if frozen is not None:
+            return frozen
+        prox = _adaptive_prox(w, K, tau, eta, lam_min_K, basis if warm else None)
+        basis = prox.basis
+        trace.record_prox(prox)
+        return prox
+
+    return prox_at
+
+
+def _final_matrix(prox_at, w, trace) -> np.ndarray:
+    """F at the final duals from a cold-started prox, with its factor put on ``trace``.
+
+    The cold start makes F the same, bit for bit, as the public
+    ``adaptive_matrix_spectrum`` gives at the same duals.
+    """
+    prox = prox_at(w, warm=False)
+    trace.factor = prox.factor
+    return prox.matrix
 
 
 def resolve_eta(K, y, config: SolverConfig, with_equality: bool = True) -> SolverConfig:

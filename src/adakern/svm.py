@@ -15,7 +15,11 @@ _MARGIN_RTOL = 1e-6
 
 @dataclass
 class SvmModel:
-    """Everything prediction needs.  ``X`` is stored in scaled space."""
+    """Everything prediction needs.  ``X`` is stored in scaled space.
+
+    ``W`` is the factor of F = W W' when training produced one (tau > 0,
+    or F frozen at 11'), else None.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -28,6 +32,7 @@ class SvmModel:
     mode: str = "exact"
     assignment: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    W: np.ndarray | None = None
 
     def decision_function(self, X_test) -> np.ndarray:
         return _expansion(self, self.alpha * self.y, X_test)
@@ -100,14 +105,19 @@ def train(X, y, sigma: float, config: SolverConfig,
     bias = recover_bias(state.alpha, y, F, K, config.C)
     return SvmModel(
         X=Xs, y=y, alpha=state.alpha, F=F, bias=bias, sigma=sigma,
-        config=config, scaler=scaler, meta=_training_meta(F, trace),
+        config=config, scaler=scaler, meta=_training_meta(F, trace), W=trace.factor,
     )
 
 
 def _training_meta(F: np.ndarray, trace: SolveTrace) -> dict:
-    evals = np.linalg.eigvalsh(0.5 * (F + F.T))
-    lam_max = float(evals[-1])
-    rank = int(np.sum(evals > 1e-6 * max(lam_max, 0.0))) if lam_max > 0 else 0
+    # Numerical rank: eigenvalues above 1e-6 of the largest.  The squared
+    # column norms of a factor are F's nonzero spectrum.
+    if trace.factor is None:
+        spectrum = np.linalg.eigvalsh(0.5 * (F + F.T))
+    else:
+        spectrum = np.einsum("ij,ij->j", trace.factor, trace.factor)
+    top = float(spectrum.max(initial=0.0))
+    rank = int(np.sum(spectrum > 1e-6 * top)) if top > 0 else 0
     return {
         "iterations": trace.iterations,
         "objective": trace.objective_history[-1] if trace.objective_history else float("nan"),

@@ -8,7 +8,20 @@ from .data import Scaler, apply_minmax, fit_minmax, inverse_minmax
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram
 from .linalg import SpectralProx
-from .solver import SolverConfig, SolveTrace, _check_psd_gram, _weighted_prox, project_exact
+from .solver import (
+    SolverConfig,
+    SolveTrace,
+    _adaptive_prox,
+    _check_psd_gram,
+    _eta_for_frozen,
+    _evaluate,
+    _final_matrix,
+    _pgd_constant,
+    _prox_for,
+    _prox_sequence,
+    _require_eta,
+    project_exact,
+)
 from .svm import _expansion
 
 _MARGIN_RTOL = 1e-6
@@ -57,6 +70,7 @@ class SvrModel:
     scaler: Scaler
     y_scaler: Scaler
     meta: dict = field(default_factory=dict)
+    W: np.ndarray | None = None
 
     def predict(self, X_test) -> np.ndarray:
         scaled = _expansion(self, self.alpha_hat - self.alpha_check, X_test)
@@ -87,38 +101,33 @@ def svr_adaptive_spectrum(alpha_hat, alpha_check, K, tau, eta,
     ``lam_min_K`` is the smallest eigenvalue of K when round-off puts it
     slightly below zero.
     """
-    G = svr_weighted_gram(alpha_hat, alpha_check, K, eta)
-    w = np.asarray(alpha_hat, dtype=float) - np.asarray(alpha_check, dtype=float)
-    return _weighted_prox(G, w, tau, eta, lam_min_K)
+    return _adaptive_prox(_weights(alpha_hat, alpha_check), K, tau, eta, lam_min_K)
 
 
-def _svr_terms(alpha_hat, alpha_check, y, K, F, nuclear, epsilon, tau, eta):
-    w = alpha_hat - alpha_check
-    quad = float(w @ ((F * K) @ w))
-    value = -0.5 * quad + float(w @ y) - epsilon * float(np.sum(alpha_hat + alpha_check))
-    dev = F - 1.0
-    value += eta * float((dev * dev).sum())
-    if tau > 0:
-        value += tau * eta * nuclear
-    return value
+def _weights(alpha_hat, alpha_check) -> np.ndarray:
+    alpha_hat = np.asarray(alpha_hat, dtype=float)
+    alpha_check = np.asarray(alpha_check, dtype=float)
+    if alpha_hat.shape != alpha_check.shape:
+        raise DataError("dual vectors must have equal lengths")
+    return alpha_hat - alpha_check
+
+
+def _svr_terms(alpha_hat, alpha_check, y, K, epsilon, config, freeze_f):
+    """(F o K)(hat - check) and the value, from one prox."""
+    alpha_hat = np.asarray(alpha_hat, dtype=float)
+    alpha_check = np.asarray(alpha_check, dtype=float)
+    y = np.asarray(y, dtype=float)
+    K = np.asarray(K, dtype=float)
+    w = _weights(alpha_hat, alpha_check)
+    prox, eta = _prox_for(w, K, config, freeze_f)
+    base = float(w @ y) - epsilon * float(np.sum(alpha_hat + alpha_check))
+    return _evaluate(prox, K, w, base, config.tau, eta)
 
 
 def svr_objective(alpha_hat, alpha_check, y, K, epsilon: float,
                   config: SolverConfig, freeze_f: bool = False) -> float:
     """Value function of the outer maximization at the optimal F."""
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    alpha_check = np.asarray(alpha_check, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if freeze_f:
-        n = alpha_hat.size
-        F = np.ones((n, n))
-        nuclear = float(n)
-        eta = config.eta if config.eta is not None else 0.0
-    else:
-        eta = _require_eta(config)
-        prox = svr_adaptive_spectrum(alpha_hat, alpha_check, K, config.tau, eta)
-        F, nuclear = prox.matrix, prox.nuclear
-    return _svr_terms(alpha_hat, alpha_check, y, K, F, nuclear, epsilon, config.tau, eta)
+    return _svr_terms(alpha_hat, alpha_check, y, K, epsilon, config, freeze_f)[1]
 
 
 def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
@@ -128,18 +137,9 @@ def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
     g_hat = -eps 1 - (F o K)(hat - check) + y and g_check = -g_hat - 2 eps 1,
     with F held at its optimum for the current point.
     """
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    alpha_check = np.asarray(alpha_check, dtype=float)
+    q = _svr_terms(alpha_hat, alpha_check, y, K, epsilon, config, freeze_f)[0]
     y = np.asarray(y, dtype=float)
-    if freeze_f:
-        FK = np.asarray(K, dtype=float)
-    else:
-        eta = _require_eta(config)
-        FK = svr_adaptive_matrix(alpha_hat, alpha_check, K, config.tau, eta) * K
-    q = FK @ (alpha_hat - alpha_check)
-    g_hat = -epsilon - q + y
-    g_check = -epsilon + q - y
-    return g_hat, g_check
+    return -epsilon - q + y, -epsilon + q - y
 
 
 def lipschitz_svr(n: int, C: float, K, eta: float) -> float:
@@ -161,15 +161,7 @@ def lipschitz_svr_pgd(n: int, C: float, K, eta: float, tau: float) -> float:
     if not eta > 0:
         raise ParameterError(f"eta must be positive, got {eta}")
     lam_max = float(np.linalg.eigvalsh(np.asarray(K, dtype=float))[-1])
-    return 2.0 * (n - 0.5 * tau + n * C * C * lam_max / (4.0 * eta))
-
-
-def _require_eta(config: SolverConfig) -> float:
-    if config.eta is None:
-        raise ParameterError(
-            "eta is unresolved; run through a training wrapper or set it explicitly"
-        )
-    return config.eta
+    return 2.0 * _pgd_constant(n, C, lam_max, eta, tau)
 
 
 def solve_svr(K, y, config: SolverConfig, epsilon: float,
@@ -184,7 +176,7 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     comes from the same spectral prox.  Returns (SvrDualState, F,
     SolveTrace).
     """
-    K, lam_min_K = _check_psd_gram(K)
+    K, lam_min_K, lam_max_K = _check_psd_gram(K)
     y = np.asarray(y, dtype=float)
     n = y.size
     if K.shape != (n, n):
@@ -203,9 +195,9 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
 
     if freeze_f:
         L = 2.0 * float(np.linalg.norm(K))
-        eta = config.eta if config.eta is not None else 0.0
+        eta = _eta_for_frozen(config)
     elif config.variant == "pgd":
-        L = 0.5 * lipschitz_svr_pgd(n, C, K, _require_eta(config), tau)
+        L = _pgd_constant(n, C, lam_max_K, _require_eta(config), tau)
         eta = config.eta
     else:
         L = lipschitz_svr(n, C, K, _require_eta(config))
@@ -217,26 +209,14 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     def proj(z):
         return project_exact(z, u, C)
 
-    ones_F = np.ones((n, n))
-
-    def prox_at(z):
-        prox = svr_adaptive_spectrum(z[:n], z[n:], K, tau, eta, lam_min_K)
-        trace.record_prox(prox)
-        return prox
+    prox_at = _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f)
 
     def evaluate(z):
         ah, ac = z[:n], z[n:]
-        if freeze_f:
-            FK = K
-            nuclear = float(n)
-            F_here = ones_F
-        else:
-            prox = prox_at(z)
-            F_here, nuclear = prox.matrix, prox.nuclear
-            FK = F_here * K
-        q = FK @ (ah - ac)
+        w = ah - ac
+        base = float(w @ y) - epsilon * float(np.sum(ah + ac))
+        q, h = _evaluate(prox_at(w), K, w, base, tau, eta)
         g = np.concatenate([-epsilon - q + y, -epsilon + q - y])
-        h = _svr_terms(ah, ac, y, K, F_here, nuclear, epsilon, tau, eta)
         return g, h
 
     def objective(z):
@@ -300,9 +280,8 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     trace.final_beta = None if beta is None else beta.copy()
 
     ah, ac = z[:n], z[n:]
-    F_final = ones_F if freeze_f else prox_at(z).matrix
     state = SvrDualState(alpha_hat=ah, alpha_check=ac, epsilon=epsilon)
-    return state, F_final, trace
+    return state, _final_matrix(prox_at, ah - ac, trace), trace
 
 
 def recover_bias_svr(alpha_hat, alpha_check, y, F, K, C: float, epsilon: float) -> float:
@@ -391,7 +370,7 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = 0.1,
     return SvrModel(
         X=Xs, y=ys, alpha_hat=state.alpha_hat, alpha_check=state.alpha_check,
         F=F, bias=bias, sigma=sigma, epsilon=epsilon, config=config,
-        scaler=scaler, y_scaler=y_scaler, meta=meta,
+        scaler=scaler, y_scaler=y_scaler, meta=meta, W=trace.factor,
     )
 
 

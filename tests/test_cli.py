@@ -8,7 +8,7 @@ import pytest
 from adakern.cli import main
 from adakern.data import Dataset, gen_two_class_toy, write_libsvm
 from adakern.errors import DataError
-from adakern.persist import load_model, save_model
+from adakern.persist import FORMAT_VERSION, load_model, save_model
 
 from conftest import two_blobs
 
@@ -162,6 +162,111 @@ class TestPersistence:
         from adakern.errors import DataError
         with pytest.raises(DataError):
             load_model(str(bad))
+
+
+# A format 1 file as the format 1 writer saved it: an SVM trained on four
+# points (sigma 0.5, C 1, tau 0.01, eta 2, t_max 20), with the decision
+# values that model gave in memory at (0.5, 0.5) and (0.1, 0.9).
+FORMAT_1_SVM = """\
+adakern-model 1
+task svm
+mode exact
+variant nesterov
+sigma 5.00000000000000000e-01
+bias 1.49574409595715663e-01
+C 1.00000000000000000e+00
+tau 1.00000000000000002e-02
+eta 2.00000000000000000e+00
+t_max 20
+tol 1.00000000000000005e-04
+projection_rounds 10
+clusters 1
+seed 0
+n 4
+d 2
+scaler_min 0.00000000000000000e+00 2.00000000000000011e-01
+scaler_max 1.00000000000000000e+00 1.00000000000000000e+00
+y 1.00000000000000000e+00 1.00000000000000000e+00 -1.00000000000000000e+00 -1.00000000000000000e+00
+alpha 9.56400699840425972e-01 1.00000000000000000e+00 9.74269307144850605e-01 9.82131392695575367e-01
+X 0.00000000000000000e+00 1.00000000000000000e+00
+X 2.99999999999999989e-01 0.00000000000000000e+00
+X 1.00000000000000000e+00 2.50000000000000000e-01
+X 8.00000000000000044e-01 8.74999999999999889e-01
+F 1.10933778733190791e+00 1.01351412487694459e+00 9.94882490432417721e-01 9.68358952563037390e-01
+F 1.01351412487694459e+00 1.12000000000000099e+00 9.59663925404909524e-01 9.83896549612053528e-01
+F 9.94882490432417721e-01 9.59663925404909524e-01 1.11365008535556398e+00 1.05055015649584416e+00
+F 9.68358952563037390e-01 9.83896549612053528e-01 1.05055015649584416e+00 1.11557275906476905e+00
+meta_iterations 20
+meta_objective 2.18376650620198243e+00
+end
+"""
+FORMAT_1_DECISIONS = [0.1599746536868143, 0.9151134173694319]
+
+
+class TestFormatV2:
+    def test_factor_roundtrip_is_bit_identical(self, tmp_path):
+        from adakern.solver import SolverConfig
+        from adakern.svm import train
+        from adakern.svr import train_svr
+        X, y = two_blobs(50, seed=12)
+        config = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=60)
+        probe = X[:20] + 0.05
+        for model in (train(X, y, 0.6, config),
+                      train_svr(X, X[:, 0], 0.6, config, epsilon=0.05)):
+            path = str(tmp_path / "m.txt")
+            save_model(model, path)
+            with open(path) as stream:
+                text = stream.read()
+            assert text.startswith(f"adakern-model {FORMAT_VERSION}\n")
+            assert f"\nrank {model.W.shape[1]}\n" in text and "\nF " not in text
+            assert text.count("\nW ") == 50
+            loaded = load_model(path)
+            assert np.array_equal(loaded.W, model.W)
+            assert np.array_equal(loaded.F, model.F)
+            predict = "decision_function" if hasattr(model, "alpha") else "predict"
+            assert np.array_equal(getattr(loaded, predict)(probe), getattr(model, predict)(probe))
+
+    def test_format_1_file_still_loads(self, tmp_path):
+        loaded = load_model(_write(str(tmp_path / "v1.model"), FORMAT_1_SVM))
+        assert loaded.W is None and loaded.F.shape == (4, 4)
+        probe = np.array([[0.5, 0.5], [0.1, 0.9]])
+        decisions = loaded.decision_function(probe)
+        assert decisions.tolist() == pytest.approx(FORMAT_1_DECISIONS, rel=1e-12, abs=0)
+        # saved again, it keeps its F rows under the new header
+        path = str(tmp_path / "again.model")
+        save_model(loaded, path)
+        again = load_model(path)
+        assert np.array_equal(again.F, loaded.F) and again.W is None
+        assert np.array_equal(again.decision_function(probe), decisions)
+
+    def test_rank_zero_roundtrip(self, tmp_path):
+        from adakern.solver import SolverConfig
+        from adakern.svm import train
+        X, y = two_blobs(20, seed=3)
+        # tau/2 above every eigenvalue of 11' + G: F collapses to zero.
+        model = train(X, y, 0.6, SolverConfig(C=1.0, tau=100.0, eta=1.0, t_max=20))
+        assert model.W.shape == (20, 0) and not model.F.any()
+        path = str(tmp_path / "m.txt")
+        save_model(model, path)
+        with open(path) as stream:
+            text = stream.read()
+        assert "\nrank 0\n" in text and "\nW " not in text and "\nF " not in text
+        loaded = load_model(path)
+        assert np.array_equal(loaded.F, model.F) and loaded.W.shape == (20, 0)
+        assert np.array_equal(loaded.decision_function(X), model.decision_function(X))
+
+    def test_factor_that_does_not_give_F_is_not_written(self, tmp_path):
+        from dataclasses import replace
+
+        from adakern.solver import SolverConfig
+        from adakern.svm import train
+        X, y = two_blobs(30, seed=5)
+        model = train(X, y, 0.6, SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=20))
+        edited = replace(model, F=model.F + 1e-3)
+        path = str(tmp_path / "m.txt")
+        save_model(edited, path)
+        loaded = load_model(path)
+        assert loaded.W is None and np.array_equal(loaded.F, edited.F)
 
 
 class TestScalableVsExact:
@@ -354,7 +459,7 @@ class TestMalformedModelFiles:
             assert (code, err.startswith("data error")) == (2, True), what
 
     @pytest.mark.parametrize("mutate", [
-        lambda t: t.replace("adakern-model 1", "adakern-model x", 1),
+        lambda t: t.replace(f"adakern-model {FORMAT_VERSION}", "adakern-model x", 1),
         lambda t: t.replace("\nalpha ", "\nalpha 0.5 ", 1),
         lambda t: re.sub(r"\ny \S+ ", "\ny ", t, count=1),
         lambda t: t.replace("\nscaler_min ", "\nscaler_min 0.5 ", 1),
@@ -365,6 +470,100 @@ class TestMalformedModelFiles:
         assert mutated != text
         with pytest.raises(DataError):
             load_model(_write(str(tmp_path / "bad.model"), mutated))
+
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t: re.sub(r"\nW [^\n]*", "", t, count=1),
+        lambda t: re.sub(r"(\nW [^\n]*) \S+\n", r"\1\n", t, count=1),
+        lambda t: re.sub(r"(\nW [^\n]*)\n", r"\1 0.5\n", t, count=1),
+        lambda t: re.sub(r"\nrank \d+", "", t),
+        lambda t: re.sub(r"(\nrank \d+)", r"\1\1", t),
+        lambda t: re.sub(r"\nrank \d+", "\nrank 0", t),
+        lambda t: re.sub(r"\nrank \d+", "\nrank -1", t),
+        lambda t: t.replace("\nmeta_iterations", "\nF" + " 1.0" * 12 + "\nmeta_iterations"),
+        lambda t: t.replace(f"adakern-model {FORMAT_VERSION}", "adakern-model 1", 1),
+    ], ids=["W-row-missing", "W-row-truncated", "W-row-too-wide", "rank-missing",
+            "rank-repeated", "rank-zero-with-rows", "rank-negative", "W-and-F-rows",
+            "factor-in-format-1"])
+    def test_factor_defects_exit_2(self, mutate, saved_models, tmp_path, capsys):
+        text, data = saved_models["svm"]
+        assert "\nrank 3\n" in text
+        mutated = mutate(text)
+        assert mutated != text
+        code, _, err = run(["predict", "--model", _write(str(tmp_path / "bad.model"), mutated),
+                            "--data", data], capsys)
+        assert (code, err.startswith("data error")) == (2, True)
+
+    def test_unreadable_model_file_exits_2(self, saved_models, tmp_path, capsys):
+        text, data = saved_models["svm"]
+        binary = str(tmp_path / "binary.model")
+        with open(binary, "wb") as stream:
+            stream.write(text.encode()[:200] + b"\xff\xfe" + text.encode()[200:])
+        for path in (binary, str(tmp_path / "missing.model")):
+            code, _, err = run(["predict", "--model", path, "--data", data], capsys)
+            assert (code, err.startswith("data error")) == (2, True)
+
+
+def _data_mutations(text, fmt, rng):
+    """Mutated copies (bytes) of a libsvm or CSV data file; none of them parses."""
+    sep = ":" if fmt == "libsvm" else ","
+    first = 0 if fmt == "libsvm" else text.index("\n") + 1  # past the CSV header
+    cuts = [i for i, ch in enumerate(text) if ch == sep and i >= first]
+    for cut in sorted(set(rng.choice(cuts, 10).tolist())):
+        yield f"truncated after byte {cut}", text[:cut + 1].encode()
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        cells = line.split(" " if fmt == "libsvm" else ",")
+        join = " ".join if fmt == "libsvm" else ",".join
+        pos = int(rng.integers(len(line) + 1))
+        edits = {"non-UTF-8 byte": (line[:pos].encode() + b"\xff" + line[pos:].encode()),
+                 "cell appended": join(cells + ["0.5"]).encode()}
+        if fmt == "libsvm" or i > 0:
+            k = int(rng.integers(len(cells)))
+            infinite = cells[k].split(":")[0] + ":nan" if fmt == "libsvm" and k else "inf"
+            for name, bad in (("garbled", "x1"), ("not finite", infinite)):
+                edits[f"cell {k} {name}"] = join(cells[:k] + [bad] + cells[k + 1:]).encode()
+        if fmt == "libsvm" and len(cells) > 2:
+            edits["features swapped"] = join([cells[0], cells[2], cells[1]] + cells[3:]).encode()
+        if fmt == "csv" and i > 0:
+            edits["last cell dropped"] = join(cells[:-1]).encode()
+        for what, edited in edits.items():
+            mutated = [ln.encode() for ln in lines[:i]] + [edited] + [
+                ln.encode() for ln in lines[i + 1:]]
+            yield f"line {i} {what}", b"\n".join(mutated) + b"\n"
+    if fmt == "libsvm":
+        # A dense matrix with 1e11 columns cannot be allocated.
+        yield "huge feature index", (lines[0] + " 99999999999:1\n" + "\n".join(lines[1:])).encode()
+
+
+class TestMalformedDataFiles:
+    @pytest.mark.parametrize("fmt", ["libsvm", "csv"])
+    def test_every_mutation_exits_2(self, fmt, saved_models, tmp_path, capsys):
+        X, y = two_blobs(12, seed=8)
+        if fmt == "libsvm":
+            text = "".join(f"{int(label):+d} 1:{a:.17e} 2:{b:.17e}\n"
+                           for (a, b), label in zip(X, y))
+        else:
+            text = "x0,x1,label\n" + "".join(f"{a:.17e},{b:.17e},{int(label)}\n"
+                                               for (a, b), label in zip(X, y))
+        model = saved_models["svm"][0]
+        model_path = _write(str(tmp_path / "svm.model"), model)
+        data = str(tmp_path / f"data.{fmt}")
+        commands = (["train", "--data", data, "--format", fmt,
+                     "--model", str(tmp_path / "out.model")],
+                    ["predict", "--model", model_path, "--data", data, "--format", fmt])
+        _write(data, text)
+        assert [run(argv, capsys)[0] for argv in commands] == [0, 0]
+        rng = np.random.default_rng(17)
+        count = 0
+        for what, mutated in _data_mutations(text, fmt, rng):
+            with open(data, "wb") as stream:
+                stream.write(mutated)
+            for argv in commands:
+                code, _, err = run(argv, capsys)
+                assert (code, err.startswith("data error")) == (2, True), (argv[0], what)
+            count += 1
+        assert count > 50
 
 
 def _write(path, text):

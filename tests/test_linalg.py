@@ -162,6 +162,53 @@ class TestPsdSoftThreshold:
             psd_soft_threshold(np.eye(40), -0.1)
 
 
+class TestGramSoftThreshold:
+    """The matrix-free prox of 11' + scale diag(w) K diag(w)."""
+
+    @pytest.mark.parametrize("n, sigma, scale", [(40, 2.0, 1e-3), (120, 0.3, 1e-4),
+                                                 (200, 1.0, 1e-2)])
+    def test_matches_the_formed_matrix(self, rng, n, sigma, scale):
+        for _ in range(3):
+            K = gaussian_gram(rng.normal(size=(n, 2)), sigma)
+            w = rng.uniform(-1.0, 1.0, n)
+            prox = linalg.gram_soft_threshold(K, w, scale, 0.005)
+            assert not prox.dense and prox.basis.shape[0] == n
+            assert_matches_dense(prox, 1.0 + K * np.outer(w, w) * scale, 0.005)
+            W = prox.factor
+            assert np.allclose(W.T @ W, np.diag(np.sum(W * W, axis=0)), atol=1e-10)
+            assert np.isclose(np.sum(W * W), prox.nuclear, rtol=1e-12)
+
+    def test_warm_start_from_a_nearby_basis(self, rng):
+        n, scale = 120, 1e-2
+        K = gaussian_gram(rng.normal(size=(n, 2)), 1.0)
+        w = rng.uniform(-1.0, 1.0, n)
+        previous = linalg.gram_soft_threshold(K, w, scale, 0.005)
+        for step in (1e-6, 1e-3, 1e-1):
+            moved = w + step * rng.normal(size=n)
+            warm = linalg.gram_soft_threshold(K, moved, scale, 0.005, start=previous.basis)
+            cold = linalg.gram_soft_threshold(K, moved, scale, 0.005)
+            assert not warm.dense and warm.rank == cold.rank >= 2
+            assert np.max(np.abs(warm.matrix - cold.matrix)) <= 1e-10
+            assert_matches_dense(warm, 1.0 + K * np.outer(moved, moved) * scale, 0.005)
+
+    def test_fallback_returns_the_factor_and_no_basis(self):
+        # K = I with the weighted diagonal just below the threshold (as in
+        # the psd_soft_threshold case): the dense path runs, also from a start.
+        n, threshold = 64, 0.005
+        w = np.full(n, np.sqrt(0.9 * threshold))
+        start = np.linalg.qr(np.random.default_rng(1).normal(size=(n, 8)))[0]
+        for begin in (None, start):
+            prox = linalg.gram_soft_threshold(np.eye(n), w, 1.0, threshold, start=begin)
+            assert prox.dense and prox.basis is None
+            assert_matches_dense(prox, np.ones((n, n)) + 0.9 * threshold * np.eye(n), threshold)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ParameterError):
+            linalg.gram_soft_threshold(np.eye(40), np.ones(40), 1.0, 0.0)
+        with pytest.raises(DataError):
+            linalg.gram_soft_threshold(np.eye(40), np.ones(39), 1.0, 0.1)
+
+
 class TestMatrixNorms:
     def test_identity(self):
         norms = matrix_norms(np.eye(3))

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -546,9 +547,19 @@ def test_dual_state_validation(rng):
 
 
 def dense_prox(A, threshold, floor=0.0):
-    """A full eigendecomposition on every call: the reference for the certified prox."""
+    """A full eigendecomposition on every call: the reference for the certified prox.
+
+    F is returned unfactored, so a solve running on it also takes the dense
+    gradient and value formulas.
+    """
     B, shrunk = soft_threshold_spectrum(A, threshold)
-    return SpectralProx(B, float(np.sum(np.abs(shrunk))), int(np.count_nonzero(shrunk)), True)
+    return SpectralProx(None, float(np.sum(np.abs(shrunk))), int(np.count_nonzero(shrunk)),
+                        True, unfactored=B)
+
+
+def dense_gram_prox(K, w, scale, threshold, floor=0.0, start=None):
+    """dense_prox in place of the solvers' matrix-free prox: forms A on every call."""
+    return dense_prox(1.0 + K * np.outer(w, w) * scale, threshold)
 
 
 def criteria_fixtures():
@@ -588,7 +599,7 @@ class TestCertifiedProx:
         for K, y, cfg in criteria_fixtures():
             state, F, trace = solve(K, y, cfg)
             with monkeypatch.context() as m:
-                m.setattr(solver, "psd_soft_threshold", dense_prox)
+                m.setattr(solver, "gram_soft_threshold", dense_gram_prox)
                 ref_state, ref_F, ref_trace = solve(K, y, cfg)
             # c06's narrow kernel may fall back now and then, never mostly
             assert ref_trace.prox_fallbacks == trace.iterations + 2
@@ -606,7 +617,7 @@ class TestCertifiedProx:
         cfg = SolverConfig(C=2.0, tau=0.01, eta=20.0, t_max=300, tol=1e-300)
         state, F, trace = solve_svr(K, ys, cfg, epsilon=0.02)
         with monkeypatch.context() as m:
-            m.setattr(solver, "psd_soft_threshold", dense_prox)
+            m.setattr(solver, "gram_soft_threshold", dense_gram_prox)
             ref_state, ref_F, _ = solve_svr(K, ys, cfg, epsilon=0.02)
         assert trace.prox_fallbacks == 0 and trace.prox_rank >= 1
         assert np.max(np.abs(state.alpha_hat - ref_state.alpha_hat)) <= 1e-12
@@ -623,7 +634,7 @@ class TestCertifiedProx:
         cfg = SolverConfig(C=1.0, tau=0.6, eta=1.0, t_max=60, tol=1e-300)
         state, F, trace = solve(K, y, cfg)
         with monkeypatch.context() as m:
-            m.setattr(solver, "psd_soft_threshold", dense_prox)
+            m.setattr(solver, "gram_soft_threshold", dense_gram_prox)
             ref_state, ref_F, _ = solve(K, y, cfg)
         assert trace.prox_fallbacks > 0
         assert np.max(np.abs(state.alpha - ref_state.alpha)) <= 1e-12
@@ -653,3 +664,120 @@ class TestCertifiedProx:
         assert (trace.prox_fallbacks, trace.prox_rank) == (0, 0)
         assert (svr_trace.prox_fallbacks, svr_trace.prox_rank) == (0, 0)
         assert np.all(np.isfinite(F)) and np.all(np.isfinite(F_svr))
+
+
+def exact_deviation_sq(W):
+    """||W W' - 11'||_F^2 in exact rational arithmetic on the float entries of W."""
+    from fractions import Fraction
+
+    rows = [[Fraction(float(x)) for x in row] for row in W]
+    total = Fraction(0)
+    for wi in rows:
+        for wj in rows:
+            entry = sum((a * b for a, b in zip(wi, wj)), Fraction(0)) - 1
+            total += entry * entry
+    return total
+
+
+class TestFactoredEvaluation:
+    """The solvers' gradient and value from the factor W against the dense formulas."""
+
+    @pytest.mark.parametrize("r", [0, 1, 3, 8])
+    def test_matches_dense_formulas(self, rng, r):
+        n, tau, eta = 60, 0.05, 1.7
+        K = toy_kernel(rng, n)
+        for scale in (1.0, 0.05):
+            W = scale * rng.normal(size=(n, r))
+            F = np.dot(W, W.T)
+            nuclear = float(np.sum(W * W))
+            w = rng.uniform(-1.0, 1.0, n)
+            base = float(rng.uniform(-5.0, 5.0))
+            q, value = solver._evaluate(SpectralProx(W, nuclear, r, False), K, w, base, tau, eta)
+            q_dense = (F * K) @ w
+            value_dense = (base - 0.5 * w @ q_dense + eta * np.sum((F - 1.0) ** 2)
+                           + tau * eta * nuclear)
+            assert np.max(np.abs(q - q_dense)) <= 1e-12 * max(1.0, np.max(np.abs(q_dense)))
+            assert abs(value - value_dense) <= 1e-12 * abs(value_dense)
+
+    @pytest.mark.parametrize("r", [1, 3, 8])
+    def test_deviation_near_all_ones_is_exact(self, rng, r):
+        # F within 1e-6 of 11': the naive ||W'W||^2 - 2||W'1||^2 + n^2 and
+        # the plain c'c - 1 both cancel here (errors near 1e-4 and 1e-11).
+        n = 30
+        for sign in (1.0, -1.0):
+            W = 1e-6 * rng.normal(size=(n, r))
+            W[:, 0] += sign
+            exact = exact_deviation_sq(W)
+            _, value = solver._evaluate(SpectralProx(W, 0.0, r, False), np.eye(n),
+                                        np.zeros(n), 0.0, 0.0, 1.0)
+            assert abs(value - float(exact)) <= 1e-12 * float(exact)
+
+    def test_frozen_factor_gives_standard_svm_bits(self, rng):
+        # W = 1 reproduces the plain SVM gradient and a zero deviation exactly.
+        n = 40
+        K = toy_kernel(rng, n)
+        y = labels(n)
+        a = random_feasible(rng, y, 1.0)
+        q, value = solver._evaluate(solver._frozen_prox(n), K, y * a, float(np.sum(a)), 0.0, 1.0)
+        assert np.array_equal(1.0 - y * q, 1.0 - y * (K @ (y * a)))
+        assert value == float(np.sum(a)) - 0.5 * float((y * a) @ q)
+
+    def test_warm_started_prox_matches_cold_along_a_solve(self, monkeypatch):
+        # Rayleigh-Ritz steps are counted by the small eigh calls they make.
+        steps = {"solve": 0, "warm": 0, "cold": 0}
+        side = ["solve"]
+        original = np.linalg.eigh
+
+        def counted(A, *args, **kwargs):
+            steps[side[0]] += 1
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for K, y, cfg in criteria_fixtures()[1:]:
+            side[0] = "solve"
+            _, _, trace = solve(K, y, cfg, record_iterates=True)
+            _, lam_min_K, _ = solver._check_psd_gram(K)
+            basis, warm_steps = None, 0
+            for a in trace.iterates["alpha"]:
+                w = y * a
+                side[0] = "warm"
+                warm = solver._adaptive_prox(w, K, cfg.tau, cfg.eta, lam_min_K, basis)
+                side[0] = "cold"
+                cold = solver._adaptive_prox(w, K, cfg.tau, cfg.eta, lam_min_K)
+                warm_steps += basis is not None
+                assert (warm.rank, warm.dense) == (cold.rank, cold.dense)
+                assert np.max(np.abs(warm.matrix - cold.matrix)) <= 1e-10
+                assert abs(warm.nuclear - cold.nuclear) <= 1e-10 * cold.nuclear
+                basis = warm.basis
+            assert warm_steps >= len(trace.iterates["alpha"]) // 2
+        # c06's narrow kernel keeps up to 6 pairs; there warm starts save steps.
+        assert steps["warm"] < 0.8 * steps["cold"]
+
+    def test_solves_keep_the_factor_of_the_returned_matrix(self):
+        X, y = two_blobs(60, seed=2)
+        K = gaussian_gram(X, 0.7)
+        cfg = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=40)
+        for run in (lambda: solve(K, y, cfg), lambda: solve_svr(K, y, cfg, epsilon=0.1),
+                    lambda: solve(K, y, cfg, freeze_f=True)):
+            _, F, trace = run()
+            assert np.array_equal(np.dot(trace.factor, trace.factor.T), F)
+        _, F, trace = solve(K, y, replace(cfg, tau=0.0))
+        assert trace.factor is None
+
+    def test_pgd_step_constant_reuses_the_psd_check(self, rng, monkeypatch):
+        # One eigvalsh of K per solve: the PSD check's; the step constant
+        # keeps the value lipschitz_pgd gives.
+        X, y = two_blobs(30, seed=3)
+        K = gaussian_gram(X, 0.8)
+        cfg = SolverConfig(C=1.0, tau=0.01, eta=2.0, t_max=5, variant="pgd")
+        expected = lipschitz_pgd(30, 1.0, K, 2.0, 0.01)
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or original(A))
+        seen = []
+        monkeypatch.setattr(solver, "project_exact",
+                            lambda v, y_, C: seen.append(v) or project_exact(v, y_, C))
+        solve(K, y, cfg)
+        solve_svr(K, y, cfg, epsilon=0.1)
+        assert len(calls) == 2
+        assert np.array_equal(seen[0], np.zeros(30) + 1.0 / expected)

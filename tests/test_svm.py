@@ -71,6 +71,23 @@ class TestTrain:
         assert model.meta["f_rank"] <= 15
         assert model.meta["prox_fallbacks"] == 0 and model.meta["prox_rank"] >= 1
 
+    def test_f_rank_from_the_factor(self, monkeypatch):
+        # One eigvalsh of K per solve (eta solve, adaptive solve) and none of F:
+        # the rank is read off the factor's column norms, with the same cut.
+        ds = gen_two_class_toy(80, seed=5)
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or original(A))
+        for sigma in (0.25, 0.05):
+            calls.clear()
+            model = train(ds.X, ds.y, sigma, small_config())
+            assert len(calls) == 2
+            evals = original(model.F)
+            assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) >= 1
+            assert model.meta["f_rank"] == model.W.shape[1]
+        frozen = train(ds.X, ds.y, 0.25, small_config(), freeze_f=True)
+        assert frozen.meta["f_rank"] == 1 and np.array_equal(frozen.F, np.ones((80, 80)))
+
     def test_label_symmetry(self):
         X, y = two_blobs(20, seed=13)
         m_pos = train(X, y, 0.8, small_config(eta=3.0))
