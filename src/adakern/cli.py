@@ -89,7 +89,8 @@ def _read_dataset(path: str, fmt: str, mode: str) -> dataio.Dataset:
     parser = dataio.parse_libsvm if fmt == "libsvm" else dataio.parse_csv
     try:
         if path == "-":
-            return parser(sys.stdin.read(), mode)
+            # The bytes, so that stdin is UTF-8 whatever the locale, as files are.
+            return parser(sys.stdin.buffer.read().decode("utf-8"), mode)
         with open(path, encoding="utf-8") as stream:
             return parser(stream, mode)
     except OSError as exc:

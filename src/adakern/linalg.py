@@ -17,8 +17,9 @@ from .errors import DataError, NumericalError, ParameterError
 SYMMETRY_RTOL = 1e-12
 
 # Subspace iteration in psd_soft_threshold: the first block holds the ones
-# vector and _START_BLOCK - 1 fixed vectors; after _BLOCK_STEPS steps at one
-# size the block doubles, up to a quarter of the dimension.
+# vector and _START_BLOCK - 1 fixed vectors, or the leading _START_BLOCK Ritz
+# vectors of an earlier call; after _BLOCK_STEPS steps at one size the block
+# doubles, up to a quarter of the dimension.
 _START_BLOCK = 8
 _BLOCK_STEPS = 4
 
@@ -39,9 +40,9 @@ class SpectralProx(NamedTuple):
     ``unfactored`` holds F itself.  ``nuclear`` is the sum of the shrunk
     spectrum, the nuclear norm of F.  ``rank`` counts the eigenpairs kept
     above the threshold; it is 0 at threshold 0.  ``dense`` is True when
-    the dense fallback ran.  ``basis`` holds the Ritz vectors a certified
-    subspace iteration ended on, to warm-start the next call; it is None
-    after the dense fallback.
+    the dense fallback ran.  ``basis`` holds the leading Ritz vectors a
+    certified subspace iteration ended on, to start the next call from;
+    it is None after the dense fallback.
     """
 
     factor: np.ndarray | None
@@ -151,7 +152,7 @@ def psd_soft_threshold(A, threshold: float, floor: float = 0.0) -> SpectralProx:
     if threshold == 0:
         return SpectralProx(None, trace, 0, False, unfactored=A)
     return _factored_soft_threshold(A.__matmul__, trace, lambda: A, A.shape[0],
-                                    threshold, floor, None)
+                                    threshold, floor)
 
 
 def gram_soft_threshold(K, w, scale: float, threshold: float, floor: float = 0.0,
@@ -160,11 +161,11 @@ def gram_soft_threshold(K, w, scale: float, threshold: float, floor: float = 0.0
 
     K is PSD (up to ``floor``) and the threshold positive.  The subspace
     iteration applies A to a block V as 1(1'V) + scale w o (K (w o V)), one
-    product with K, and takes tr(A) = n + scale sum_i w_i^2 K_ii.  ``start``
-    is the ``basis`` of a previous call on a nearby A: the first power step
-    then starts from that block instead of the fixed start block.  The
-    acceptance test is the same either way, so a start only changes how
-    soon it passes.  Only the dense fallback forms A.
+    product with K, and takes tr(A) = n + scale sum_i w_i^2 K_ii.  The
+    acceptance test is that of :func:`psd_soft_threshold`; only the dense
+    fallback forms A.  ``start``, the ``basis`` of an earlier call on a
+    nearby A, replaces the fixed start block: the test is the same, so it
+    only changes how soon the test passes.
     """
     if not threshold > 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
@@ -185,13 +186,10 @@ def gram_soft_threshold(K, w, scale: float, threshold: float, floor: float = 0.0
                                     w.size, threshold, floor, start)
 
 
-def _factored_soft_threshold(apply, trace, dense, n, threshold, floor, start) -> SpectralProx:
+def _factored_soft_threshold(apply, trace, dense, n, threshold, floor,
+                             start=None) -> SpectralProx:
     """Certified subspace result, else the factor from a dense eigendecomposition."""
     prox = _subspace_soft_threshold(apply, trace, n, threshold, floor, start)
-    if prox is None and start is not None:
-        # A warm start may begin at the largest block, with no sizes to
-        # grow through; the cold schedule runs before the dense fallback.
-        prox = _subspace_soft_threshold(apply, trace, n, threshold, floor, None)
     if prox is None:
         values, vectors = sym_eig(dense())
         r = int(np.count_nonzero(values > threshold))
@@ -210,11 +208,10 @@ def _subspace_soft_threshold(apply, trace, n, threshold, floor, start):
     # are each at least ``floor``, so they can hide up to (n - p) |floor| of
     # the tail; the last term covers round-off in tr(A) and the Ritz values.
     slack = max(0.0, -floor) * (n - np.arange(n + 1)) + 16.0 * n * eps * abs(trace)
+    rng = np.random.default_rng(0)
     # Each step orthonormalizes A times the previous Ritz vectors (at first,
     # the start block) and runs Rayleigh-Ritz on that subspace.
-    rng = None
     if start is None:
-        rng = np.random.default_rng(0)
         start = np.column_stack([np.ones(n), rng.standard_normal((n, block - 1))])
     AV = apply(start)
     while True:
@@ -237,7 +234,7 @@ def _subspace_soft_threshold(apply, trace, n, threshold, floor, start):
                 if np.any(np.maximum(lead, tail) + coupling < threshold):
                     shrunk = theta[:r] - threshold
                     return SpectralProx(V[:, :r] * np.sqrt(shrunk), float(np.sum(shrunk)),
-                                        r, False, basis=V)
+                                        r, False, basis=V[:, :_START_BLOCK])
             # Give up early when even n/4 vectors, each as large as the
             # smallest Ritz value, could not bring the tail below the threshold.
             if trace - theta.sum() - (n // 4 - block) * max(theta[-1], 0.0) >= threshold:
@@ -245,8 +242,6 @@ def _subspace_soft_threshold(apply, trace, n, threshold, floor, start):
         if block == n // 4:
             return None
         grown = min(2 * block, n // 4)
-        if rng is None:
-            rng = np.random.default_rng(0)
         AV = np.column_stack([AV, apply(rng.standard_normal((n, grown - block)))])
         block = grown
 

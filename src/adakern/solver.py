@@ -18,7 +18,7 @@ dense 11' + G(a), and no factorization runs.  For tau > 0, F(a) is kept as
 its factor W (n x r, F = W W') from :func:`linalg.gram_soft_threshold`,
 which computes only the eigenpairs above tau/2, after a trace test
 certifies that no others exceed it, by products with K alone; each call
-warm-starts from the Ritz vectors of the call before, and a dense
+starts from the leading Ritz vectors of the call before, and a dense
 eigendecomposition is the fallback when the test does not pass.  The
 gradient and value then come from W in O(n^2 r), so neither G(a) nor F(a)
 is formed inside the loop; the solve returns F = W W' once, at the end.
@@ -157,9 +157,10 @@ def _adaptive_prox(w, K, tau: float, eta: float, lam_min_K: float = 0.0,
 
     At tau = 0 the dense matrix is formed and returned unfactored.  For
     tau > 0 the factor comes from :func:`linalg.gram_soft_threshold`, which
-    never forms the matrix on its certified path; ``start`` warm-starts
-    it.  The smallest eigenvalue of the weighted Gram part is at least
-    min(0, lam_min(K)) max_i w_i^2 / (4 eta), the floor its test needs.
+    never forms the matrix on its certified path and starts from ``start``
+    when it is given.  The smallest eigenvalue of the weighted Gram part is
+    at least min(0, lam_min(K)) max_i w_i^2 / (4 eta), the floor its test
+    needs.
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (w.size, w.size):
@@ -514,10 +515,12 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
 def _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f):
     """The adaptive-matrix prox of one solve, as a function of the dual weights.
 
-    Each call warm-starts from the Ritz block of the call before (a cold
-    start after a dense fallback); ``warm=False`` starts cold.  Calls are
-    counted in ``trace``.  With ``freeze_f`` every call returns the factor
-    W = 1 of F = 11'.
+    Each call starts from the leading Ritz vectors of the call before (the
+    fixed start block on the first call and after a dense fallback), so a
+    call needs fewer subspace steps when the duals move little;
+    ``warm=False`` starts from the fixed block.  Calls are counted in
+    ``trace``.  With ``freeze_f`` every call returns the factor W = 1 of
+    F = 11'.
     """
     frozen = _frozen_prox(K.shape[0]) if freeze_f else None
     basis = None
@@ -535,10 +538,10 @@ def _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f):
 
 
 def _final_matrix(prox_at, w, trace) -> np.ndarray:
-    """F at the final duals from a cold-started prox, with its factor put on ``trace``.
+    """F at the final duals from the fixed start block, with its factor put on ``trace``.
 
-    The cold start makes F the same, bit for bit, as the public
-    ``adaptive_matrix_spectrum`` gives at the same duals.
+    Starting from the fixed block makes F the same, bit for bit, as the
+    public ``adaptive_matrix_spectrum`` gives at the same duals.
     """
     prox = prox_at(w, warm=False)
     trace.factor = prox.factor

@@ -89,7 +89,7 @@ class TestTrainPredictEval:
         ds = gen_two_class_toy(20, seed=2)
         buf = io.StringIO()
         write_libsvm(ds, buf)
-        monkeypatch.setattr("sys.stdin", io.StringIO(buf.getvalue()))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(buf.getvalue().encode())))
         model_path = str(tmp_path / "m.txt")
         code, _, _ = run(["train", "--data", "-", "--sigma", "0.5",
                           "--model", model_path], capsys)
@@ -564,6 +564,16 @@ class TestMalformedDataFiles:
                 assert (code, err.startswith("data error")) == (2, True), (argv[0], what)
             count += 1
         assert count > 50
+
+    def test_non_utf8_stdin_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Read as bytes and decoded as UTF-8, whatever the locale's encoding.
+        text = "+1 1:0.5 2:\xff\n-1 1:0.1 2:0.2\n"
+        stdin = io.TextIOWrapper(io.BytesIO(text.encode("latin-1")),
+                                 encoding="latin-1", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = run(["train", "--data", "-", "--model", str(tmp_path / "m.txt")],
+                           capsys)
+        assert (code, err.startswith("data error"), "not UTF-8" in err) == (2, True, True)
 
 
 def _write(path, text):
