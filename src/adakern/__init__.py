@@ -2,7 +2,7 @@
 
 from .errors import AdakernError, DataError, NumericalError, ParameterError
 from .kernel import cross_gram, gaussian_gram
-from .linalg import matrix_norms, soft_threshold, sym_eig
+from .linalg import soft_threshold, sym_eig
 from .solver import (
     DualState,
     SolverConfig,
@@ -13,7 +13,6 @@ from .solver import (
     dual_objective,
     lipschitz_pgd,
     lipschitz_svm,
-    project_feasible,
     solve,
     weighted_gram,
 )
@@ -40,8 +39,6 @@ __all__ = [
     "lipschitz_pgd",
     "lipschitz_svm",
     "lipschitz_svr",
-    "matrix_norms",
-    "project_feasible",
     "reciprocal_similarity",
     "recover_bias",
     "rmse",

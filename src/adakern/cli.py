@@ -134,7 +134,7 @@ def cmd_train(args) -> int:
             sigma, C, _ = svm.cross_validate(
                 ds.X, ds.y, CV_GRID, CV_GRID, args.folds, args.seed, config)
         else:
-            sigma, C, _ = _cross_validate_svr(
+            sigma, C, _ = svr.cross_validate_svr(
                 ds.X, ds.y, CV_GRID, CV_GRID, args.folds, args.seed,
                 config, args.epsilon)
         config = replace(config, C=C)
@@ -168,31 +168,6 @@ def cmd_train(args) -> int:
                  ("f_rank", model.meta.get("f_rank"))]
     _emit(rows)
     return 0
-
-
-def _cross_validate_svr(X, y, sigma_grid, C_grid, folds, seed, template, epsilon):
-    best = None
-    table = []
-    fold_indices = dataio.kfold(len(y), folds, seed)
-    for sig in sigma_grid:
-        for C in C_grid:
-            errors = []
-            for held in fold_indices:
-                mask = np.ones(len(y), dtype=bool)
-                mask[held] = False
-                cfg = replace(template, C=float(C), eta=None)
-                try:
-                    model = svr.train_svr(X[mask], y[mask], float(sig), cfg,
-                                          epsilon=epsilon)
-                    errors.append(svr.rmse(model.predict(X[held]), y[held]))
-                except DataError:
-                    continue
-            score = float(np.mean(errors)) if errors else float("inf")
-            table.append((float(sig), float(C), score))
-            key = (-score, -float(C), float(sig))
-            if best is None or key > best[0]:
-                best = (key, float(sig), float(C))
-    return best[1], best[2], table
 
 
 def cmd_predict(args) -> int:

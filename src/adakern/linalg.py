@@ -3,8 +3,7 @@
 Provides the eigendecomposition, the eigenvalue soft-thresholding operator
 (the proximal map of the nuclear norm restricted to symmetric matrices),
 its certified low-rank form for PSD input, kept as a factor, with the
-matrix-free variant the solvers call every iteration, and the four matrix
-norms the solvers rely on.
+matrix-free variant the solvers call every iteration.
 """
 
 from typing import NamedTuple
@@ -59,13 +58,6 @@ class SpectralProx(NamedTuple):
             return self.unfactored
         # np.dot uses a symmetric BLAS product for W W', also at rank one.
         return np.dot(self.factor, self.factor.T)
-
-
-class MatrixNorms(NamedTuple):
-    frobenius: float
-    spectral: float
-    nuclear: float
-    manhattan: float
 
 
 def check_symmetric(A, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
@@ -244,15 +236,3 @@ def _subspace_soft_threshold(apply, trace, n, threshold, floor, start):
         grown = min(2 * block, n // 4)
         AV = np.column_stack([AV, apply(rng.standard_normal((n, grown - block)))])
         block = grown
-
-
-def matrix_norms(A) -> MatrixNorms:
-    """Frobenius, spectral, nuclear and Manhattan (entry-wise l1) norms."""
-    A = np.asarray(A, dtype=float)
-    singulars = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
-    return MatrixNorms(
-        frobenius=float(np.sqrt((A * A).sum())),
-        spectral=float(singulars[0]) if singulars.size else 0.0,
-        nuclear=float(singulars.sum()),
-        manhattan=float(np.abs(A).sum()),
-    )

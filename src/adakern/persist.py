@@ -8,7 +8,9 @@ Format 2 stores the adaptive matrix as its factor when the model has one
 whose product W W' is F bit for bit: a ``rank r`` line and n ``W`` rows of
 r values (none at r = 0), and loading forms F = W W' the same way.  Other
 models store n ``F`` rows, or F blocks for the decomposition mode, as
-format 1 does; format 1 files still load.
+format 1 does.  Format 3 drops the ``projection_rounds`` line, a setting
+no solver read.  Files of formats 1 and 2 still load; they must hold that
+line, with a positive integer, as they always did.
 """
 
 import numpy as np
@@ -20,9 +22,9 @@ from .svm import SvmModel
 from .svr import SvrModel
 
 FORMAT_NAME = "adakern-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # Versions load_model reads; format 1 has no factor lines.
-_READABLE = ("1", "2")
+_READABLE = ("1", "2", "3")
 
 
 def _fmt(x: float) -> str:
@@ -48,7 +50,6 @@ def save_model(model, path: str) -> None:
         f"eta {_fmt(cfg.eta)}",
         f"t_max {cfg.t_max}",
         f"tol {_fmt(cfg.tol)}",
-        f"projection_rounds {cfg.projection_rounds}",
         f"clusters {int(model.meta.get('clusters', 1))}",
         f"seed {int(model.meta.get('seed', 0))}",
         f"n {model.X.shape[0]}",
@@ -90,18 +91,23 @@ def save_model(model, path: str) -> None:
     lines.append(f"meta_iterations {int(model.meta.get('iterations', 0))}")
     lines.append(f"meta_objective {_fmt(model.meta.get('objective', float('nan')))}")
     lines.append("end")
-    with open(path, "w") as stream:
-        stream.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as stream:
+            stream.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise DataError(f"cannot write model {path}: {exc}") from exc
 
 
 # Lines every model file has besides its X and F rows (or F blocks), and
 # the lines that only one task has.
 _COMMON_KEYS = ("task", "mode", "variant", "sigma", "bias", "C", "tau", "eta", "t_max",
-                "tol", "projection_rounds", "clusters", "seed", "n", "d", "scaler_min",
-                "scaler_max", "y", "meta_iterations", "meta_objective")
+                "tol", "clusters", "seed", "n", "d", "scaler_min", "scaler_max", "y",
+                "meta_iterations", "meta_objective")
 _TASK_KEYS = {"svm": ("alpha",),
               "svr": ("epsilon", "y_scaler_min", "y_scaler_max", "alpha_hat", "alpha_check")}
-_KNOWN_KEYS = set(_COMMON_KEYS).union(*_TASK_KEYS.values())
+# The line that formats 1 and 2 have and format 3 does not.
+_RETIRED_KEYS = ("projection_rounds",)
+_KNOWN_KEYS = set(_COMMON_KEYS + _RETIRED_KEYS).union(*_TASK_KEYS.values())
 # Vector lines and the length each must have.
 _VECTOR_LENGTHS = {"y": "n", "alpha": "n", "alpha_hat": "n", "alpha_check": "n",
                    "assignment": "n", "scaler_min": "d", "scaler_max": "d",
@@ -183,17 +189,17 @@ def load_model(path: str):
         fields, rows, blocks = _parse(lines[1:-1])
         if header[1] == "1" and ("rank" in fields or rows["W"]):
             raise DataError("format 1 has no factor lines")
-        return _build(fields, rows, blocks)
+        return _build(fields, rows, blocks, header[1])
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _build(fields, rows, blocks):
+def _build(fields, rows, blocks, version: str):
     """Check the parsed fields against each other and make the model."""
     task = fields.get("task")
     if task not in _TASK_KEYS:
         raise DataError(f"unknown task {task!r}")
-    keys = _COMMON_KEYS + _TASK_KEYS[task]
+    keys = _COMMON_KEYS + _TASK_KEYS[task] + (_RETIRED_KEYS if version in ("1", "2") else ())
     missing = [k for k in keys if k not in fields]
     if missing:
         raise DataError(f"incomplete model file, missing {', '.join(missing)}")
@@ -209,9 +215,11 @@ def _build(fields, rows, blocks):
             eta=float(fields["eta"]),
             t_max=int(fields["t_max"]),
             tol=float(fields["tol"]),
-            projection_rounds=int(fields["projection_rounds"]),
             variant=fields["variant"],
         )
+        if "projection_rounds" in keys and int(fields["projection_rounds"]) < 1:
+            raise ValueError(f"projection_rounds must be at least 1, got "
+                             f"{fields['projection_rounds']}")
         meta = {
             "iterations": int(fields["meta_iterations"]),
             "objective": float(fields["meta_objective"]),

@@ -11,11 +11,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import apply_minmax, fit_minmax
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram, pairwise_sq_dists
 from .solver import SolverConfig, resolve_eta, solve
-from .svm import SvmModel
+from .svm import SvmModel, _f_rank, _training_inputs
 
 
 @dataclass
@@ -289,19 +288,7 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
     k-means block is solved independently and the adaptive matrix is
     assembled with off-block entries at the neutral value 1.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DataError("X and y have inconsistent shapes")
-    if not np.all(np.isfinite(X)):
-        raise DataError("features contain non-finite values")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise DataError("labels must be in {-1, +1}")
-    if np.all(y == y[0]):
-        raise DataError("training labels contain a single class")
-    scaler = fit_minmax(X)
-    Xs = apply_minmax(scaler, X)
-    K = gaussian_gram(Xs, sigma)
+    y, scaler, Xs, K = _training_inputs(X, y, sigma)
     config = resolve_eta(K, y, config)
     partition = kmeans_partition(Xs, v, seed)
     blocks = solve_blocks(Xs, y, partition, sigma, config)
@@ -313,7 +300,7 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
         "single_class_blocks": blocks.single_class_blocks,
         "f_min": float(F.min()),
         "f_max": float(F.max()),
-        "f_rank": _numerical_rank(F),
+        "f_rank": _f_rank(F),
         "prox_fallbacks": sum(t.prox_fallbacks for t in blocks.traces),
         "prox_rank": max(t.prox_rank for t in blocks.traces),
         "objective": decomposition_objective(blocks.alpha_bar, y, K, F, config.eta),
@@ -324,11 +311,3 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
         config=config, scaler=scaler, mode="scalable",
         assignment=partition.assignment.copy(), meta=meta,
     )
-
-
-def _numerical_rank(F: np.ndarray) -> int:
-    evals = np.linalg.eigvalsh(0.5 * (F + F.T))
-    lam_max = float(evals[-1])
-    if lam_max <= 0:
-        return 0
-    return int(np.sum(evals > 1e-6 * lam_max))

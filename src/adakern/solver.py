@@ -41,8 +41,7 @@ class SolverConfig:
     """Hyperparameters of one solve.
 
     ``eta=None`` means "resolve automatically"; the training wrappers
-    replace it with ||alpha||^2 from a preliminary standard-SVM solve
-    before the solver itself runs.
+    replace it by :func:`resolve_eta` before the solver itself runs.
     """
 
     C: float
@@ -50,7 +49,6 @@ class SolverConfig:
     eta: float | None = None
     t_max: int = 2000
     tol: float = 1e-4
-    projection_rounds: int = 10
     variant: str = "nesterov"
 
     def __post_init__(self):
@@ -64,10 +62,6 @@ class SolverConfig:
             raise ParameterError(f"t_max must be at least 1, got {self.t_max}")
         if not self.tol > 0:
             raise ParameterError(f"tol must be positive, got {self.tol}")
-        if self.projection_rounds < 1:
-            raise ParameterError(
-                f"projection_rounds must be at least 1, got {self.projection_rounds}"
-            )
         if self.variant not in VARIANTS:
             raise ParameterError(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}"
@@ -99,7 +93,9 @@ class SolveTrace:
     ``objective_history`` holds h(alpha^(t)) for t = 0..iterations for the
     nesterov and pgd variants (one extra entry for the final iterate), and
     the carried h(theta^(t)) sequence (length ``iterations``) for the
-    monotone variant.  ``alpha_step_history[t]`` is ||a^(t+1) - a^(t)||_2.
+    monotone variant.  ``alpha_step_history[t]`` is the step of the prox
+    weights, ||w^(t+1) - w^(t)||_2; for the classifier that is
+    ||a^(t+1) - a^(t)||_2.
     ``prox_fallbacks`` counts the spectral prox calls that fell back to
     the dense eigendecomposition, and ``prox_rank`` is the largest number
     of eigenpairs one call kept (both stay 0 at tau = 0).  ``factor`` is
@@ -225,24 +221,9 @@ def _frozen_prox(n: int) -> SpectralProx:
     return SpectralProx(np.ones((n, 1)), float(n), 1, False)
 
 
-def adaptive_spectral_bound(n: int, C: float, tau: float, eta: float,
-                            lam_max_K: float) -> float:
-    """Upper bound on lambda_max of any adaptive matrix produced for feasible duals."""
-    return n - 0.5 * tau + n * C * C * lam_max_K / (4.0 * eta)
-
-
 def dual_objective(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> float:
     """Value function h(a) = H(a, F(a)) of the outer maximization."""
     return _dual_terms(alpha, y, K, config, freeze_f)[1]
-
-
-def saddle_value(alpha, y, K, F, eta: float, tau: float = 0.0) -> float:
-    """H(a, F) for an arbitrary (not necessarily optimal) adaptive matrix."""
-    F = np.asarray(F, dtype=float)
-    nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (F + F.T))))) if tau > 0 else 0.0
-    w = np.asarray(y, dtype=float) * np.asarray(alpha, dtype=float)
-    prox = SpectralProx(None, nuclear, 0, False, unfactored=F)
-    return _evaluate(prox, np.asarray(K, dtype=float), w, float(np.sum(alpha)), tau, eta)[1]
 
 
 def dual_gradient(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> np.ndarray:
@@ -288,26 +269,6 @@ def lipschitz_pgd(n: int, C: float, K, eta: float, tau: float) -> float:
 
 def _pgd_constant(n: int, C: float, lam_max_K: float, eta: float, tau: float) -> float:
     return n - 0.5 * tau + n * C * C * lam_max_K / (4.0 * eta)
-
-
-def project_feasible(alpha, y, C: float, rounds: int = 10) -> np.ndarray:
-    """Alternating projection onto {0 <= a <= C, a.y = 0}.
-
-    Runs ``rounds`` passes of (clip to the box, then shift onto the
-    hyperplane) and finishes with one extra clip, so the box holds exactly
-    while the hyperplane holds up to the alternating-projection residual.
-    ``y`` may be any +-1 vector; its squared norm is its length.
-    """
-    if rounds < 1:
-        raise ParameterError(f"rounds must be at least 1, got {rounds}")
-    a = np.array(alpha, dtype=float, copy=True)
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    for _ in range(rounds):
-        np.clip(a, 0.0, C, out=a)
-        a -= (float(a @ y) / n) * y
-    np.clip(a, 0.0, C, out=a)
-    return a
 
 
 def project_exact(z, y, C: float) -> np.ndarray:
@@ -391,13 +352,11 @@ def _check_psd_gram(K) -> tuple[np.ndarray, float, float]:
 
 def solve(K, y, config: SolverConfig, freeze_f: bool = False,
           with_equality: bool = True, record_iterates: bool = False):
-    """Run the accelerated projected-gradient saddle solver.
+    """Run the accelerated projected-gradient saddle solver (see :func:`_ascend`).
 
-    Iterates from a^(0) = 0.  Per iteration computes F(a^(t)) and the
-    envelope gradient, takes the projected ascent step theta^(t), the
-    weighted dual-averaging step beta^(t), and combines them as
-    a^(t+1) = ((t+1) theta + 2 beta) / (t+3).  Stops at t_max or when the
-    iterate step drops to ``tol``.
+    Iterates from a^(0) = 0 with envelope gradient 1 - Y(F(a) o K)Ya,
+    where F(a) is the adaptive matrix at a, and stops at t_max or when
+    the iterate step drops to ``tol``.
 
     ``freeze_f`` pins F to the all-one matrix (standard SVM dual; step
     constant ||K||_F).  ``with_equality=False`` drops the hyperplane
@@ -406,41 +365,13 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
 
     The feasible-set projection inside the loop is computed exactly
     (:func:`project_exact`): the dual-averaging step projects points far
-    outside the feasible set, where the fixed-round alternating scheme of
-    :func:`project_feasible` lands measurably away from the true
-    projection and stalls convergence.
+    outside the feasible set, where a fixed-round alternating scheme
+    (clip to the box, then shift onto the hyperplane) lands measurably
+    away from the true projection and stalls convergence.
     """
-    K, lam_min_K, lam_max_K = _check_psd_gram(K)
     y = _check_labels(y, require_both_classes=with_equality)
-    n = y.size
-    if K.shape[0] != n:
-        raise DataError("kernel matrix and labels have inconsistent sizes")
+    K, L, eta, trace, prox_at = _setup(K, y.size, config, freeze_f, lipschitz_svm)
     C, tau = config.C, config.tau
-
-    trace = SolveTrace()
-    if tau >= 2 * n:
-        trace.warnings.append(
-            f"tau = {tau} >= 2n = {2 * n}: the adaptive matrix may collapse to zero"
-        )
-
-    if freeze_f:
-        L = float(np.linalg.norm(K))
-        eta = _eta_for_frozen(config)
-    elif config.variant == "pgd":
-        L = _pgd_constant(n, C, lam_max_K, _require_eta(config), tau)
-        eta = config.eta
-    else:
-        L = lipschitz_svm(n, C, K, _require_eta(config))
-        eta = config.eta
-
-    if with_equality:
-        def proj(v):
-            return project_exact(v, y, C)
-    else:
-        def proj(v):
-            return np.clip(v, 0.0, C)
-
-    prox_at = _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f)
 
     def evaluate(a):
         """Gradient and objective at a, sharing one factorization."""
@@ -448,32 +379,82 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
         q, h = _evaluate(prox_at(w), K, w, float(np.sum(a)), tau, eta)
         return 1.0 - y * q, h
 
-    def objective(a):
-        return evaluate(a)[1]
+    def proj(v):
+        return project_exact(v, y, C) if with_equality else np.clip(v, 0.0, C)
 
+    def weights(a):
+        return y * a
+
+    a = _ascend(evaluate, proj, L, weights, y.size, config, trace, record_iterates)
+    return DualState(alpha=a, y=y), _final_matrix(prox_at, weights(a), trace), trace
+
+
+def _setup(K, n: int, config: SolverConfig, freeze_f: bool, lipschitz):
+    """The set-up both solvers share.
+
+    Checks that K is a PSD n x n matrix, warns when tau >= 2n, and picks
+    eta and the step constant: ||K||_F with F frozen, the pgd constant from
+    lambda_max(K), else ``lipschitz(n, C, K, eta)``.  Returns K, the step
+    constant, eta, a new trace and the solve's prox sequence.
+    """
+    K, lam_min_K, lam_max_K = _check_psd_gram(K)
+    if K.shape[0] != n:
+        raise DataError(f"kernel matrix has {K.shape[0]} rows for {n} training points")
+    trace = SolveTrace()
+    if config.tau >= 2 * n:
+        trace.warnings.append(
+            f"tau = {config.tau} >= 2n = {2 * n}: the adaptive matrix may collapse to zero"
+        )
+    if freeze_f:
+        L, eta = float(np.linalg.norm(K)), _eta_for_frozen(config)
+    else:
+        eta = _require_eta(config)
+        if config.variant == "pgd":
+            L = _pgd_constant(n, config.C, lam_max_K, eta, config.tau)
+        else:
+            L = lipschitz(n, config.C, K, eta)
+    return K, L, eta, trace, _prox_sequence(K, config.tau, eta, lam_min_K, trace, freeze_f)
+
+
+def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
+            trace: SolveTrace, record_iterates: bool) -> np.ndarray:
+    """The projected-gradient ascent loop of both solvers; returns the final iterate.
+
+    Starts from z^(0) = 0 (``size`` entries).  ``evaluate(z)`` gives the
+    gradient and value at z, ``proj`` is the projection onto the feasible
+    set, L the step constant, and ``weights(z)`` the prox weights of z, on
+    which the step is measured.  Per iteration the pgd variant takes the
+    projected step proj(z + g / L); the others take it as theta^(t), the
+    weighted dual-averaging step beta^(t), and combine them as
+    z^(t+1) = ((t+1) theta + 2 beta) / (t+3), where monotone-nesterov keeps
+    the best theta seen.  Stops at t_max or when the step drops to
+    ``tol``.  Fills the histories, ``final_beta`` and the iterates (when
+    ``record_iterates``) of ``trace``.
+    """
     if record_iterates:
         trace.iterates = {"alpha": [], "theta": [], "beta": []}
 
-    a = np.zeros(n)
-    a0 = a.copy()
-    grad_sum = np.zeros(n)
+    z = np.zeros(size)
+    z0 = z.copy()
+    grad_sum = np.zeros(size)
     beta = None
     theta = None
     h_theta = -np.inf
+    w_prev = weights(z)
     moved = False
 
     for t in range(config.t_max):
-        g, h_here = evaluate(a)
+        g, h_here = evaluate(z)
 
         if config.variant == "pgd":
             trace.objective_history.append(h_here)
-            a_next = proj(a + g / L)
+            z_next = proj(z + g / L)
         else:
-            theta_tilde = proj(a + g / L)
+            theta_tilde = proj(z + g / L)
             if config.variant == "monotone-nesterov":
-                h_tilde = objective(theta_tilde)
+                h_tilde = evaluate(theta_tilde)[1]
                 # Carry the stored h(theta) so the sequence is exactly monotone.
-                candidates = [(h_tilde, theta_tilde), (h_here, a)]
+                candidates = [(h_tilde, theta_tilde), (h_here, z)]
                 if theta is not None:
                     candidates.append((h_theta, theta))
                 h_theta, theta = max(candidates, key=lambda c: c[0])
@@ -483,17 +464,18 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
                 trace.objective_history.append(h_here)
             grad_sum += (t + 1) * g
             # Ascent form of the dual-averaging step; see the solver notes.
-            beta = proj(a0 + grad_sum / (2.0 * L))
-            a_next = ((t + 1) * theta + 2.0 * beta) / (t + 3.0)
+            beta = proj(z0 + grad_sum / (2.0 * L))
+            z_next = ((t + 1) * theta + 2.0 * beta) / (t + 3.0)
 
-        step = float(np.linalg.norm(a_next - a))
+        w_next = weights(z_next)
+        step = float(np.linalg.norm(w_next - w_prev))
         trace.alpha_step_history.append(step)
         if record_iterates:
-            trace.iterates["alpha"].append(a_next.copy())
+            trace.iterates["alpha"].append(z_next.copy())
             if config.variant != "pgd":
                 trace.iterates["theta"].append(np.asarray(theta).copy())
                 trace.iterates["beta"].append(beta.copy())
-        a = a_next
+        z, w_prev = z_next, w_next
         trace.iterations = t + 1
         # The accelerated warmup can take steps far below tol before the
         # weighted gradient average builds up; only a drop back below tol
@@ -506,10 +488,9 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
         trace.terminated_by = "max_iter"
 
     if config.variant != "monotone-nesterov":
-        trace.objective_history.append(objective(a))
+        trace.objective_history.append(evaluate(z)[1])
     trace.final_beta = None if beta is None else beta.copy()
-
-    return DualState(alpha=a, y=y), _final_matrix(prox_at, y * a, trace), trace
+    return z
 
 
 def _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f):
@@ -548,17 +529,24 @@ def _final_matrix(prox_at, w, trace) -> np.ndarray:
     return prox.matrix
 
 
-def resolve_eta(K, y, config: SolverConfig, with_equality: bool = True) -> SolverConfig:
-    """Fill in ``eta`` from a preliminary standard-SVM solve when unset.
+def resolve_eta(K, y, config: SolverConfig, epsilon: float | None = None) -> SolverConfig:
+    """Fill in ``eta`` from a preliminary standard (frozen-F) solve when unset.
 
-    eta defaults to ||alpha||_2^2 of the frozen-F (all-one) solve; when
-    that solve returns a zero vector, falls back to 0.1 C^2.
+    The classifier's dual is solved, or with ``epsilon`` given the SVR dual
+    on targets y.  eta is w'w for that solve's prox weights w (y o alpha,
+    or hat - check); when they vanish it falls back to 0.1 C^2.
     """
     if config.eta is not None:
         return config
     prelim = replace(config, tau=0.0, eta=None, variant="nesterov")
-    state, _, _ = solve(K, y, prelim, freeze_f=True, with_equality=with_equality)
-    eta = float(state.alpha @ state.alpha)
+    if epsilon is None:
+        state = solve(K, y, prelim, freeze_f=True)[0]
+        w = state.y * state.alpha
+    else:
+        from .svr import solve_svr  # svr imports this module
+
+        w = solve_svr(K, y, prelim, epsilon, freeze_f=True)[0].difference
+    eta = float(w @ w)
     if eta <= 1e-12:
         eta = 0.1 * config.C * config.C
     return replace(config, eta=eta)

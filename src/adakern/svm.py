@@ -1,13 +1,13 @@
 """Classification wrapper: training, bias recovery, out-of-sample extension."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Scaler, apply_minmax, fit_minmax
-from .errors import DataError, ParameterError
+from .data import Scaler, apply_minmax, fit_minmax, kfold
+from .errors import DataError
 from .kernel import cross_gram, gaussian_gram, pairwise_sq_dists
-from .solver import SolverConfig, SolveTrace, resolve_eta, solve
+from .solver import SolverConfig, SolveTrace, _check_labels, resolve_eta, solve
 
 # Relative margin for calling a dual coordinate interior to (0, C).
 _MARGIN_RTOL = 1e-6
@@ -66,7 +66,15 @@ def _expansion(model, coef, X_test) -> np.ndarray:
     return coef @ Kx + model.bias
 
 
-def _validate_training_inputs(X, y, sigma):
+def _training_inputs(X, y, sigma: float, classes: bool = True):
+    """Check the training inputs, min-max scale X and build its Gram matrix.
+
+    The one input check of the three trainers.  X must be a finite n x d
+    array with n >= 2 and y n values: +-1 labels of both classes when
+    ``classes``, finite regression targets otherwise.  A defect raises
+    DataError; sigma <= 0 raises ParameterError.  Returns y, the scaler,
+    the scaled X and its Gaussian Gram matrix K.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -75,13 +83,16 @@ def _validate_training_inputs(X, y, sigma):
         raise DataError("need at least 2 training points")
     if not np.all(np.isfinite(X)):
         raise DataError("features contain non-finite values")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise DataError("labels must be in {-1, +1}")
-    if np.all(y == y[0]):
-        raise DataError("training labels contain a single class")
-    if not sigma > 0:
-        raise ParameterError(f"kernel width sigma must be positive, got {sigma}")
-    return X, y
+    if classes:
+        _check_labels(y, require_both_classes=False)
+        if np.all(y == y[0]):
+            raise DataError("training labels contain a single class")
+    elif not np.all(np.isfinite(y)):
+        raise DataError("targets contain non-finite values")
+    scaler = fit_minmax(X)
+    Xs = apply_minmax(scaler, X)
+    # gaussian_gram rejects sigma <= 0 with a ParameterError.
+    return y, scaler, Xs, gaussian_gram(Xs, sigma)
 
 
 def train(X, y, sigma: float, config: SolverConfig,
@@ -89,85 +100,87 @@ def train(X, y, sigma: float, config: SolverConfig,
     """Fit the adaptive-kernel SVM.
 
     Min-max scales the features, builds the Gaussian Gram matrix, resolves
-    eta when unset (||alpha||^2 of a preliminary standard-SVM solve), runs
-    the saddle solver, and recovers the decision bias from the KKT
-    conditions.  ``freeze_f`` keeps F at the all-one matrix, which is the
-    plain SVM baseline.
+    eta when unset (:func:`solver.resolve_eta`), runs the saddle solver,
+    and recovers the decision bias from the KKT conditions.  ``freeze_f``
+    keeps F at the all-one matrix, which is the plain SVM baseline.
     """
-    X, y = _validate_training_inputs(X, y, sigma)
-    scaler = fit_minmax(X)
-    Xs = apply_minmax(scaler, X)
-    K = gaussian_gram(Xs, sigma)
+    y, scaler, Xs, K = _training_inputs(X, y, sigma)
     if not freeze_f:
         config = resolve_eta(K, y, config)
     state, F, trace = solve(K, y, config, freeze_f=freeze_f)
     state.validate(config.C)
     bias = recover_bias(state.alpha, y, F, K, config.C)
+    meta = {**_trace_meta(trace), "f_min": float(F.min()), "f_max": float(F.max()),
+            "f_rank": _f_rank(F, trace.factor)}
     return SvmModel(
         X=Xs, y=y, alpha=state.alpha, F=F, bias=bias, sigma=sigma,
-        config=config, scaler=scaler, meta=_training_meta(F, trace), W=trace.factor,
+        config=config, scaler=scaler, meta=meta, W=trace.factor,
     )
 
 
-def _training_meta(F: np.ndarray, trace: SolveTrace) -> dict:
-    # Numerical rank: eigenvalues above 1e-6 of the largest.  The squared
-    # column norms of a factor are F's nonzero spectrum.
-    if trace.factor is None:
-        spectrum = np.linalg.eigvalsh(0.5 * (F + F.T))
-    else:
-        spectrum = np.einsum("ij,ij->j", trace.factor, trace.factor)
-    top = float(spectrum.max(initial=0.0))
-    rank = int(np.sum(spectrum > 1e-6 * top)) if top > 0 else 0
+def _trace_meta(trace: SolveTrace) -> dict:
+    """The solve diagnostics that every trained model keeps in ``meta``."""
     return {
         "iterations": trace.iterations,
         "objective": trace.objective_history[-1] if trace.objective_history else float("nan"),
         "terminated_by": trace.terminated_by,
-        "f_min": float(F.min()),
-        "f_max": float(F.max()),
-        "f_rank": rank,
         "prox_fallbacks": trace.prox_fallbacks,
         "prox_rank": trace.prox_rank,
         "warnings": list(trace.warnings),
     }
 
 
+def _f_rank(F: np.ndarray, factor: np.ndarray | None = None) -> int:
+    """Numerical rank of F: its eigenvalues above 1e-6 of the largest.
+
+    The squared column norms of a factor W (F = W W') are F's nonzero
+    spectrum, so with W given no eigendecomposition runs.
+    """
+    if factor is None:
+        spectrum = np.linalg.eigvalsh(0.5 * (F + F.T))
+    else:
+        spectrum = np.einsum("ij,ij->j", factor, factor)
+    top = float(spectrum.max(initial=0.0))
+    return int(np.sum(spectrum > 1e-6 * top)) if top > 0 else 0
+
+
 def recover_bias(alpha, y, F, K, C: float) -> float:
-    """Decision bias from the KKT conditions.
+    """Decision bias from the KKT conditions (see :func:`_kkt_bias`).
 
     Uses the median of y_i - sum_j a_j y_j F_ij K_ij over margin support
     vectors (0 < a_i < C up to a relative slack); when none exist, falls
     back to the midpoint of the feasible interval implied by the
-    bound-active points.
+    bound-active points: y_i (margin_i + b) >= 1 at a_i = 0 and <= 1 at
+    a_i = C.
     """
     alpha = np.asarray(alpha, dtype=float)
     y = np.asarray(y, dtype=float)
     margins = (np.asarray(F) * np.asarray(K)) @ (alpha * y)
-    lo_cut, hi_cut = _MARGIN_RTOL * C, (1.0 - _MARGIN_RTOL) * C
-    interior = (alpha > lo_cut) & (alpha < hi_cut)
-    if np.any(interior):
-        return float(np.median(y[interior] - margins[interior]))
+    return _kkt_bias(y - margins, y, alpha, C)
 
-    lowers, uppers = [], []
-    at_zero = alpha <= lo_cut
-    at_cap = alpha >= hi_cut
-    for i in np.flatnonzero(at_zero):
-        # y_i (margin_i + b) >= 1
-        if y[i] > 0:
-            lowers.append(1.0 - margins[i])
-        else:
-            uppers.append(-1.0 - margins[i])
-    for i in np.flatnonzero(at_cap):
-        # y_i (margin_i + b) <= 1
-        if y[i] > 0:
-            uppers.append(1.0 - margins[i])
-        else:
-            lowers.append(-1.0 - margins[i])
-    if lowers and uppers:
-        return 0.5 * (max(lowers) + min(uppers))
-    if lowers:
-        return float(max(lowers))
-    if uppers:
-        return float(min(uppers))
+
+def _kkt_bias(values, signs, duals, C: float) -> float:
+    """Bias from the KKT conditions of a dual on the box [0, C].
+
+    Dual coordinate i fixes the bias at values_i when it lies inside
+    (0, C) up to a relative slack.  At 0 it bounds the bias from below when
+    signs_i > 0 and from above when signs_i < 0; at C the other way round.
+    Returns the median over the inside coordinates; with none, the
+    midpoint of the interval the bounds leave, its one finite end, or 0.
+    """
+    lo_cut, hi_cut = _MARGIN_RTOL * C, (1.0 - _MARGIN_RTOL) * C
+    interior = (duals > lo_cut) & (duals < hi_cut)
+    if np.any(interior):
+        return float(np.median(values[interior]))
+    at_zero, at_cap = duals <= lo_cut, duals >= hi_cut
+    lowers = values[(at_zero & (signs > 0)) | (at_cap & (signs < 0))]
+    uppers = values[(at_zero & (signs < 0)) | (at_cap & (signs > 0))]
+    if lowers.size and uppers.size:
+        return 0.5 * (lowers.max() + uppers.min())
+    if lowers.size:
+        return float(lowers.max())
+    if uppers.size:
+        return float(uppers.min())
     return 0.0
 
 
@@ -308,37 +321,48 @@ def accuracy(model: SvmModel, X, y) -> float:
 
 def cross_validate(X, y, sigma_grid, C_grid, folds: int, seed: int,
                    config_template: SolverConfig, freeze_f: bool = False):
-    """Grid-search (sigma, C) by mean k-fold accuracy.
+    """Grid-search (sigma, C) by mean k-fold accuracy (see :func:`_grid_search`).
 
-    Ties break toward smaller C, then larger sigma (the smoother model).
     Returns (best_sigma, best_C, table) where table rows are
     (sigma, C, mean_accuracy).
     """
-    from dataclasses import replace
-
-    from .data import kfold
-
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    fold_indices = kfold(len(y), folds, seed)
+
+    def fit_score(rows, held, sigma, C):
+        model = train(X[rows], y[rows], sigma, replace(config_template, C=C, eta=None),
+                      freeze_f=freeze_f)
+        return accuracy(model, X[held], y[held])
+
+    return _grid_search(len(y), sigma_grid, C_grid, folds, seed, fit_score)
+
+
+def _grid_search(n: int, sigma_grid, C_grid, folds: int, seed: int, fit_score,
+                 lower_is_better: bool = False):
+    """Grid-search (sigma, C) by the mean score over k folds of range(n).
+
+    ``fit_score(rows, held, sigma, C)`` fits a model on the rows where the
+    boolean mask ``rows`` is set and scores it on the indices ``held``.  A
+    fold that raises DataError (a single-class training fold, or constant
+    held-out targets) is skipped; a cell with no fold left scores 0, or
+    +inf when lower is better.  Ties break toward smaller C, then larger
+    sigma (the smoother model).  Returns (best_sigma, best_C, table) where
+    table rows are (sigma, C, mean score).
+    """
+    sign = -1.0 if lower_is_better else 1.0
+    fold_indices = kfold(n, folds, seed)
     table = []
-    best = None
     for sigma in sigma_grid:
         for C in C_grid:
             scores = []
             for held in fold_indices:
-                mask = np.ones(len(y), dtype=bool)
-                mask[held] = False
-                if np.all(y[mask] == y[mask][0]) or np.all(~mask):
+                rows = np.ones(n, dtype=bool)
+                rows[held] = False
+                try:
+                    scores.append(fit_score(rows, held, float(sigma), float(C)))
+                except DataError:
                     continue
-                cfg = replace(config_template, C=float(C), eta=None)
-                model = train(X[mask], y[mask], float(sigma), cfg, freeze_f=freeze_f)
-                scores.append(accuracy(model, X[held], y[held]))
-            mean_score = float(np.mean(scores)) if scores else 0.0
-            table.append((float(sigma), float(C), mean_score))
-            key = (mean_score, -float(C), float(sigma))
-            if best is None or key > best[0]:
-                best = (key, float(sigma), float(C))
-    return best[1], best[2], table
-
-
+            worst = np.inf if lower_is_better else 0.0
+            table.append((float(sigma), float(C), float(np.mean(scores)) if scores else worst))
+    best = max(table, key=lambda row: (sign * row[2], -row[1], row[0]))
+    return best[0], best[1], table

@@ -6,25 +6,20 @@ import numpy as np
 
 from .data import Scaler, apply_minmax, fit_minmax, inverse_minmax
 from .errors import DataError, ParameterError
-from .kernel import gaussian_gram
 from .linalg import SpectralProx
 from .solver import (
     SolverConfig,
-    SolveTrace,
     _adaptive_prox,
-    _check_psd_gram,
-    _eta_for_frozen,
+    _ascend,
     _evaluate,
     _final_matrix,
     _pgd_constant,
     _prox_for,
-    _prox_sequence,
-    _require_eta,
+    _setup,
     project_exact,
+    resolve_eta,
 )
-from .svm import _expansion
-
-_MARGIN_RTOL = 1e-6
+from .svm import _expansion, _grid_search, _kkt_bias, _trace_meta, _training_inputs
 
 
 @dataclass
@@ -168,155 +163,60 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
               freeze_f: bool = False, record_iterates: bool = False):
     """Accelerated projected-gradient solve of the paired SVR dual.
 
-    Works on the concatenated state [hat; check] with ascent step 1/(2L)
-    and dual-averaging step 1/(4L); the feasible set is the box on both
-    blocks plus the equality constraint on the difference.  Stops when the
-    step of hat - check drops to ``tol`` or at t_max.  K must be PSD, as
-    for the classifier solver (DataError otherwise); the adaptive matrix
-    comes from the same spectral prox.  Returns (SvrDualState, F,
-    SolveTrace).
+    Runs the classifier's loop (:func:`solver._ascend`) on the concatenated
+    state [hat; check] with ascent step 1/(2L) and dual-averaging step
+    1/(4L); the feasible set is the box on both blocks plus the equality
+    constraint on the difference.  Stops when the step of hat - check
+    drops to ``tol`` or at t_max.  K must be PSD, as for the classifier
+    solver (DataError otherwise); the adaptive matrix comes from the same
+    spectral prox.  Returns (SvrDualState, F, SolveTrace).
     """
-    K, lam_min_K, lam_max_K = _check_psd_gram(K)
     y = np.asarray(y, dtype=float)
-    n = y.size
-    if K.shape != (n, n):
-        raise DataError("kernel matrix and targets have inconsistent sizes")
     if not np.all(np.isfinite(y)):
         raise DataError("targets contain non-finite values")
     if epsilon < 0:
         raise ParameterError(f"epsilon must be nonnegative, got {epsilon}")
-    C, tau = config.C, config.tau
-
-    trace = SolveTrace()
-    if tau >= 2 * n:
-        trace.warnings.append(
-            f"tau = {tau} >= 2n = {2 * n}: the adaptive matrix may collapse to zero"
-        )
-
-    if freeze_f:
-        L = 2.0 * float(np.linalg.norm(K))
-        eta = _eta_for_frozen(config)
-    elif config.variant == "pgd":
-        L = _pgd_constant(n, C, lam_max_K, _require_eta(config), tau)
-        eta = config.eta
-    else:
-        L = lipschitz_svr(n, C, K, _require_eta(config))
-        eta = config.eta
-
+    n = y.size
+    K, L, eta, trace, prox_at = _setup(K, n, config, freeze_f, lipschitz_svr)
+    # The loop steps by 1/L and the paired dual by 1/(2L), for its stacked
+    # constant L: lipschitz_svr, the pgd constant, or 2 ||K||_F with F frozen.
+    L *= 4.0 if freeze_f else 2.0
     # +-1 constraint vector: equality 1'(hat - check) = 0 on the stacked state.
     u = np.concatenate([np.ones(n), -np.ones(n)])
-
-    def proj(z):
-        return project_exact(z, u, C)
-
-    prox_at = _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f)
 
     def evaluate(z):
         ah, ac = z[:n], z[n:]
         w = ah - ac
         base = float(w @ y) - epsilon * float(np.sum(ah + ac))
-        q, h = _evaluate(prox_at(w), K, w, base, tau, eta)
+        q, h = _evaluate(prox_at(w), K, w, base, config.tau, eta)
         g = np.concatenate([-epsilon - q + y, -epsilon + q - y])
         return g, h
 
-    def objective(z):
-        return evaluate(z)[1]
+    def proj(z):
+        return project_exact(z, u, config.C)
 
-    if record_iterates:
-        trace.iterates = {"alpha": [], "theta": [], "beta": []}
+    def weights(z):
+        return z[:n] - z[n:]
 
-    z = np.zeros(2 * n)
-    z0 = z.copy()
-    grad_sum = np.zeros(2 * n)
-    beta = None
-    theta = None
-    h_theta = -np.inf
-    diff_prev = np.zeros(n)
-    moved = False
-
-    for t in range(config.t_max):
-        g, h_here = evaluate(z)
-
-        if config.variant == "pgd":
-            trace.objective_history.append(h_here)
-            z_next = proj(z + g / (2.0 * L))
-        else:
-            theta_tilde = proj(z + g / (2.0 * L))
-            if config.variant == "monotone-nesterov":
-                h_tilde = objective(theta_tilde)
-                candidates = [(h_tilde, theta_tilde), (h_here, z)]
-                if theta is not None:
-                    candidates.append((h_theta, theta))
-                h_theta, theta = max(candidates, key=lambda c: c[0])
-                trace.objective_history.append(h_theta)
-            else:
-                theta = theta_tilde
-                trace.objective_history.append(h_here)
-            grad_sum += (t + 1) * g
-            beta = proj(z0 + grad_sum / (4.0 * L))
-            z_next = ((t + 1) * theta + 2.0 * beta) / (t + 3.0)
-
-        diff = z_next[:n] - z_next[n:]
-        step = float(np.linalg.norm(diff - diff_prev))
-        trace.alpha_step_history.append(step)
-        if record_iterates:
-            trace.iterates["alpha"].append(z_next.copy())
-            if config.variant != "pgd":
-                trace.iterates["theta"].append(np.asarray(theta).copy())
-                trace.iterates["beta"].append(beta.copy())
-        diff_prev = diff
-        z = z_next
-        trace.iterations = t + 1
-        # Warmup steps can sit far below tol; see the classifier loop.
-        moved = moved or step > config.tol
-        if moved and step <= config.tol:
-            trace.terminated_by = "tolerance"
-            break
-    else:
-        trace.terminated_by = "max_iter"
-
-    if config.variant != "monotone-nesterov":
-        trace.objective_history.append(objective(z))
-    trace.final_beta = None if beta is None else beta.copy()
-
-    ah, ac = z[:n], z[n:]
-    state = SvrDualState(alpha_hat=ah, alpha_check=ac, epsilon=epsilon)
-    return state, _final_matrix(prox_at, ah - ac, trace), trace
+    z = _ascend(evaluate, proj, L, weights, 2 * n, config, trace, record_iterates)
+    state = SvrDualState(alpha_hat=z[:n], alpha_check=z[n:], epsilon=epsilon)
+    return state, _final_matrix(prox_at, weights(z), trace), trace
 
 
 def recover_bias_svr(alpha_hat, alpha_check, y, F, K, C: float, epsilon: float) -> float:
-    """Bias from tube-edge support points; interval midpoint as fallback."""
+    """Bias from tube-edge support points; interval midpoint as fallback.
+
+    The KKT rule of the classifier (:func:`svm._kkt_bias`) on the stacked
+    duals [hat; check], whose blocks fix the bias at y - g0 -+ epsilon,
+    with g0 = (F o K)(hat - check), and bound it as labels +1 and -1 do.
+    """
     alpha_hat = np.asarray(alpha_hat, dtype=float)
     alpha_check = np.asarray(alpha_check, dtype=float)
     y = np.asarray(y, dtype=float)
     g0 = (np.asarray(F) * np.asarray(K)) @ (alpha_hat - alpha_check)
-    lo_cut, hi_cut = _MARGIN_RTOL * C, (1.0 - _MARGIN_RTOL) * C
-
-    estimates = []
-    up = (alpha_hat > lo_cut) & (alpha_hat < hi_cut)
-    dn = (alpha_check > lo_cut) & (alpha_check < hi_cut)
-    estimates.extend(y[up] - g0[up] - epsilon)
-    estimates.extend(y[dn] - g0[dn] + epsilon)
-    if estimates:
-        return float(np.median(estimates))
-
-    lowers, uppers = [], []
-    for i in range(len(y)):
-        if alpha_hat[i] <= lo_cut:
-            lowers.append(y[i] - g0[i] - epsilon)
-        if alpha_hat[i] >= hi_cut:
-            uppers.append(y[i] - g0[i] - epsilon)
-        if alpha_check[i] <= lo_cut:
-            uppers.append(y[i] - g0[i] + epsilon)
-        if alpha_check[i] >= hi_cut:
-            lowers.append(y[i] - g0[i] + epsilon)
-    if lowers and uppers:
-        return 0.5 * (max(lowers) + min(uppers))
-    if lowers:
-        return float(max(lowers))
-    if uppers:
-        return float(min(uppers))
-    return 0.0
+    values = np.concatenate([y - g0 - epsilon, y - g0 + epsilon])
+    signs = np.repeat([1.0, -1.0], y.size)
+    return _kkt_bias(values, signs, np.concatenate([alpha_hat, alpha_check]), C)
 
 
 def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = 0.1,
@@ -324,54 +224,44 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = 0.1,
     """Fit the adaptive-kernel SVR.
 
     Features and targets are both min-max scaled to [0, 1]; the tube width
-    epsilon applies in the scaled target space.  eta resolution mirrors the
-    classifier: ||hat - check||^2 of a preliminary frozen-F solve, with
-    0.1 C^2 as the degenerate fallback.
+    epsilon applies in the scaled target space.  eta is resolved as for
+    the classifier (:func:`solver.resolve_eta` on the SVR dual).
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DataError("X and y have inconsistent shapes")
-    if X.shape[0] < 2:
-        raise DataError("need at least 2 training points")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise DataError("training data contain non-finite values")
-    if not sigma > 0:
-        raise ParameterError(f"kernel width sigma must be positive, got {sigma}")
-
-    scaler = fit_minmax(X)
-    Xs = apply_minmax(scaler, X)
+    y, scaler, Xs, K = _training_inputs(X, y, sigma, classes=False)
     y_scaler = fit_minmax(y[:, None])
     ys = apply_minmax(y_scaler, y[:, None])[:, 0]
-    K = gaussian_gram(Xs, sigma)
-
-    if not freeze_f and config.eta is None:
-        prelim = replace(config, tau=0.0, eta=None, variant="nesterov")
-        state, _, _ = solve_svr(K, ys, prelim, epsilon, freeze_f=True)
-        w = state.difference
-        eta = float(w @ w)
-        if eta <= 1e-12:
-            eta = 0.1 * config.C * config.C
-        config = replace(config, eta=eta)
+    if not freeze_f:
+        config = resolve_eta(K, ys, config, epsilon=epsilon)
 
     state, F, trace = solve_svr(K, ys, config, epsilon, freeze_f=freeze_f)
     state.validate(config.C)
     bias = recover_bias_svr(state.alpha_hat, state.alpha_check, ys, F, K,
                             config.C, epsilon)
-    meta = {
-        "iterations": trace.iterations,
-        "objective": trace.objective_history[-1] if trace.objective_history else float("nan"),
-        "terminated_by": trace.terminated_by,
-        "complementarity_gap": state.complementarity_gap(),
-        "prox_fallbacks": trace.prox_fallbacks,
-        "prox_rank": trace.prox_rank,
-        "warnings": list(trace.warnings),
-    }
+    meta = {**_trace_meta(trace), "complementarity_gap": state.complementarity_gap()}
     return SvrModel(
         X=Xs, y=ys, alpha_hat=state.alpha_hat, alpha_check=state.alpha_check,
         F=F, bias=bias, sigma=sigma, epsilon=epsilon, config=config,
         scaler=scaler, y_scaler=y_scaler, meta=meta, W=trace.factor,
     )
+
+
+def cross_validate_svr(X, y, sigma_grid, C_grid, folds: int, seed: int,
+                       config_template: SolverConfig, epsilon: float):
+    """Grid-search (sigma, C) by mean k-fold relative error (see :func:`svm._grid_search`).
+
+    Returns (best_sigma, best_C, table) where table rows are
+    (sigma, C, mean_rmse).
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def fit_score(rows, held, sigma, C):
+        model = train_svr(X[rows], y[rows], sigma, replace(config_template, C=C, eta=None),
+                          epsilon=epsilon)
+        return rmse(model.predict(X[held]), y[held])
+
+    return _grid_search(len(y), sigma_grid, C_grid, folds, seed, fit_score,
+                        lower_is_better=True)
 
 
 def rmse(predictions, targets) -> float:

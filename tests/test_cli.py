@@ -239,6 +239,29 @@ class TestFormatV2:
         assert np.array_equal(again.F, loaded.F) and again.W is None
         assert np.array_equal(again.decision_function(probe), decisions)
 
+    def test_format_2_file_still_loads(self, saved_models, tmp_path):
+        text, _ = saved_models["svm"]
+        current = load_model(_write(str(tmp_path / "v3.model"), text))
+        # A format 2 file is a format 3 file with the projection_rounds line.
+        v2 = text.replace(f"adakern-model {FORMAT_VERSION}\n", "adakern-model 2\n", 1)
+        v2 = re.sub(r"(\ntol [^\n]*\n)", r"\1projection_rounds 10\n", v2, count=1)
+        loaded = load_model(_write(str(tmp_path / "v2.model"), v2))
+        assert np.array_equal(loaded.F, current.F) and np.array_equal(loaded.W, current.W)
+        probe = current.X + 0.05
+        assert np.array_equal(loaded.decision_function(probe), current.decision_function(probe))
+
+    @pytest.mark.parametrize("version, line", [
+        ("2", None), ("2", "projection_rounds 0"), ("2", "projection_rounds x"),
+        ("3", "projection_rounds 10"),
+    ], ids=["v2-missing", "v2-zero", "v2-not-a-number", "v3-present"])
+    def test_projection_rounds_line_is_checked(self, version, line, saved_models, tmp_path):
+        text, _ = saved_models["svm"]
+        text = text.replace(f"adakern-model {FORMAT_VERSION}\n", f"adakern-model {version}\n", 1)
+        if line is not None:
+            text = re.sub(r"(\ntol [^\n]*\n)", rf"\1{line}\n", text, count=1)
+        with pytest.raises(DataError):
+            load_model(_write(str(tmp_path / "bad.model"), text))
+
     def test_rank_zero_roundtrip(self, tmp_path):
         from adakern.solver import SolverConfig
         from adakern.svm import train
@@ -370,6 +393,12 @@ class TestExitCodes:
                           "--model", str(tmp_path / "m.txt")], capsys)
         assert code == 2
 
+    def test_unwritable_model_path_is_data_error(self, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        code, _, err = run(["train", "--data", path, "--t-max", "5",
+                            "--model", str(tmp_path / "missing" / "m.txt")], capsys)
+        assert code == 2 and err.startswith("data error: cannot write model")
+
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(["train", "--bogus"], capsys)
         assert code == 1
@@ -392,6 +421,22 @@ def test_cv_selects_from_grid(tmp_path, capsys):
     assert len(table) == 2
     best_row = max(table, key=lambda r: r[2])
     assert best_row[0] == sigma
+
+
+def test_svr_cv_selects_from_grid():
+    # tiny grid exercise of the --task svr --cv path through the library API
+    from adakern.data import gen_step
+    from adakern.solver import SolverConfig
+    from adakern.svr import cross_validate_svr
+    ds = gen_step(np.linspace(-5.0, 5.0, 30))
+    sigma, C, table = cross_validate_svr(ds.X, ds.y, [0.05, 2.0], [0.5, 2.0], folds=3, seed=0,
+                                         config_template=SolverConfig(C=1.0, t_max=100),
+                                         epsilon=0.02)
+    assert [row[:2] for row in table] == [(0.05, 0.5), (0.05, 2.0), (2.0, 0.5), (2.0, 2.0)]
+    assert all(np.isfinite(row[2]) and row[2] > 0 for row in table)
+    # the narrow kernel fits the step; the smallest mean error wins
+    best_row = min(table, key=lambda r: r[2])
+    assert (sigma, C) == best_row[:2] and sigma == 0.05
 
 
 @pytest.fixture(scope="module")

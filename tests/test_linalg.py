@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,30 @@ import adakern.linalg as linalg
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram
 from adakern.linalg import (
-    matrix_norms,
     psd_soft_threshold,
     soft_threshold,
     soft_threshold_spectrum,
     sym_eig,
 )
+
+
+class MatrixNorms(NamedTuple):
+    frobenius: float
+    spectral: float
+    nuclear: float
+    manhattan: float
+
+
+def matrix_norms(A) -> MatrixNorms:
+    """Frobenius, spectral, nuclear and Manhattan (entry-wise l1) norms."""
+    A = np.asarray(A, dtype=float)
+    singulars = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
+    return MatrixNorms(
+        frobenius=float(np.sqrt((A * A).sum())),
+        spectral=float(singulars[0]) if singulars.size else 0.0,
+        nuclear=float(singulars.sum()),
+        manhattan=float(np.abs(A).sum()),
+    )
 
 
 def random_symmetric(rng, n, scale=1.0):

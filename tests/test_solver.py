@@ -15,16 +15,13 @@ from adakern.solver import (
     SolverConfig,
     adaptive_matrix,
     adaptive_matrix_spectrum,
-    adaptive_spectral_bound,
     convergence_bound,
     dual_gradient,
     dual_objective,
     lipschitz_pgd,
     lipschitz_svm,
     project_exact,
-    project_feasible,
     resolve_eta,
-    saddle_value,
     solve,
     weighted_gram,
 )
@@ -43,10 +40,25 @@ def toy_kernel(rng, n, sigma=0.8):
     return gaussian_gram(X, sigma)
 
 
+def adaptive_spectral_bound(n, C, tau, eta, lam_max_K):
+    """Upper bound on lambda_max of any adaptive matrix produced for feasible duals."""
+    return n - 0.5 * tau + n * C * C * lam_max_K / (4.0 * eta)
+
+
+def saddle_value(alpha, y, K, F, eta, tau=0.0):
+    """H(a, F) for an arbitrary (not necessarily optimal) adaptive matrix."""
+    w = y * alpha
+    dev = F - 1.0
+    value = alpha.sum() - 0.5 * w @ ((F * K) @ w) + eta * (dev * dev).sum()
+    if tau > 0:
+        value += tau * eta * np.abs(np.linalg.eigvalsh(0.5 * (F + F.T))).sum()
+    return value
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig(C=1.0, eta=2.0)
-        assert cfg.t_max == 2000 and cfg.tol == 1e-4 and cfg.projection_rounds == 10
+        assert cfg.t_max == 2000 and cfg.tol == 1e-4 and cfg.variant == "nesterov"
 
     @pytest.mark.parametrize("kwargs", [
         dict(C=0.0, eta=1.0),
@@ -54,7 +66,7 @@ class TestConfig:
         dict(C=1.0, eta=-1.0),
         dict(C=1.0, eta=1.0, t_max=0),
         dict(C=1.0, eta=1.0, tol=0.0),
-        dict(C=1.0, eta=1.0, projection_rounds=0),
+        dict(C=1.0, eta=1.0, tol=float("nan")),
         dict(C=1.0, eta=1.0, variant="bogus"),
     ])
     def test_rejects_bad_values(self, kwargs):
@@ -287,38 +299,15 @@ class TestProjection:
     def test_feasible_point_unchanged(self, rng):
         y = labels(6)
         a = random_feasible(rng, y, 1.0)
-        out = project_feasible(a, y, 1.0)
+        out = project_exact(a, y, 1.0)
         assert np.allclose(out, a, atol=1e-12)
 
     def test_two_step_hand_trace(self):
+        # (2C, -C) is nearest to (C/2, C/2) on the line a1 = a2, inside the box.
         C = 1.0
         y = np.array([1.0, -1.0])
-        out = project_feasible(np.array([2 * C, -C]), y, C, rounds=1)
+        out = project_exact(np.array([2 * C, -C]), y, C)
         assert np.allclose(out, [C / 2, C / 2], atol=1e-15)
-
-    def test_alternating_matches_oracle_on_single_violation(self, rng):
-        # For points violating only one constraint family the alternating
-        # scheme is the exact projection; for generic far points it is not
-        # (the limit of alternating projections is not the nearest point),
-        # which is why the solver projects exactly.
-        C = 1.0
-        y = labels(6)
-        for _ in range(10):
-            # hyperplane-only violation with interior box slack
-            base = 0.2 + 0.6 * rng.uniform(size=6)
-            z = base + rng.uniform(-0.05, 0.05) * y
-            approx = project_feasible(z, y, C)
-            exact = brute_force_projection(z, y, C)
-            assert np.linalg.norm(approx - exact) < 1e-4
-        for _ in range(10):
-            # pairwise-balanced base with one +1/-1 pair pushed past the cap:
-            # the clip alone is the exact projection, the hyperplane step a no-op
-            values = rng.uniform(0.0, C, 3)
-            z = np.repeat(values, 2)             # (v0, v0, v1, v1, v2, v2)
-            z[[0, 1]] = C + rng.uniform(0.1, 0.5)
-            approx = project_feasible(z, y, C)
-            exact = brute_force_projection(z, y, C)
-            assert np.linalg.norm(approx - exact) < 1e-4
 
     def test_exact_projection_matches_oracle(self, rng):
         C = 1.0
@@ -358,12 +347,9 @@ class TestProjection:
     def test_output_feasibility(self, rng):
         C = 0.7
         y = labels(9)[:9]
-        out = project_feasible(rng.uniform(-2, 2, 9), y, C)
+        out = project_exact(rng.uniform(-2, 2, 9), y, C)
         assert np.all(out >= 0.0) and np.all(out <= C)
-
-    def test_bad_rounds(self):
-        with pytest.raises(ParameterError):
-            project_feasible(np.zeros(2), labels(2), 1.0, rounds=0)
+        assert abs(out @ y) < 1e-12
 
 
 class TestSolve:

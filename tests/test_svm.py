@@ -5,6 +5,7 @@ from adakern import svm
 from adakern.data import apply_minmax, gen_two_class_toy, inverse_minmax
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import cross_gram, gaussian_gram
+from adakern.scale import train_scalable
 from adakern.solver import SolverConfig, project_exact
 from adakern.svm import (
     accuracy,
@@ -63,6 +64,41 @@ class TestTrain:
     def test_too_few_points_rejected(self):
         with pytest.raises(DataError):
             train(np.ones((1, 2)), np.array([1.0]), 1.0, small_config())
+
+    @pytest.mark.parametrize("trainer", ["svm", "svr", "scalable"])
+    @pytest.mark.parametrize("defect", ["nan-feature", "nan-label", "shape-mismatch",
+                                        "one-point", "single-class", "sigma-zero"])
+    def test_every_trainer_rejects_malformed_input(self, trainer, defect):
+        error, message = {
+            "nan-feature": (DataError, "non-finite"),
+            "nan-label": (DataError, "non-finite|labels"),
+            "shape-mismatch": (DataError, "inconsistent shapes"),
+            "one-point": (DataError, "at least 2"),
+            "single-class": (DataError, "single class"),
+            "sigma-zero": (ParameterError, "sigma"),
+        }[defect]
+        X, y = two_blobs(6, seed=0)
+        sigma = 0.5
+        if defect == "nan-feature":
+            X[2, 1] = np.nan
+        elif defect == "nan-label":
+            y[3] = np.nan
+        elif defect == "shape-mismatch":
+            y = y[:-1]
+        elif defect == "one-point":
+            X, y = X[:1], y[:1]
+        elif defect == "single-class":
+            y = np.ones_like(y)
+        else:
+            sigma = 0.0
+        fit = {"svm": lambda: train(X, y, sigma, small_config(t_max=5)),
+               "svr": lambda: train_svr(X, y, sigma, small_config(t_max=5)),
+               "scalable": lambda: train_scalable(X, y, sigma, small_config(t_max=5), 1, 0)}
+        if trainer == "svr" and defect == "single-class":
+            fit[trainer]()  # constant targets are a valid regression problem
+            return
+        with pytest.raises(error, match=message):
+            fit[trainer]()
 
     def test_mini_toy_f_structure(self):
         ds = gen_two_class_toy(80, seed=42)
