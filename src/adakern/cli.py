@@ -14,7 +14,7 @@ from . import data as dataio
 from . import scale, svm, svr
 from .errors import DataError, NumericalError, ParameterError
 from .persist import load_model, save_model
-from .solver import SolverConfig
+from .solver import SolverConfig, resolve_eta
 from .svm import SvmModel
 from .svr import SvrModel
 
@@ -118,6 +118,14 @@ def _config_from_args(args) -> SolverConfig:
     )
 
 
+def _cluster_counts(text: str) -> list[int]:
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ParameterError(f"--clusters expects integers separated by commas, "
+                             f"got {text!r}") from exc
+
+
 def _emit(rows) -> None:
     for row in rows:
         print(",".join(str(item) for item in row))
@@ -128,6 +136,10 @@ def cmd_train(args) -> int:
     ds = _read_dataset(args.data, args.format, mode)
     config = _config_from_args(args)
     sigma = args.sigma
+    if args.mode == "scalable":
+        if args.task != "svm":
+            raise ParameterError("scalable mode applies to the svm task only")
+        v = _cluster_counts(args.clusters)[0]
 
     if args.cv:
         if args.task == "svm":
@@ -141,14 +153,11 @@ def cmd_train(args) -> int:
 
     if args.task == "svm":
         if args.mode == "scalable":
-            v = int(args.clusters.split(",")[0])
             model = scale.train_scalable(ds.X, ds.y, sigma, config, v, args.seed)
             model.meta["clusters"] = v
         else:
             model = svm.train(ds.X, ds.y, sigma, config)
     else:
-        if args.mode == "scalable":
-            raise ParameterError("scalable mode applies to the svm task only")
         model = svr.train_svr(ds.X, ds.y, sigma, config, epsilon=args.epsilon)
     model.meta["seed"] = args.seed
     save_model(model, args.model)
@@ -211,25 +220,20 @@ def cmd_eval(args) -> int:
 def cmd_bounds(args) -> int:
     ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
     config = _config_from_args(args)
-    scaler = dataio.fit_minmax(ds.X)
-    Xs = dataio.apply_minmax(scaler, ds.X)
-    from .kernel import gaussian_gram
-    from .solver import resolve_eta
-
-    K = gaussian_gram(Xs, args.sigma)
-    config = resolve_eta(K, ds.y, config)
-    exact = scale.exact_reference(K, ds.y, config)
+    counts = _cluster_counts(args.clusters)
+    y, _, Xs, K = svm._training_inputs(ds.X, ds.y, args.sigma)
+    config = resolve_eta(K, y, config)
+    exact = scale.exact_reference(K, y, config)
     header = ("v", "Q_pi", "B1", "B2", "B",
               "measured_obj_gap", "obj_gap_bound",
               "measured_alpha_gap_sq", "alpha_gap_bound",
               "measured_F_gap", "F_gap_bound", "exact_F_bound",
               "screened_strict", "screened_positive", "single_class_blocks")
     rows = [header]
-    for v_str in args.clusters.split(","):
-        v = int(v_str)
+    for v in counts:
         partition = scale.kmeans_partition(Xs, v, args.seed)
-        blocks = scale.solve_blocks(Xs, ds.y, partition, args.sigma, config)
-        report = scale.bound_report(blocks, K, partition, config, ds.y,
+        blocks = scale.solve_blocks(Xs, y, partition, args.sigma, config)
+        report = scale.bound_report(blocks, K, partition, config, y,
                                     exact=exact, kappa=args.kappa)
         rows.append((v, report.Q_pi, report.B1, report.B2, report.B,
                      report.measured_objective_gap, report.objective_gap_bound,
@@ -247,19 +251,25 @@ def cmd_grid(args) -> int:
     model = load_model(args.model)
     try:
         x0, x1, y0, y1, res = (float(t) for t in args.grid.split(","))
-        res = int(res)
     except ValueError as exc:
         raise ParameterError(f"--grid expects x0,x1,y0,y1,res, got {args.grid!r}") from exc
+    if not (res >= 1 and res.is_integer()):
+        raise ParameterError(f"--grid resolution must be a positive integer, got {res:g}")
+    res = int(res)
     if model.X.shape[1] != 2:
         raise DataError("grid emission requires a 2-feature model")
-    xs = np.linspace(x0, x1, res)
-    ys = np.linspace(y0, y1, res)
-    uu, vv = np.meshgrid(xs, ys, indexing="ij")
-    points = np.column_stack([uu.ravel(), vv.ravel()])
-    if isinstance(model, SvrModel):
-        values = model.predict(points)
-    else:
-        values = model.decision_function(points)
+    try:
+        xs = np.linspace(x0, x1, res)
+        ys = np.linspace(y0, y1, res)
+        uu, vv = np.meshgrid(xs, ys, indexing="ij")
+        points = np.column_stack([uu.ravel(), vv.ravel()])
+        if isinstance(model, SvrModel):
+            values = model.predict(points)
+        else:
+            values = model.decision_function(points)
+    except MemoryError as exc:
+        raise ParameterError(f"--grid resolution {res} gives a grid too large to "
+                             f"evaluate: {exc}") from exc
     _emit([("x", "y", "value")])
     _emit((p[0], p[1], v) for p, v in zip(points, values))
     return 0

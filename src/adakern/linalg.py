@@ -1,9 +1,10 @@
-"""Symmetric linear algebra used throughout the package.
+"""The spectral prox of the adaptive matrix: 11' + scale diag(w) K diag(w) soft-thresholded.
 
-Provides the eigendecomposition, the eigenvalue soft-thresholding operator
-(the proximal map of the nuclear norm restricted to symmetric matrices),
-its certified low-rank form for PSD input, kept as a factor, with the
-matrix-free variant the solvers call every iteration.
+The eigenvalue soft-threshold at t > 0 is the proximal map of t ||.||_* on
+symmetric matrices.  :func:`gram_soft_threshold` computes it for the PSD
+matrix A = 11' + scale diag(w) K diag(w) by a certified block subspace
+iteration that applies A through products with K alone, and keeps the
+result as its factor; a dense eigendecomposition of A is the fallback.
 """
 
 from typing import NamedTuple
@@ -12,10 +13,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError
 
-# Relative tolerance for accepting a matrix as symmetric.
-SYMMETRY_RTOL = 1e-12
-
-# Subspace iteration in psd_soft_threshold: the first block holds the ones
+# Subspace iteration in gram_soft_threshold: the first block holds the ones
 # vector and _START_BLOCK - 1 fixed vectors, or the leading _START_BLOCK Ritz
 # vectors of an earlier call; after _BLOCK_STEPS steps at one size the block
 # doubles, up to a quarter of the dimension.
@@ -23,25 +21,18 @@ _START_BLOCK = 8
 _BLOCK_STEPS = 4
 
 
-class EigenPair(NamedTuple):
-    """Eigendecomposition with eigenvalues sorted non-increasing."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 class SpectralProx(NamedTuple):
     """Soft-thresholded PSD matrix F, kept as its factor.
 
     ``factor`` is W (n x rank) with F = W W'; its columns are orthogonal
-    and their squared norms are the shrunk spectrum.  At threshold 0 the
-    map is the identity: nothing is factored, ``factor`` is None and
-    ``unfactored`` holds F itself.  ``nuclear`` is the sum of the shrunk
-    spectrum, the nuclear norm of F.  ``rank`` counts the eigenpairs kept
-    above the threshold; it is 0 at threshold 0.  ``dense`` is True when
-    the dense fallback ran.  ``basis`` holds the leading Ritz vectors a
-    certified subspace iteration ended on, to start the next call from;
-    it is None after the dense fallback.
+    and their squared norms are the shrunk spectrum.  ``nuclear`` is the
+    sum of the shrunk spectrum, the nuclear norm of F.  ``rank`` counts the
+    eigenpairs kept above the threshold.  ``dense`` is True when the dense
+    fallback ran.  ``basis`` holds the leading Ritz vectors a certified
+    subspace iteration ended on, to start the next call from; it is None
+    after the dense fallback.  At threshold 0, where the solvers build the
+    record themselves, the map is the identity: nothing is factored,
+    ``factor`` is None, ``unfactored`` holds F itself and ``rank`` is 0.
     """
 
     factor: np.ndarray | None
@@ -60,73 +51,22 @@ class SpectralProx(NamedTuple):
         return np.dot(self.factor, self.factor.T)
 
 
-def check_symmetric(A, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Validate that A is square and symmetric within ``rtol * max(1, ||A||_F)``."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DataError(f"expected a square matrix, got shape {A.shape}")
-    if A.size:
-        scale = max(1.0, float(np.linalg.norm(A)))
-        skew = float(np.max(np.abs(A - A.T)))
-        if skew > rtol * scale:
-            raise DataError(
-                f"matrix is not symmetric: max |A - A^T| = {skew:.3e} "
-                f"exceeds tolerance {rtol * scale:.3e}"
-            )
-    return A
+def gram_soft_threshold(K, w, scale: float, threshold: float, floor: float = 0.0,
+                        start=None) -> SpectralProx:
+    """Eigenvalue soft-threshold of A = 11' + scale diag(w) K diag(w), factoring only its top.
 
+    K is symmetric and PSD up to ``floor``, a lower bound on the smallest
+    eigenvalue of A: zero for an exactly PSD K, slightly negative when
+    round-off leaves K a little indefinite.  The threshold t is positive.
 
-def sym_eig(A) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns eigenvalues in non-increasing order and the matching
-    orthonormal eigenvectors as columns, so that ``A == V @ diag(w) @ V.T``
-    up to round-off.  Rejects non-symmetric input.
-    """
-    A = check_symmetric(A)
-    A = 0.5 * (A + A.T)
-    try:
-        values, vectors = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    # eigh returns ascending order; reverse for a non-increasing spectrum.
-    return EigenPair(values[::-1].copy(), vectors[:, ::-1].copy())
-
-
-def soft_threshold_spectrum(A, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue soft-thresholding, also returning the shrunk spectrum.
-
-    Each eigenvalue w maps to sign(w) * max(0, |w| - threshold).  For PSD
-    input the sum of the returned spectrum equals the nuclear norm of the
-    result, which lets callers avoid a second factorization.
-    """
-    if threshold < 0:
-        raise ParameterError(f"threshold must be nonnegative, got {threshold}")
-    values, vectors = sym_eig(A)
-    shrunk = np.sign(values) * np.maximum(0.0, np.abs(values) - threshold)
-    B = (vectors * shrunk) @ vectors.T
-    return 0.5 * (B + B.T), shrunk
-
-
-def soft_threshold(A, threshold: float) -> np.ndarray:
-    """Proximal map of ``threshold * ||.||_*`` on symmetric matrices."""
-    B, _ = soft_threshold_spectrum(A, threshold)
-    return B
-
-
-def psd_soft_threshold(A, threshold: float, floor: float = 0.0) -> SpectralProx:
-    """Eigenvalue soft-thresholding of a PSD matrix, factoring only its top.
-
-    ``floor`` is a lower bound on the smallest eigenvalue of A: zero for an
-    exactly PSD matrix, slightly negative when round-off leaves the Gram
-    matrix behind A a little indefinite.  The input is not checked for
-    symmetry.
-
-    At threshold 0 the map is the identity and A itself is returned.  For
-    a threshold t > 0, block subspace iteration with Rayleigh-Ritz runs
-    from the ones vector and fixed vectors made per call.  The r Ritz pairs
-    (theta_k, v_k) with theta_k > t are accepted when their residuals are
-    at round-off (n eps theta_1) and a trace test holds for some p >= r:
+    Block subspace iteration with Rayleigh-Ritz applies A to a block V as
+    1(1'V) + scale w o (K (w o V)), one product with K, and takes
+    tr(A) = n + scale sum_i w_i^2 K_ii, so A is not formed.  It runs from
+    the ones vector and fixed vectors made per call, or from ``start``, the
+    ``basis`` of an earlier call on a nearby A, which only changes how soon
+    the test below passes.  The r Ritz pairs (theta_k, v_k) with
+    theta_k > t are accepted when their residuals are at round-off
+    (n eps theta_1) and a trace test holds for some p >= r:
     max(theta_{r+1}, tr(A) - sum_{k<=p} theta_k), plus the residual norm
     of pairs r+1..p, is below t by a round-off margin.  By Ky Fan's
     inequality tr(A) - sum_{k<=p} theta_k is the sum of A's spectrum off
@@ -134,36 +74,16 @@ def psd_soft_threshold(A, threshold: float, floor: float = 0.0) -> SpectralProx:
     there; so no eigenvalue outside the r kept pairs exceeds t, and the
     factor is W = V_r sqrt(theta_r - t).  When no block up to a quarter of
     the dimension passes after a few steps, or the Ritz values already
-    show that none would, a dense eigendecomposition gives the factor, so
-    both paths agree to round-off everywhere.
-    """
-    if threshold < 0:
-        raise ParameterError(f"threshold must be nonnegative, got {threshold}")
-    A = np.asarray(A, dtype=float)
-    trace = float(np.trace(A))
-    if threshold == 0:
-        return SpectralProx(None, trace, 0, False, unfactored=A)
-    return _factored_soft_threshold(A.__matmul__, trace, lambda: A, A.shape[0],
-                                    threshold, floor)
-
-
-def gram_soft_threshold(K, w, scale: float, threshold: float, floor: float = 0.0,
-                        start=None) -> SpectralProx:
-    """:func:`psd_soft_threshold` of A = 11' + scale diag(w) K diag(w), without forming A.
-
-    K is PSD (up to ``floor``) and the threshold positive.  The subspace
-    iteration applies A to a block V as 1(1'V) + scale w o (K (w o V)), one
-    product with K, and takes tr(A) = n + scale sum_i w_i^2 K_ii.  The
-    acceptance test is that of :func:`psd_soft_threshold`; only the dense
-    fallback forms A.  ``start``, the ``basis`` of an earlier call on a
-    nearby A, replaces the fixed start block: the test is the same, so it
-    only changes how soon the test passes.
+    show that none would, a dense eigendecomposition of the formed A gives
+    the factor, so both paths agree to round-off everywhere; it raises
+    NumericalError when it does not converge.
     """
     if not threshold > 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
     K = np.asarray(K, dtype=float)
     w = np.asarray(w, dtype=float)
-    if K.ndim != 2 or K.shape != (w.size, w.size):
+    n = w.size
+    if K.ndim != 2 or K.shape != (n, n):
         raise DataError("weights and kernel matrix have inconsistent sizes")
     col = w[:, None]
 
@@ -173,21 +93,18 @@ def gram_soft_threshold(K, w, scale: float, threshold: float, floor: float = 0.0
         AV += V.sum(axis=0)
         return AV
 
-    trace = w.size + scale * float((w * w) @ np.diagonal(K))
-    return _factored_soft_threshold(apply, trace, lambda: K * np.outer(w, w) * scale + 1.0,
-                                    w.size, threshold, floor, start)
-
-
-def _factored_soft_threshold(apply, trace, dense, n, threshold, floor,
-                             start=None) -> SpectralProx:
-    """Certified subspace result, else the factor from a dense eigendecomposition."""
+    trace = n + scale * float((w * w) @ np.diagonal(K))
     prox = _subspace_soft_threshold(apply, trace, n, threshold, floor, start)
-    if prox is None:
-        values, vectors = sym_eig(dense())
-        r = int(np.count_nonzero(values > threshold))
-        shrunk = values[:r] - threshold
-        prox = SpectralProx(vectors[:, :r] * np.sqrt(shrunk), float(np.sum(shrunk)), r, True)
-    return prox
+    if prox is not None:
+        return prox
+    try:
+        values, vectors = np.linalg.eigh(K * np.outer(w, w) * scale + 1.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    # eigh returns ascending order; the kept pairs are the last r.
+    r = int(np.count_nonzero(values > threshold))
+    shrunk = values[::-1][:r] - threshold
+    return SpectralProx(vectors[:, ::-1][:, :r] * np.sqrt(shrunk), float(np.sum(shrunk)), r, True)
 
 
 def _subspace_soft_threshold(apply, trace, n, threshold, floor, start):

@@ -22,8 +22,8 @@ starts from the leading Ritz vectors of the call before, and a dense
 eigendecomposition is the fallback when the test does not pass.  The
 gradient and value then come from W in O(n^2 r), so neither G(a) nor F(a)
 is formed inside the loop; the solve returns F = W W' once, at the end.
-The eigenvalues of K, taken once per solve by the PSD check, give the
-test's margin and the pgd step constant.
+The eigenvalues of K, taken once per solve by the check that K is
+symmetric and PSD, give the test's margin and the pgd step constant.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .linalg import SpectralProx, gram_soft_threshold, psd_soft_threshold
+from .linalg import SpectralProx, gram_soft_threshold
 
 VARIANTS = ("nesterov", "pgd", "monotone-nesterov")
 
@@ -52,12 +52,12 @@ class SolverConfig:
     variant: str = "nesterov"
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ParameterError(f"C must be positive, got {self.C}")
-        if self.tau < 0:
-            raise ParameterError(f"tau must be nonnegative, got {self.tau}")
-        if self.eta is not None and not self.eta > 0:
-            raise ParameterError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.C < np.inf:
+            raise ParameterError(f"C must be positive and finite, got {self.C}")
+        if not 0 <= self.tau < np.inf:
+            raise ParameterError(f"tau must be nonnegative and finite, got {self.tau}")
+        if self.eta is not None and not 0 < self.eta < np.inf:
+            raise ParameterError(f"eta must be positive and finite, got {self.eta}")
         if self.t_max < 1:
             raise ParameterError(f"t_max must be at least 1, got {self.t_max}")
         if not self.tol > 0:
@@ -119,39 +119,12 @@ class SolveTrace:
         self.prox_rank = max(self.prox_rank, prox.rank)
 
 
-def weighted_gram(alpha, y, K, eta: float) -> np.ndarray:
-    """Dual-weighted Gram matrix G = diag(a o y) K diag(a o y) / (4 eta)."""
-    alpha = np.asarray(alpha, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if alpha.shape != y.shape or alpha.shape[0] != np.asarray(K).shape[0]:
-        raise DataError("alpha, y and K have inconsistent shapes")
-    w = alpha * y
-    return (np.asarray(K, dtype=float) * np.outer(w, w)) / (4.0 * eta)
-
-
-def adaptive_matrix(alpha, y, K, tau: float, eta: float) -> np.ndarray:
-    """Optimal adaptive matrix for fixed duals: threshold(11' + G(a), tau/2)."""
-    return adaptive_matrix_spectrum(alpha, y, K, tau, eta).matrix
-
-
-def adaptive_matrix_spectrum(alpha, y, K, tau, eta, lam_min_K: float = 0.0) -> SpectralProx:
-    """As :func:`adaptive_matrix`, returning the whole prox record.
-
-    K must be PSD; ``lam_min_K`` is its smallest eigenvalue when round-off
-    puts it slightly below zero.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if alpha.shape != y.shape:
-        raise DataError("alpha and y have inconsistent shapes")
-    return _adaptive_prox(alpha * y, K, tau, eta, lam_min_K)
-
-
 def _adaptive_prox(w, K, tau: float, eta: float, lam_min_K: float = 0.0,
                    start=None) -> SpectralProx:
     """Soft-threshold of 11' + diag(w) K diag(w) / (4 eta) at tau/2.
 
-    At tau = 0 the dense matrix is formed and returned unfactored.  For
+    At tau = 0 the threshold is the identity: the dense matrix is formed
+    and returned unfactored, with its trace as the nuclear norm.  For
     tau > 0 the factor comes from :func:`linalg.gram_soft_threshold`, which
     never forms the matrix on its certified path and starts from ``start``
     when it is given.  The smallest eigenvalue of the weighted Gram part is
@@ -164,7 +137,7 @@ def _adaptive_prox(w, K, tau: float, eta: float, lam_min_K: float = 0.0,
     if tau == 0:
         G = (K * np.outer(w, w)) / (4.0 * eta)
         G += 1.0
-        return psd_soft_threshold(G, 0.0)
+        return SpectralProx(None, float(np.trace(G)), 0, False, unfactored=G)
     floor = min(0.0, lam_min_K) * float(np.max(w * w, initial=0.0)) / (4.0 * eta)
     return gram_soft_threshold(K, w, 1.0 / (4.0 * eta), 0.5 * tau, floor, start)
 
@@ -221,33 +194,40 @@ def _frozen_prox(n: int) -> SpectralProx:
     return SpectralProx(np.ones((n, 1)), float(n), 1, False)
 
 
+def _svm_oracle(y, K, prox_at, tau: float, eta: float):
+    """The classifier dual's oracle: a -> (1 - Y(F(a) o K)Ya, h(a)), from one prox.
+
+    ``prox_at`` maps the dual weights y o a to the adaptive-matrix prox.
+    """
+
+    def evaluate(a):
+        w = y * a
+        q, h = _evaluate(prox_at(w), K, w, float(np.sum(a)), tau, eta)
+        return 1.0 - y * q, h
+
+    return evaluate
+
+
+def _at_point(oracle, z, K, config: SolverConfig, freeze_f: bool, *data):
+    """The gradient and value at z of the dual oracle ``oracle(*data, K, prox_at, tau, eta)``.
+
+    The one body of the public value functions: the prox starts from the
+    fixed block and takes K as PSD without the solver's check.
+    """
+    K = np.asarray(K, dtype=float)
+    eta = _eta_for_frozen(config) if freeze_f else _require_eta(config)
+    prox_at = _prox_sequence(K, config.tau, eta, 0.0, SolveTrace(), freeze_f)
+    return oracle(*data, K, prox_at, config.tau, eta)(np.asarray(z, dtype=float))
+
+
 def dual_objective(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> float:
     """Value function h(a) = H(a, F(a)) of the outer maximization."""
-    return _dual_terms(alpha, y, K, config, freeze_f)[1]
+    return _at_point(_svm_oracle, alpha, K, config, freeze_f, np.asarray(y, dtype=float))[1]
 
 
 def dual_gradient(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> np.ndarray:
     """Envelope gradient of h: 1 - Y(F(a) o K)Ya with F(a) held at its optimum."""
-    return _dual_terms(alpha, y, K, config, freeze_f)[0]
-
-
-def _dual_terms(alpha, y, K, config, freeze_f):
-    """Gradient and value of h at alpha, from one prox."""
-    alpha = np.asarray(alpha, dtype=float)
-    y = np.asarray(y, dtype=float)
-    K = np.asarray(K, dtype=float)
-    w = y * alpha
-    prox, eta = _prox_for(w, K, config, freeze_f)
-    q, value = _evaluate(prox, K, w, float(np.sum(alpha)), config.tau, eta)
-    return 1.0 - y * q, value
-
-
-def _prox_for(w, K, config: SolverConfig, freeze_f: bool):
-    """The prox at dual weights w and the eta it used, for the public value functions."""
-    if freeze_f:
-        return _frozen_prox(w.size), _eta_for_frozen(config)
-    eta = _require_eta(config)
-    return _adaptive_prox(w, K, config.tau, eta), eta
+    return _at_point(_svm_oracle, alpha, K, config, freeze_f, np.asarray(y, dtype=float))[0]
 
 
 def lipschitz_svm(n: int, C: float, K, eta: float) -> float:
@@ -257,14 +237,6 @@ def lipschitz_svm(n: int, C: float, K, eta: float) -> float:
     K = np.asarray(K, dtype=float)
     fro_sq = float((K * K).sum())
     return n + 3.0 * n * C * C * fro_sq / (4.0 * eta)
-
-
-def lipschitz_pgd(n: int, C: float, K, eta: float, tau: float) -> float:
-    """Step constant for plain projected gradient: n - tau/2 + n C^2 lam_max(K) / (4 eta)."""
-    if not eta > 0:
-        raise ParameterError(f"eta must be positive, got {eta}")
-    lam_max = float(np.linalg.eigvalsh(np.asarray(K, dtype=float))[-1])
-    return _pgd_constant(n, C, lam_max, eta, tau)
 
 
 def _pgd_constant(n: int, C: float, lam_max_K: float, eta: float, tau: float) -> float:
@@ -307,14 +279,6 @@ def project_exact(z, y, C: float) -> np.ndarray:
     return np.clip(z + lam * y, 0.0, C)
 
 
-def convergence_bound(L: float, alpha0, alpha_star, t: int) -> float:
-    """Accelerated-method gap bound 8 L ||a0 - a*||^2 / ((t+1)(t+2))."""
-    if t < 0:
-        raise ParameterError(f"t must be nonnegative, got {t}")
-    diff = np.asarray(alpha0, dtype=float) - np.asarray(alpha_star, dtype=float)
-    return 8.0 * L * float(diff @ diff) / ((t + 1.0) * (t + 2.0))
-
-
 def _require_eta(config: SolverConfig) -> float:
     if config.eta is None:
         raise ParameterError(
@@ -339,10 +303,20 @@ def _check_labels(y, require_both_classes: bool) -> np.ndarray:
 
 
 def _check_psd_gram(K) -> tuple[np.ndarray, float, float]:
-    """Reject a non-square or indefinite K; returns K, lambda_min(K) and lambda_max(K)."""
+    """Reject a K that is not square, symmetric and PSD; returns K, lambda_min(K) and lambda_max(K).
+
+    Symmetric means max |K - K'| <= 1e-12 max(1, ||K||_F).
+    """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DataError(f"kernel matrix must be square, got shape {K.shape}")
+    skew = K - K.T
+    np.abs(skew, out=skew)
+    skew = float(skew.max(initial=0.0))
+    limit = 1e-12 * max(1.0, float(np.linalg.norm(K)))
+    if skew > limit:
+        raise DataError(f"kernel matrix is not symmetric: max |K - K'| = {skew:.3e} "
+                        f"exceeds tolerance {limit:.3e}")
     evals = np.linalg.eigvalsh(0.5 * (K + K.T))
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     if lam_min < -1e-8 * max(1.0, lam_max):
@@ -371,13 +345,8 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
     """
     y = _check_labels(y, require_both_classes=with_equality)
     K, L, eta, trace, prox_at = _setup(K, y.size, config, freeze_f, lipschitz_svm)
-    C, tau = config.C, config.tau
-
-    def evaluate(a):
-        """Gradient and objective at a, sharing one factorization."""
-        w = y * a
-        q, h = _evaluate(prox_at(w), K, w, float(np.sum(a)), tau, eta)
-        return 1.0 - y * q, h
+    evaluate = _svm_oracle(y, K, prox_at, config.tau, eta)
+    C = config.C
 
     def proj(v):
         return project_exact(v, y, C) if with_equality else np.clip(v, 0.0, C)
@@ -521,8 +490,9 @@ def _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f):
 def _final_matrix(prox_at, w, trace) -> np.ndarray:
     """F at the final duals from the fixed start block, with its factor put on ``trace``.
 
-    Starting from the fixed block makes F the same, bit for bit, as the
-    public ``adaptive_matrix_spectrum`` gives at the same duals.
+    Starting from the fixed block makes F the same, bit for bit, as a cold
+    :func:`_adaptive_prox` call gives at the same duals, whatever path the
+    iterates took.
     """
     prox = prox_at(w, warm=False)
     trace.factor = prox.factor

@@ -308,12 +308,6 @@ def extend_adaptive(F, M) -> np.ndarray:
     return F[:, best]
 
 
-def decision_values_insample(model: SvmModel) -> np.ndarray:
-    """Training-set decision values from the in-sample expansion."""
-    K = gaussian_gram(model.X, model.sigma)
-    return (model.alpha * model.y) @ (model.F * K) + model.bias
-
-
 def accuracy(model: SvmModel, X, y) -> float:
     predictions = model.predict(X)
     return float(np.mean(predictions == np.asarray(y, dtype=float)))

@@ -6,15 +6,12 @@ import numpy as np
 
 from .data import Scaler, apply_minmax, fit_minmax, inverse_minmax
 from .errors import DataError, ParameterError
-from .linalg import SpectralProx
 from .solver import (
     SolverConfig,
-    _adaptive_prox,
     _ascend,
+    _at_point,
     _evaluate,
     _final_matrix,
-    _pgd_constant,
-    _prox_for,
     _setup,
     project_exact,
     resolve_eta,
@@ -72,57 +69,40 @@ class SvrModel:
         return inverse_minmax(self.y_scaler, scaled[:, None])[:, 0]
 
 
-def svr_weighted_gram(alpha_hat, alpha_check, K, eta: float) -> np.ndarray:
-    """diag(hat - check) K diag(hat - check) / (4 eta)."""
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    alpha_check = np.asarray(alpha_check, dtype=float)
-    if alpha_hat.shape != alpha_check.shape:
-        raise DataError("dual vectors must have equal lengths")
-    K = np.asarray(K, dtype=float)
-    if K.shape[0] != alpha_hat.shape[0]:
-        raise DataError("dual vectors and kernel matrix have inconsistent sizes")
-    w = alpha_hat - alpha_check
-    return (K * np.outer(w, w)) / (4.0 * eta)
+def _svr_oracle(y, epsilon: float, K, prox_at, tau: float, eta: float):
+    """The paired dual's oracle on the stacked z = [hat; check], from one prox.
 
-
-def svr_adaptive_matrix(alpha_hat, alpha_check, K, tau: float, eta: float) -> np.ndarray:
-    return svr_adaptive_spectrum(alpha_hat, alpha_check, K, tau, eta).matrix
-
-
-def svr_adaptive_spectrum(alpha_hat, alpha_check, K, tau, eta,
-                          lam_min_K: float = 0.0) -> SpectralProx:
-    """Soft-threshold of 11' + svr_weighted_gram at tau/2; K must be PSD.
-
-    ``lam_min_K`` is the smallest eigenvalue of K when round-off puts it
-    slightly below zero.
+    z -> (gradient, value); the gradient blocks are -eps 1 - q + y and
+    -eps 1 + q - y with q = (F o K)(hat - check), and ``prox_at`` maps the
+    prox weights hat - check to the adaptive-matrix prox.
     """
-    return _adaptive_prox(_weights(alpha_hat, alpha_check), K, tau, eta, lam_min_K)
+    n = y.size
+
+    def evaluate(z):
+        ah, ac = z[:n], z[n:]
+        w = ah - ac
+        base = float(w @ y) - epsilon * float(np.sum(ah + ac))
+        q, h = _evaluate(prox_at(w), K, w, base, tau, eta)
+        return np.concatenate([-epsilon - q + y, -epsilon + q - y]), h
+
+    return evaluate
 
 
-def _weights(alpha_hat, alpha_check) -> np.ndarray:
+def _stacked(alpha_hat, alpha_check, y) -> np.ndarray:
+    """[hat; check] for the public value functions, which check the lengths."""
     alpha_hat = np.asarray(alpha_hat, dtype=float)
     alpha_check = np.asarray(alpha_check, dtype=float)
-    if alpha_hat.shape != alpha_check.shape:
-        raise DataError("dual vectors must have equal lengths")
-    return alpha_hat - alpha_check
-
-
-def _svr_terms(alpha_hat, alpha_check, y, K, epsilon, config, freeze_f):
-    """(F o K)(hat - check) and the value, from one prox."""
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    alpha_check = np.asarray(alpha_check, dtype=float)
-    y = np.asarray(y, dtype=float)
-    K = np.asarray(K, dtype=float)
-    w = _weights(alpha_hat, alpha_check)
-    prox, eta = _prox_for(w, K, config, freeze_f)
-    base = float(w @ y) - epsilon * float(np.sum(alpha_hat + alpha_check))
-    return _evaluate(prox, K, w, base, config.tau, eta)
+    if not alpha_hat.shape == alpha_check.shape == y.shape:
+        raise DataError("dual vectors and targets must have equal lengths")
+    return np.concatenate([alpha_hat, alpha_check])
 
 
 def svr_objective(alpha_hat, alpha_check, y, K, epsilon: float,
                   config: SolverConfig, freeze_f: bool = False) -> float:
     """Value function of the outer maximization at the optimal F."""
-    return _svr_terms(alpha_hat, alpha_check, y, K, epsilon, config, freeze_f)[1]
+    y = np.asarray(y, dtype=float)
+    z = _stacked(alpha_hat, alpha_check, y)
+    return _at_point(_svr_oracle, z, K, config, freeze_f, y, epsilon)[1]
 
 
 def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
@@ -132,9 +112,10 @@ def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
     g_hat = -eps 1 - (F o K)(hat - check) + y and g_check = -g_hat - 2 eps 1,
     with F held at its optimum for the current point.
     """
-    q = _svr_terms(alpha_hat, alpha_check, y, K, epsilon, config, freeze_f)[0]
     y = np.asarray(y, dtype=float)
-    return -epsilon - q + y, -epsilon + q - y
+    z = _stacked(alpha_hat, alpha_check, y)
+    g = _at_point(_svr_oracle, z, K, config, freeze_f, y, epsilon)[0]
+    return g[:y.size], g[y.size:]
 
 
 def lipschitz_svr(n: int, C: float, K, eta: float) -> float:
@@ -146,19 +127,6 @@ def lipschitz_svr(n: int, C: float, K, eta: float) -> float:
     return 2.0 * (n + 9.0 * n * C * C * fro_sq / (4.0 * eta))
 
 
-def lipschitz_svr_pgd(n: int, C: float, K, eta: float, tau: float) -> float:
-    """Step constant for the plain projected-gradient variant.
-
-    The stacked-dual Hessian is [[Q, -Q], [-Q, Q]] with Q = F o K, whose
-    norm is 2 lam_max(Q) <= 2 lam_max(F) (unit-diagonal K), so the spectral
-    bound on the adaptive matrix doubles into a valid step constant.
-    """
-    if not eta > 0:
-        raise ParameterError(f"eta must be positive, got {eta}")
-    lam_max = float(np.linalg.eigvalsh(np.asarray(K, dtype=float))[-1])
-    return 2.0 * _pgd_constant(n, C, lam_max, eta, tau)
-
-
 def solve_svr(K, y, config: SolverConfig, epsilon: float,
               freeze_f: bool = False, record_iterates: bool = False):
     """Accelerated projected-gradient solve of the paired SVR dual.
@@ -167,9 +135,9 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     state [hat; check] with ascent step 1/(2L) and dual-averaging step
     1/(4L); the feasible set is the box on both blocks plus the equality
     constraint on the difference.  Stops when the step of hat - check
-    drops to ``tol`` or at t_max.  K must be PSD, as for the classifier
-    solver (DataError otherwise); the adaptive matrix comes from the same
-    spectral prox.  Returns (SvrDualState, F, SolveTrace).
+    drops to ``tol`` or at t_max.  K must be symmetric and PSD, as for
+    the classifier solver (DataError otherwise); the adaptive matrix comes
+    from the same spectral prox.  Returns (SvrDualState, F, SolveTrace).
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
@@ -183,14 +151,7 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     L *= 4.0 if freeze_f else 2.0
     # +-1 constraint vector: equality 1'(hat - check) = 0 on the stacked state.
     u = np.concatenate([np.ones(n), -np.ones(n)])
-
-    def evaluate(z):
-        ah, ac = z[:n], z[n:]
-        w = ah - ac
-        base = float(w @ y) - epsilon * float(np.sum(ah + ac))
-        q, h = _evaluate(prox_at(w), K, w, base, config.tau, eta)
-        g = np.concatenate([-epsilon - q + y, -epsilon + q - y])
-        return g, h
+    evaluate = _svr_oracle(y, epsilon, K, prox_at, config.tau, eta)
 
     def proj(z):
         return project_exact(z, u, config.C)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from adakern.kernel import pairwise_sq_dists
+from adakern import solver
+from adakern.errors import ParameterError
+from adakern.kernel import gaussian_gram, pairwise_sq_dists
 from adakern.solver import project_exact
 
 
@@ -131,6 +133,44 @@ def oracle_reciprocal_similarity(X_train, X_test):
     cols = np.arange(m)[None, :]
     s[order_cols, cols] = np.arange(1, n + 1)[:, None]
     return 1.0 / (r * s)
+
+
+def convergence_bound(L: float, alpha0, alpha_star, t: int) -> float:
+    """Accelerated-method gap bound 8 L ||a0 - a*||^2 / ((t+1)(t+2))."""
+    if t < 0:
+        raise ParameterError(f"t must be nonnegative, got {t}")
+    diff = np.asarray(alpha0, dtype=float) - np.asarray(alpha_star, dtype=float)
+    return 8.0 * L * float(diff @ diff) / ((t + 1.0) * (t + 2.0))
+
+
+def dense_soft_threshold(A, threshold):
+    """Eigenvalue soft-threshold of a symmetric A from one full ``np.linalg.eigh``.
+
+    The reference for the certified prox.  Each eigenvalue w maps to
+    sign(w) max(0, |w| - threshold); returns the result, made exactly
+    symmetric, and that shrunk spectrum in non-increasing order.
+    """
+    A = np.asarray(A, dtype=float)
+    values, vectors = np.linalg.eigh(0.5 * (A + A.T))
+    values, vectors = values[::-1], vectors[:, ::-1]
+    shrunk = np.sign(values) * np.maximum(0.0, np.abs(values) - threshold)
+    B = (vectors * shrunk) @ vectors.T
+    return 0.5 * (B + B.T), shrunk
+
+
+def adaptive_matrix(w, K, tau: float, eta: float) -> np.ndarray:
+    """The solvers' adaptive matrix at dual weights w (a o y, or hat - check).
+
+    The soft-threshold of 11' + diag(w) K diag(w) / (4 eta) at tau/2, from
+    the fixed start block; at tau = 0 it is 11' + diag(w) K diag(w) / (4 eta).
+    """
+    return solver._adaptive_prox(np.asarray(w, dtype=float), K, tau, eta).matrix
+
+
+def decision_values_insample(model) -> np.ndarray:
+    """Training-set decision values from the in-sample expansion (F o K)."""
+    K = gaussian_gram(model.X, model.sigma)
+    return (model.alpha * model.y) @ (model.F * K) + model.bias
 
 
 @pytest.fixture

@@ -27,14 +27,13 @@ from adakern.scale import (
 )
 from adakern.solver import (
     SolverConfig,
-    convergence_bound,
     dual_gradient,
     dual_objective,
     lipschitz_svm,
     project_exact,
     solve,
 )
-from adakern.svm import cross_validate, decision_values_insample, train
+from adakern.svm import cross_validate, train
 from adakern.svr import (
     lipschitz_svr,
     rmse,
@@ -43,7 +42,15 @@ from adakern.svr import (
     train_svr,
 )
 
-from conftest import paired_blobs, random_feasible, reference_pgd_qp, two_blobs
+from conftest import (
+    adaptive_matrix,
+    convergence_bound,
+    decision_values_insample,
+    paired_blobs,
+    random_feasible,
+    reference_pgd_qp,
+    two_blobs,
+)
 
 CV_SIGMA_GRID = [2.0 ** p for p in range(-5, 6)]
 
@@ -180,11 +187,10 @@ def test_c04_spectral_bound_sampled():
     lam_max_K = float(np.linalg.eigvalsh(K)[-1])
     limit = n - tau / 2 + n * C * C * lam_max_K / (4 * eta) + 1e-6
 
-    from adakern.solver import adaptive_matrix
     violations = 0
     for _ in range(100):
         a = random_feasible(rng, y, C)
-        F = adaptive_matrix(a, y, K, tau, eta)
+        F = adaptive_matrix(a * y, K, tau, eta)
         if float(np.linalg.eigvalsh(F)[-1]) > limit:
             violations += 1
     assert report(4, violations == 0, f"violations {violations}/100 at n={n}")

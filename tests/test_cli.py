@@ -372,6 +372,20 @@ class TestGridCommand:
                             "--grid", "0,1,0,1,4"], capsys)
         assert code == 2
 
+    def test_bad_resolution_is_usage_error(self, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        assert run(["train", "--data", path, "--sigma", "0.4", "--t-max", "5",
+                    "--model", model_path], capsys)[0] == 0
+        for res in ("-3", "0", "2.5", "nan"):
+            code, out, err = run(["grid", "--model", model_path,
+                                  f"--grid=0,1,0,1,{res}"], capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("usage error: --grid resolution must be a positive integer")
+        # 1e12 points per axis: numpy refuses the 8 TB axis at once.
+        code, out, err = run(["grid", "--model", model_path, "--grid=0,1,0,1,1e12"], capsys)
+        assert (code, out) == (1, "") and "too large" in err
+
 
 class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
@@ -392,6 +406,24 @@ class TestExitCodes:
         code, _, _ = run(["train", "--data", path,
                           "--model", str(tmp_path / "m.txt")], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--eta", "auto"], ["--tau", "0", "--eta", "10"]],
+                             ids=["eta-auto", "tau-0-eta-10"])
+    def test_bounds_single_class_is_data_error(self, flags, tmp_path, capsys):
+        path = _write(str(tmp_path / "single.libsvm"), "+1 1:0.1\n+1 1:0.4\n+1 1:0.9\n")
+        code, _, err = run(["bounds", "--data", path, "--clusters", "2"] + flags, capsys)
+        assert (code, err) == (2, "data error: training labels contain a single class\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--mode", "scalable", "--clusters", "abc"],
+        ["bounds", "--clusters", "2,x"],
+    ], ids=["train-scalable", "bounds"])
+    def test_non_integer_clusters_is_usage_error(self, argv, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        if argv[0] == "train":
+            argv = argv + ["--model", str(tmp_path / "m.txt")]
+        code, _, err = run(argv + ["--data", path], capsys)
+        assert code == 1 and err.startswith("usage error: --clusters expects integers")
 
     def test_unwritable_model_path_is_data_error(self, toy_file, tmp_path, capsys):
         path, _ = toy_file
@@ -508,7 +540,9 @@ class TestMalformedModelFiles:
         lambda t: t.replace("\nalpha ", "\nalpha 0.5 ", 1),
         lambda t: re.sub(r"\ny \S+ ", "\ny ", t, count=1),
         lambda t: t.replace("\nscaler_min ", "\nscaler_min 0.5 ", 1),
-    ], ids=["version-x", "alpha-longer-than-n", "y-shorter-than-n", "scaler-longer-than-d"])
+        lambda t: re.sub(r"\neta \S+", "\neta inf", t, count=1),
+    ], ids=["version-x", "alpha-longer-than-n", "y-shorter-than-n", "scaler-longer-than-d",
+            "eta-inf"])
     def test_reported_defects_raise_data_error(self, mutate, saved_models, tmp_path):
         text, _ = saved_models["svm"]
         mutated = mutate(text)

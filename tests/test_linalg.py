@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 import adakern.linalg as linalg
-from adakern.errors import DataError, ParameterError
+import adakern.solver as solver
+from adakern.errors import DataError, NumericalError, ParameterError
 from adakern.kernel import gaussian_gram
-from adakern.linalg import (
-    psd_soft_threshold,
-    soft_threshold,
-    soft_threshold_spectrum,
-    sym_eig,
-)
+
+from conftest import dense_soft_threshold
 
 
 class MatrixNorms(NamedTuple):
@@ -39,45 +36,43 @@ def random_symmetric(rng, n, scale=1.0):
 
 
 class TestSymEig:
+    """The eigendecomposition under the dense reference: its spectrum at threshold 0."""
+
     def test_identity(self):
-        pair = sym_eig(np.eye(3))
-        assert np.allclose(pair.values, [1.0, 1.0, 1.0])
+        _, values = dense_soft_threshold(np.eye(3), 0.0)
+        assert np.allclose(values, [1.0, 1.0, 1.0])
 
     def test_diagonal(self):
-        pair = sym_eig(np.diag([3.0, 1.0]))
-        assert np.allclose(pair.values, [3.0, 1.0])
-        # axis-aligned up to sign
-        assert np.allclose(np.abs(pair.vectors), np.eye(2), atol=1e-12)
+        B, values = dense_soft_threshold(np.diag([3.0, 1.0]), 0.0)
+        assert np.allclose(values, [3.0, 1.0])
+        assert np.allclose(B, np.diag([3.0, 1.0]), atol=1e-12)
 
     def test_reconstruction_random(self, rng):
         A = random_symmetric(rng, 5)
-        pair = sym_eig(A)
-        rebuilt = (pair.vectors * pair.values) @ pair.vectors.T
-        assert np.linalg.norm(A - rebuilt) < 1e-10
-        assert np.linalg.norm(pair.vectors.T @ pair.vectors - np.eye(5)) < 1e-8
+        B, values = dense_soft_threshold(A, 0.0)
+        assert np.linalg.norm(A - B) < 1e-10
+        assert np.isclose(values.sum(), np.trace(A))
 
     def test_sorted_non_increasing(self, rng):
-        pair = sym_eig(random_symmetric(rng, 8))
-        assert np.all(np.diff(pair.values) <= 1e-12)
-
-    def test_rejects_asymmetric(self):
-        A = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(DataError):
-            sym_eig(A)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DataError):
-            sym_eig(np.ones((2, 3)))
+        _, values = dense_soft_threshold(random_symmetric(rng, 8), 0.0)
+        assert np.all(np.diff(values) <= 1e-12)
 
     def test_deterministic(self, rng):
         A = random_symmetric(rng, 6)
-        p1 = sym_eig(A)
-        p2 = sym_eig(A)
-        assert np.array_equal(p1.values, p2.values)
-        assert np.array_equal(p1.vectors, p2.vectors)
+        B1, v1 = dense_soft_threshold(A, 0.3)
+        B2, v2 = dense_soft_threshold(A, 0.3)
+        assert np.array_equal(v1, v2)
+        assert np.array_equal(B1, B2)
+
+
+def soft_threshold(A, threshold):
+    return dense_soft_threshold(A, threshold)[0]
 
 
 class TestSoftThreshold:
+    """The soft-threshold operator: the dense reference on any symmetric input,
+    the certified prox on 11' + scale diag(w) K diag(w)."""
+
     def test_zero_matrix(self):
         assert np.allclose(soft_threshold(np.zeros((4, 4)), 0.005), 0.0)
 
@@ -85,6 +80,9 @@ class TestSoftThreshold:
         ones = np.ones((3, 3))
         # eigenvalues {3, 0, 0} -> {2.5, 0, 0}
         assert np.allclose(soft_threshold(ones, 0.5), (2.5 / 3.0) * ones)
+        # the same matrix through the prox: zero weights leave 11'
+        prox = linalg.gram_soft_threshold(np.eye(3), np.zeros(3), 1.0, 0.5)
+        assert np.allclose(prox.matrix, (2.5 / 3.0) * ones)
 
     def test_diagonal_shift(self):
         out = soft_threshold(np.diag([2.0, 0.3]), 0.5)
@@ -96,7 +94,7 @@ class TestSoftThreshold:
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ParameterError):
-            soft_threshold(np.eye(2), -0.1)
+            linalg.gram_soft_threshold(np.eye(2), np.ones(2), 1.0, -0.1)
 
     def test_non_expansive(self, rng):
         for _ in range(20):
@@ -104,6 +102,13 @@ class TestSoftThreshold:
             B = random_symmetric(rng, 5)
             lhs = np.linalg.norm(soft_threshold(A, 0.3) - soft_threshold(B, 0.3))
             assert lhs <= np.linalg.norm(A - B) + 1e-12
+        # and the certified prox, on both of its paths
+        K = gaussian_gram(rng.normal(size=(60, 2)), 1.0)
+        for scale in (1e-2, 1.0):
+            w1, w2 = rng.uniform(-1.0, 1.0, (2, 60))
+            A1, A2 = (1.0 + K * np.outer(w, w) * scale for w in (w1, w2))
+            F1, F2 = (linalg.gram_soft_threshold(K, w, scale, 0.3).matrix for w in (w1, w2))
+            assert np.linalg.norm(F1 - F2) <= np.linalg.norm(A1 - A2) + 1e-10
 
     def test_psd_input_stays_psd(self, rng):
         for _ in range(10):
@@ -118,14 +123,14 @@ class TestSoftThreshold:
 
 
 def adaptive_input(rng, n, sigma, scale):
-    """11' + diag(w) K diag(w) for a Gaussian K and random weights w."""
+    """K, w and A = 11' + scale diag(w) K diag(w) for a Gaussian K and random weights w."""
     K = gaussian_gram(rng.normal(size=(n, 2)), sigma)
     w = rng.uniform(-1.0, 1.0, n)
-    return 1.0 + K * np.outer(w, w) * scale
+    return K, w, 1.0 + K * np.outer(w, w) * scale
 
 
 def assert_matches_dense(prox, A, threshold):
-    F, shrunk = soft_threshold_spectrum(A, threshold)
+    F, shrunk = dense_soft_threshold(A, threshold)
     nuclear = np.abs(shrunk).sum()
     assert np.max(np.abs(prox.matrix - F)) <= 1e-10
     assert abs(prox.nuclear - nuclear) <= 1e-10 * nuclear
@@ -133,6 +138,8 @@ def assert_matches_dense(prox, A, threshold):
 
 
 class TestPsdSoftThreshold:
+    """The prox of 11' + scale diag(w) K diag(w) against the dense reference."""
+
     @pytest.mark.parametrize("n, sigma, scale", [
         (40, 2.0, 1e-3), (120, 0.3, 1e-4), (120, 2.0, 1e-2), (200, 0.8, 1e-3),
         (200, 1.0, 1e-2),
@@ -140,8 +147,8 @@ class TestPsdSoftThreshold:
     def test_low_rank_path_matches_dense(self, rng, n, sigma, scale):
         ranks = set()
         for _ in range(5):
-            A = adaptive_input(rng, n, sigma, scale)
-            prox = psd_soft_threshold(A, 0.005)
+            K, w, A = adaptive_input(rng, n, sigma, scale)
+            prox = linalg.gram_soft_threshold(K, w, scale, 0.005)
             assert not prox.dense
             assert_matches_dense(prox, A, 0.005)
             ranks.add(prox.rank)
@@ -151,35 +158,35 @@ class TestPsdSoftThreshold:
         # K = I with the weighted diagonal just below the threshold: every
         # tail eigenvalue is below it, but their sum is far above.
         n, threshold = 64, 0.005
-        A = np.ones((n, n)) + 0.9 * threshold * np.eye(n)
-        prox = psd_soft_threshold(A, threshold)
+        prox = linalg.gram_soft_threshold(np.eye(n), np.ones(n), 0.9 * threshold, threshold)
         assert prox.dense
-        assert_matches_dense(prox, A, threshold)
+        assert_matches_dense(prox, np.ones((n, n)) + 0.9 * threshold * np.eye(n), threshold)
 
     def test_zero_threshold_returns_input_unfactored(self, rng, monkeypatch):
+        # tau = 0 in the solvers' prox: 11' + diag(w) K diag(w) / (4 eta) itself.
         def forbidden(*args, **kwargs):
             raise AssertionError("no factorization expected at threshold 0")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(linalg, "sym_eig", forbidden)
-        A = adaptive_input(rng, 50, 0.5, 0.1)
-        prox = psd_soft_threshold(A, 0.0)
-        assert prox.matrix is A
+        K, w, _ = adaptive_input(rng, 50, 0.5, 0.1)
+        prox = solver._adaptive_prox(w, K, 0.0, 2.5)
+        A = (K * np.outer(w, w)) / (4.0 * 2.5) + 1.0
+        assert prox.factor is None and np.array_equal(prox.matrix, A)
         assert prox.nuclear == pytest.approx(np.trace(A))
         assert (prox.rank, prox.dense) == (0, False)
 
     @pytest.mark.parametrize("scale", [1e-4, 1e-2])
     def test_output_exactly_symmetric_and_deterministic(self, rng, scale):
-        A = adaptive_input(rng, 120, 2.0, scale)
-        first = psd_soft_threshold(A, 0.005)
-        second = psd_soft_threshold(A, 0.005)
+        K, w, _ = adaptive_input(rng, 120, 2.0, scale)
+        first = linalg.gram_soft_threshold(K, w, scale, 0.005)
+        second = linalg.gram_soft_threshold(K, w, scale, 0.005)
         assert not first.dense and first.rank == (1 if scale < 1e-3 else 7)
         assert np.array_equal(first.matrix, first.matrix.T)
         assert np.array_equal(first.matrix, second.matrix)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ParameterError):
-            psd_soft_threshold(np.eye(40), -0.1)
+            linalg.gram_soft_threshold(np.eye(40), np.ones(40), 1.0, -0.1)
 
 
 class TestGramSoftThreshold:
@@ -213,7 +220,7 @@ class TestGramSoftThreshold:
 
     def test_fallback_returns_the_factor_and_no_basis(self):
         # K = I with the weighted diagonal just below the threshold (as in
-        # the psd_soft_threshold case): the dense path runs, also from a start.
+        # the heavy-tail case above): the dense path runs, also from a start.
         n, threshold = 64, 0.005
         w = np.full(n, np.sqrt(0.9 * threshold))
         start = np.linalg.qr(np.random.default_rng(1).normal(size=(n, 8)))[0]
@@ -227,6 +234,14 @@ class TestGramSoftThreshold:
             linalg.gram_soft_threshold(np.eye(40), np.ones(40), 1.0, 0.0)
         with pytest.raises(DataError):
             linalg.gram_soft_threshold(np.eye(40), np.ones(39), 1.0, 0.1)
+
+    def test_fallback_that_does_not_converge_is_a_numerical_error(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        with pytest.raises(NumericalError):
+            linalg.gram_soft_threshold(np.eye(8), np.ones(8), 0.9, 1.0)
 
 
 class TestMatrixNorms:
@@ -248,5 +263,5 @@ class TestMatrixNorms:
 
     def test_spectral_matches_eig_for_symmetric(self, rng):
         A = random_symmetric(rng, 5)
-        values = sym_eig(A).values
+        values = np.linalg.eigvalsh(A)
         assert np.isclose(matrix_norms(A).spectral, np.max(np.abs(values)))

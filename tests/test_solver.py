@@ -4,31 +4,33 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import adakern.linalg as linalg
 import adakern.solver as solver
 from adakern.data import apply_minmax, fit_minmax, gen_step, gen_two_class_toy
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram
-from adakern.linalg import SpectralProx, soft_threshold_spectrum
+from adakern.linalg import SpectralProx
 from adakern.solver import (
     DualState,
     SolverConfig,
-    adaptive_matrix,
-    adaptive_matrix_spectrum,
-    convergence_bound,
     dual_gradient,
     dual_objective,
-    lipschitz_pgd,
     lipschitz_svm,
     project_exact,
     resolve_eta,
     solve,
-    weighted_gram,
 )
 
-from adakern.svr import solve_svr, svr_adaptive_spectrum
+from adakern.svr import solve_svr
 
-from conftest import oracle_project, random_feasible, reference_pgd_qp, two_blobs
+from conftest import (
+    adaptive_matrix,
+    convergence_bound,
+    dense_soft_threshold,
+    oracle_project,
+    random_feasible,
+    reference_pgd_qp,
+    two_blobs,
+)
 
 
 def labels(n):
@@ -68,10 +70,19 @@ class TestConfig:
         dict(C=1.0, eta=1.0, tol=0.0),
         dict(C=1.0, eta=1.0, tol=float("nan")),
         dict(C=1.0, eta=1.0, variant="bogus"),
+        dict(C=float("inf"), eta=1.0),
+        dict(C=1.0, tau=float("inf"), eta=1.0),
+        dict(C=1.0, tau=float("nan"), eta=1.0),
+        dict(C=1.0, eta=float("inf")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ParameterError):
             SolverConfig(**kwargs)
+
+
+def weighted_gram(alpha, y, K, eta):
+    """G(a) = diag(a o y) K diag(a o y) / (4 eta), read off the tau = 0 adaptive matrix 11' + G(a)."""
+    return adaptive_matrix(alpha * y, K, 0.0, eta) - 1.0
 
 
 class TestWeightedGram:
@@ -95,17 +106,19 @@ class TestWeightedGram:
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(DataError):
-            weighted_gram(np.zeros(3), labels(4), toy_kernel(rng, 4), 1.0)
+            solver._adaptive_prox(np.zeros(3), toy_kernel(rng, 4), 0.0, 1.0)
+        with pytest.raises(DataError):
+            solve(toy_kernel(rng, 4), labels(3), SolverConfig(C=1.0, eta=1.0))
 
 
 class TestAdaptiveMatrix:
     def test_zero_alpha_small_tau(self):
         n, tau = 3, 0.01
-        F = adaptive_matrix(np.zeros(n), labels(n), np.eye(n), tau, 1.0)
+        F = adaptive_matrix(np.zeros(n), np.eye(n), tau, 1.0)
         assert np.allclose(F, ((n - tau / 2) / n) * np.ones((n, n)), atol=1e-12)
 
     def test_zero_alpha_zero_tau_degenerates_to_all_ones(self):
-        F = adaptive_matrix(np.zeros(3), labels(3), np.eye(3), 0.0, 1.0)
+        F = adaptive_matrix(np.zeros(3), np.eye(3), 0.0, 1.0)
         assert np.allclose(F, 1.0, atol=1e-12)
 
     def test_minimizes_proximal_objective(self, rng):
@@ -113,13 +126,13 @@ class TestAdaptiveMatrix:
         K = toy_kernel(rng, n)
         y = labels(n)
         a = random_feasible(rng, y, 1.0)
-        target = np.ones((n, n)) + weighted_gram(a, y, K, eta)
+        target = adaptive_matrix(a * y, K, 0.0, eta)
 
         def prox_objective(F):
             dev = F - target
             return (dev * dev).sum() + tau * np.abs(np.linalg.eigvalsh(F)).sum()
 
-        F = adaptive_matrix(a, y, K, tau, eta)
+        F = adaptive_matrix(a * y, K, tau, eta)
         base = prox_objective(F)
         for _ in range(500):
             R = rng.normal(size=(n, n))
@@ -135,7 +148,7 @@ class TestAdaptiveMatrix:
         bound = adaptive_spectral_bound(n, C, tau, eta, lam_max)
         for _ in range(50):
             a = random_feasible(rng, y, C)
-            F = adaptive_matrix(a, y, K, tau, eta)
+            F = adaptive_matrix(a * y, K, tau, eta)
             assert np.linalg.eigvalsh(F)[-1] <= bound + 1e-6
 
     def test_map_continuity(self, rng):
@@ -147,8 +160,8 @@ class TestAdaptiveMatrix:
         for _ in range(50):
             a1 = random_feasible(rng, y, C)
             a2 = random_feasible(rng, y, C)
-            lhs = np.linalg.norm(adaptive_matrix(a1, y, K, 0.1, eta)
-                                 - adaptive_matrix(a2, y, K, 0.1, eta))
+            lhs = np.linalg.norm(adaptive_matrix(a1 * y, K, 0.1, eta)
+                                 - adaptive_matrix(a2 * y, K, 0.1, eta))
             rhs = fro / (4 * eta) * np.linalg.norm(a1 + a2) * np.linalg.norm(a1 - a2)
             assert lhs <= rhs + 1e-10
 
@@ -163,7 +176,7 @@ class TestObjectiveAndGradient:
         n, tau, eta = 5, 0.2, 1.5
         K = toy_kernel(rng, n)
         cfg = SolverConfig(C=1.0, tau=tau, eta=eta)
-        F = adaptive_matrix(np.zeros(n), labels(n), K, tau, eta)
+        F = adaptive_matrix(np.zeros(n), K, tau, eta)
         expected = (eta * ((F - 1.0) ** 2).sum()
                     + tau * eta * np.abs(np.linalg.eigvalsh(F)).sum())
         assert np.isclose(dual_objective(np.zeros(n), labels(n), K, cfg), expected)
@@ -174,7 +187,7 @@ class TestObjectiveAndGradient:
         y = labels(n)
         a = random_feasible(rng, y, C)
         cfg = SolverConfig(C=C, tau=tau, eta=eta)
-        F = adaptive_matrix(a, y, K, tau, eta)
+        F = adaptive_matrix(a * y, K, tau, eta)
         w = a * y
         expected = (a.sum() - 0.5 * w @ ((F * K) @ w)
                     + eta * ((F - 1.0) ** 2).sum()
@@ -216,7 +229,7 @@ class TestObjectiveAndGradient:
         y = labels(n)
         a = random_feasible(rng, y, 1.0)
         cfg = SolverConfig(C=1.0, tau=tau, eta=eta)
-        F = adaptive_matrix(a, y, K, tau, eta)
+        F = adaptive_matrix(a * y, K, tau, eta)
         assert np.isclose(saddle_value(a, y, K, F, eta, tau),
                           dual_objective(a, y, K, cfg), atol=1e-10)
 
@@ -264,6 +277,11 @@ class TestLipschitz:
             lhs = np.linalg.norm(dual_gradient(a1, y, K, cfg)
                                  - dual_gradient(a2, y, K, cfg))
             assert lhs <= L * np.linalg.norm(a1 - a2) + 1e-10
+
+
+def lipschitz_pgd(n, C, K, eta, tau):
+    """The pgd step constant n - tau/2 + n C^2 lam_max(K) / (4 eta), from lam_max of K."""
+    return solver._pgd_constant(n, C, float(np.linalg.eigvalsh(K)[-1]), eta, tau)
 
 
 def brute_force_projection(z, y, C):
@@ -456,6 +474,26 @@ class TestSolve:
         with pytest.raises(DataError):
             solve(K, np.array([1.0, -1.0]), SolverConfig(C=1.0, eta=1.0))
 
+    def test_non_square_kernel_rejected(self):
+        with pytest.raises(DataError):
+            solve(np.ones((2, 3)), np.array([1.0, -1.0]), SolverConfig(C=1.0, eta=1.0))
+
+    def test_asymmetric_kernel_rejected_on_both_prox_paths(self):
+        # K = I at tau = 0.6: with eta = 1 the prox falls back to the dense
+        # path on later iterates, with eta = 1e4 it never does.  One entry
+        # off by 1e-9, above the 1e-12 ||K||_F tolerance, is rejected on both.
+        n = 40
+        y = labels(n)
+        skewed = np.eye(n)
+        skewed[0, 1] = 1e-9
+        for eta, falls_back in ((1.0, True), (1e4, False)):
+            cfg = SolverConfig(C=1.0, tau=0.6, eta=eta, t_max=60, tol=1e-300)
+            assert (solve(np.eye(n), y, cfg)[2].prox_fallbacks > 0) == falls_back
+            with pytest.raises(DataError, match="not symmetric"):
+                solve(skewed, y, cfg)
+            with pytest.raises(DataError, match="not symmetric"):
+                solve_svr(skewed, y, cfg, epsilon=0.1)
+
     def test_deterministic(self, rng):
         X, y = two_blobs(14, seed=9)
         K = gaussian_gram(X, 0.9)
@@ -538,7 +576,7 @@ def dense_prox(A, threshold, floor=0.0):
     F is returned unfactored, so a solve running on it also takes the dense
     gradient and value formulas.
     """
-    B, shrunk = soft_threshold_spectrum(A, threshold)
+    B, shrunk = dense_soft_threshold(A, threshold)
     return SpectralProx(None, float(np.sum(np.abs(shrunk))), int(np.count_nonzero(shrunk)),
                         True, unfactored=B)
 
@@ -573,8 +611,8 @@ class TestCertifiedProx:
         for eta in (3.0, 3000.0):
             for _ in range(10):
                 a = random_feasible(rng, y, C)
-                prox = adaptive_matrix_spectrum(a, y, K, tau, eta)
-                reference = dense_prox(1.0 + weighted_gram(a, y, K, eta), tau / 2)
+                prox = solver._adaptive_prox(a * y, K, tau, eta)
+                reference = dense_prox(adaptive_matrix(a * y, K, 0.0, eta), tau / 2)
                 paths.add((eta, prox.dense))
                 assert prox.rank == reference.rank
                 assert np.max(np.abs(prox.matrix - reference.matrix)) <= 1e-10
@@ -609,8 +647,7 @@ class TestCertifiedProx:
         assert np.max(np.abs(state.alpha_hat - ref_state.alpha_hat)) <= 1e-12
         assert np.max(np.abs(state.alpha_check - ref_state.alpha_check)) <= 1e-12
         assert np.max(np.abs(F - ref_F)) <= 1e-10
-        prox = svr_adaptive_spectrum(state.alpha_hat, state.alpha_check, K, cfg.tau, cfg.eta)
-        assert np.array_equal(prox.matrix, F)
+        assert np.array_equal(adaptive_matrix(state.difference, K, cfg.tau, cfg.eta), F)
 
     def test_heavy_tail_counts_fallbacks(self, monkeypatch):
         # K = I: every weighted diagonal entry a_i^2 / (4 eta) <= 1/4 stays
@@ -643,7 +680,6 @@ class TestCertifiedProx:
         X, y = two_blobs(40, seed=6)
         K = gaussian_gram(X, 0.8)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(linalg, "sym_eig", forbidden)
         cfg = SolverConfig(C=1.0, tau=0.0, eta=2.0, t_max=30, tol=1e-300)
         _, F, trace = solve(K, y, cfg)
         _, F_svr, svr_trace = solve_svr(K, y, cfg, epsilon=0.1)

@@ -9,7 +9,6 @@ from adakern.scale import train_scalable
 from adakern.solver import SolverConfig, project_exact
 from adakern.svm import (
     accuracy,
-    decision_values_insample,
     extend_adaptive,
     recover_bias,
     reciprocal_similarity,
@@ -17,7 +16,7 @@ from adakern.svm import (
 )
 from adakern.svr import train_svr
 
-from conftest import oracle_reciprocal_similarity, two_blobs
+from conftest import decision_values_insample, oracle_reciprocal_similarity, two_blobs
 
 
 def small_config(**kwargs):

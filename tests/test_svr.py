@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
+import adakern.solver as solver
 from adakern.errors import DataError
 from adakern.kernel import gaussian_gram
 from adakern.solver import SolverConfig
 from adakern.svr import (
     lipschitz_svr,
-    lipschitz_svr_pgd,
     recover_bias_svr,
     rmse,
     solve_svr,
-    svr_adaptive_matrix,
     svr_gradients,
     svr_objective,
-    svr_weighted_gram,
     train_svr,
 )
+
+from conftest import adaptive_matrix
 
 
 def config(**kwargs):
@@ -26,6 +26,16 @@ def config(**kwargs):
 
 def box_pair(rng, n, C=1.0):
     return rng.uniform(0.0, C, n), rng.uniform(0.0, C, n)
+
+
+def svr_weighted_gram(alpha_hat, alpha_check, K, eta):
+    """diag(hat - check) K diag(hat - check) / (4 eta), read off the tau = 0 adaptive matrix."""
+    return adaptive_matrix(alpha_hat - alpha_check, K, 0.0, eta) - 1.0
+
+
+def lipschitz_svr_pgd(n, C, K, eta, tau):
+    """The stacked pgd step constant: twice the classifier's, from lam_max of K."""
+    return 2.0 * solver._pgd_constant(n, C, float(np.linalg.eigvalsh(K)[-1]), eta, tau)
 
 
 class TestWeightedGram:
@@ -50,30 +60,32 @@ class TestWeightedGram:
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            svr_weighted_gram(np.zeros(3), np.zeros(2), np.eye(3), 1.0)
+            svr_objective(np.zeros(3), np.zeros(2), np.zeros(3), np.eye(3), 0.1, config())
+        with pytest.raises(DataError):
+            svr_gradients(np.zeros(3), np.zeros(3), np.eye(3), np.zeros(2), 0.1, config())
 
 
 class TestAdaptiveMatrix:
     def test_zero_duals_small_tau(self):
         n, tau = 3, 0.01
-        F = svr_adaptive_matrix(np.zeros(n), np.zeros(n), np.eye(n), tau, 1.0)
+        F = adaptive_matrix(np.zeros(n), np.eye(n), tau, 1.0)
         assert np.allclose(F, ((n - tau / 2) / n) * np.ones((n, n)), atol=1e-12)
 
     def test_zero_tau_all_ones(self):
-        F = svr_adaptive_matrix(np.zeros(3), np.zeros(3), np.eye(3), 0.0, 1.0)
+        F = adaptive_matrix(np.zeros(3), np.eye(3), 0.0, 1.0)
         assert np.allclose(F, 1.0, atol=1e-12)
 
     def test_minimizes_proximal_objective(self, rng):
         n, tau, eta = 4, 0.2, 0.7
         ah, ac = box_pair(rng, n)
         K = gaussian_gram(rng.normal(size=(n, 2)), 0.9)
-        target = np.ones((n, n)) + svr_weighted_gram(ah, ac, K, eta)
+        target = adaptive_matrix(ah - ac, K, 0.0, eta)
 
         def prox_objective(F):
             dev = F - target
             return (dev * dev).sum() + tau * np.abs(np.linalg.eigvalsh(F)).sum()
 
-        F = svr_adaptive_matrix(ah, ac, K, tau, eta)
+        F = adaptive_matrix(ah - ac, K, tau, eta)
         base = prox_objective(F)
         for _ in range(200):
             R = rng.normal(size=(n, n))
@@ -88,8 +100,8 @@ class TestAdaptiveMatrix:
         for _ in range(50):
             a1h, a1c = box_pair(rng, n)
             a2h, a2c = box_pair(rng, n)
-            lhs = np.linalg.norm(svr_adaptive_matrix(a1h, a1c, K, 0.1, eta)
-                                 - svr_adaptive_matrix(a2h, a2c, K, 0.1, eta))
+            lhs = np.linalg.norm(adaptive_matrix(a1h - a1c, K, 0.1, eta)
+                                 - adaptive_matrix(a2h - a2c, K, 0.1, eta))
             w1, w2 = a1h - a1c, a2h - a2c
             rhs = fro / (4 * eta) * np.linalg.norm(w1 + w2) * np.linalg.norm(w1 - w2)
             assert lhs <= rhs + 1e-10
@@ -154,7 +166,7 @@ class TestLipschitz:
         limit = lipschitz_svr_pgd(n, C, K, eta, tau)
         for _ in range(25):
             ah, ac = box_pair(rng, n, C)
-            F = svr_adaptive_matrix(ah, ac, K, tau, eta)
+            F = adaptive_matrix(ah - ac, K, tau, eta)
             assert 2.0 * float(np.linalg.eigvalsh(F * K)[-1]) <= limit + 1e-9
 
     def test_pgd_variant_converges_on_small_problem(self, rng):
