@@ -26,28 +26,19 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _add_train_flags(p):
-    p.add_argument("--task", choices=("svm", "svr"), default="svm")
+def _add_solver_flags(p):
+    """The flags ``train`` and ``bounds`` share: input, kernel and solver settings, seed."""
     p.add_argument("--data", required=True, help="input path, or - for stdin")
     p.add_argument("--format", choices=("libsvm", "csv"), default="libsvm")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=0.01)
     p.add_argument("--eta", default="auto", help="auto or a positive number")
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--variant", choices=("nesterov", "pgd", "monotone"),
                    default="nesterov")
-    p.add_argument("--mode", choices=("exact", "scalable"), default="exact")
-    p.add_argument("--clusters", default="1",
-                   help="cluster count (scalable mode); comma list for bounds")
-    p.add_argument("--cv", action="store_true")
-    p.add_argument("--folds", type=int, default=5)
     p.add_argument("--t-max", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> _Parser:
@@ -55,15 +46,19 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="fit a model and write it to disk")
-    _add_train_flags(p)
+    _add_solver_flags(p)
+    p.add_argument("--task", choices=("svm", "svr"), default="svm")
+    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--mode", choices=("exact", "scalable"), default="exact")
+    p.add_argument("--clusters", help="cluster count (--mode scalable only; default 1)")
+    p.add_argument("--cv", action="store_true")
+    p.add_argument("--folds", type=int, default=5)
     p.add_argument("--model", required=True, help="output model path")
-    _add_common(p)
 
     p = sub.add_parser("predict", help="predict labels/values for a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--format", choices=("libsvm", "csv"), default="libsvm")
-    _add_common(p)
 
     p = sub.add_parser("eval", help="accuracy (svm) or relative error (svr)")
     p.add_argument("--model", required=True)
@@ -71,17 +66,16 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("libsvm", "csv"), default="libsvm")
     p.add_argument("--repeats", type=int, default=1,
                    help="report mean/std over this many seeded splits")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bounds", help="decomposition error bounds and screening")
-    _add_train_flags(p)
+    _add_solver_flags(p)
+    p.add_argument("--clusters", default="1", help="cluster counts, comma separated")
     p.add_argument("--kappa", type=float, default=1.0)
-    _add_common(p)
 
     p = sub.add_parser("grid", help="decision values on a 2-D grid for plotting")
     p.add_argument("--model", required=True)
     p.add_argument("--grid", required=True, help="x0,x1,y0,y1,res")
-    _add_common(p)
     return parser
 
 
@@ -132,14 +126,16 @@ def _emit(rows) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.mode == "scalable":
+        if args.task != "svm":
+            raise ParameterError("scalable mode applies to the svm task only")
+        v = _cluster_counts("1" if args.clusters is None else args.clusters)[0]
+    elif args.clusters is not None:
+        raise ParameterError("--clusters applies to --mode scalable only")
     mode = dataio.CLASSIFICATION if args.task == "svm" else dataio.REGRESSION
     ds = _read_dataset(args.data, args.format, mode)
     config = _config_from_args(args)
     sigma = args.sigma
-    if args.mode == "scalable":
-        if args.task != "svm":
-            raise ParameterError("scalable mode applies to the svm task only")
-        v = _cluster_counts(args.clusters)[0]
 
     if args.cv:
         if args.task == "svm":
@@ -196,6 +192,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.repeats < 1:
+        raise ParameterError(f"--repeats must be at least 1, got {args.repeats}")
     model = load_model(args.model)
     is_svr = isinstance(model, SvrModel)
     mode = dataio.REGRESSION if is_svr else dataio.CLASSIFICATION
@@ -207,7 +205,7 @@ def cmd_eval(args) -> int:
         return float(np.mean(model.predict(ds.X[idx]) == ds.y[idx]))
 
     name = "rmse" if is_svr else "accuracy"
-    if args.repeats <= 1:
+    if args.repeats == 1:
         _emit([("metric", "value"), (name, metric(np.arange(len(ds.y))))])
     else:
         folds = dataio.kfold(len(ds.y), args.repeats, args.seed)

@@ -30,23 +30,18 @@ class SpectralProx(NamedTuple):
     eigenpairs kept above the threshold.  ``dense`` is True when the dense
     fallback ran.  ``basis`` holds the leading Ritz vectors a certified
     subspace iteration ended on, to start the next call from; it is None
-    after the dense fallback.  At threshold 0, where the solvers build the
-    record themselves, the map is the identity: nothing is factored,
-    ``factor`` is None, ``unfactored`` holds F itself and ``rank`` is 0.
+    after the dense fallback.
     """
 
-    factor: np.ndarray | None
+    factor: np.ndarray
     nuclear: float
     rank: int
     dense: bool
     basis: np.ndarray | None = None
-    unfactored: np.ndarray | None = None
 
     @property
     def matrix(self) -> np.ndarray:
         """F itself; formed from the factor (exactly symmetric) on each access."""
-        if self.factor is None:
-            return self.unfactored
         # np.dot uses a symmetric BLAS product for W W', also at rank one.
         return np.dot(self.factor, self.factor.T)
 

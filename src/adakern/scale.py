@@ -46,10 +46,10 @@ class BlockSolution:
     traces: list
     single_class_blocks: int = 0
 
-    def adaptive_dense(self, fill: float = 1.0) -> np.ndarray:
-        """Dense adaptive matrix with off-block entries set to ``fill``."""
+    def adaptive_dense(self) -> np.ndarray:
+        """Dense adaptive matrix with off-block entries set to 1."""
         n = self.alpha_bar.size
-        F = np.full((n, n), float(fill))
+        F = np.ones((n, n))
         for idx, block in zip(self.partition.clusters(), self.blocks):
             F[np.ix_(idx, idx)] = block
         return F
@@ -158,13 +158,6 @@ def cross_cluster_mass(K, partition: Partition) -> float:
     return float(np.abs(K[mask]).sum())
 
 
-def block_kernel(K, partition: Partition) -> np.ndarray:
-    """Copy of K with cross-cluster entries zeroed."""
-    K = np.asarray(K, dtype=float)
-    assign = partition.assignment
-    return np.where(assign[:, None] == assign[None, :], K, 0.0)
-
-
 def decomposition_objective(alpha, y, K, F, eta: float) -> float:
     """Objective of the no-bias, no-nuclear problem at an arbitrary (alpha, F)."""
     w = np.asarray(y, dtype=float) * np.asarray(alpha, dtype=float)
@@ -173,25 +166,30 @@ def decomposition_objective(alpha, y, K, F, eta: float) -> float:
             + eta * float((dev * dev).sum()))
 
 
-def screen_nonsupport(block_solution: BlockSolution, K_bar, y, B: float,
-                      B2: float, C: float, kappa: float = 1.0,
-                      strict: bool = True) -> np.ndarray:
+def screen_nonsupport(block_solution: BlockSolution, K, y, B: float, B2: float,
+                      C: float, kappa: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Indices safely identifiable as non-support vectors of the whole problem.
 
     Candidates have zero block duals; index i qualifies when the gradient
-    component 1 - sum_j y_i y_j F_ij K_ij a_j falls at or below the
-    threshold -(B + B2) C (||K_bar_i||_1 + kappa).  ``strict=False`` uses
+    component 1 - sum_j y_i y_j F_ij K_ij a_j over i's block falls at or
+    below the threshold -(B + B2) C (||K_bar_i||_1 + kappa), where K_bar is
+    K with the cross-cluster entries zeroed.  Both are computed block by
+    block from the diagonal blocks of K and F.  Returns that strict set and
     the positive-threshold variant reported alongside for diagnostics.
     """
-    K_bar = np.asarray(K_bar, dtype=float)
+    K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     alpha = block_solution.alpha_bar
-    F_bar = block_solution.adaptive_dense(fill=1.0)
-    grad = 1.0 - y * ((F_bar * K_bar) @ (y * alpha))
-    threshold = (B + B2) * C * (np.abs(K_bar).sum(axis=0) + kappa)
-    if strict:
-        threshold = -threshold
-    return np.flatnonzero((alpha == 0.0) & (grad <= threshold))
+    grad = np.empty_like(alpha)
+    mass = np.empty_like(alpha)
+    for idx, Fc in zip(block_solution.partition.clusters(), block_solution.blocks):
+        yc, Kc = y[idx], K[np.ix_(idx, idx)]
+        grad[idx] = 1.0 - yc * ((Fc * Kc) @ (yc * alpha[idx]))
+        mass[idx] = np.abs(Kc).sum(axis=0)
+    threshold = (B + B2) * C * (mass + kappa)
+    candidate = alpha == 0.0
+    return (np.flatnonzero(candidate & (grad <= -threshold)),
+            np.flatnonzero(candidate & (grad <= threshold)))
 
 
 def bound_report(approx: BlockSolution, K, partition: Partition,
@@ -204,13 +202,17 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
     entry range [B1, B2] is measured over the exact adaptive matrix (when
     supplied) and the diagonal blocks of the approximate one; nonpositive
     entries violate the bounds' hypothesis and are reported as a warning.
-    Off-block entries count as 1 for the measured gaps.
+    Off-block entries count as 1 for the measured gaps.  ``kappa``, the
+    kernel bound in the screening threshold, must be nonnegative and
+    finite (ParameterError otherwise).
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     eta = config.eta
     if eta is None:
         raise ParameterError("eta must be resolved for bound evaluation")
+    if not 0 <= kappa < np.inf:
+        raise ParameterError(f"kappa must be nonnegative and finite, got {kappa}")
     C = config.C
     n = y.size
 
@@ -240,9 +242,7 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
     ) * C * C + C * C * Q / (4.0 * eta)
     exact_F_bound = n * max(np.sqrt(B), B)
 
-    K_bar = block_kernel(K, partition)
-    screened = screen_nonsupport(approx, K_bar, y, B, B2, C, kappa, strict=True)
-    screened_pos = screen_nonsupport(approx, K_bar, y, B, B2, C, kappa, strict=False)
+    screened, screened_pos = screen_nonsupport(approx, K, y, B, B2, C, kappa)
 
     report = BoundReport(
         v=partition.n_clusters, Q_pi=Q, B1=B1, B2=B2, B=B,
@@ -257,7 +257,7 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
     )
     if exact is not None:
         alpha_star, F_star, H_star = exact
-        F_bar = approx.adaptive_dense(fill=1.0)
+        F_bar = approx.adaptive_dense()
         H_bar = decomposition_objective(approx.alpha_bar, y, K, F_bar, eta)
         diff = np.asarray(alpha_star, dtype=float) - approx.alpha_bar
         report.measured_objective_gap = abs(float(H_star) - H_bar)
@@ -292,7 +292,7 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
     config = resolve_eta(K, y, config)
     partition = kmeans_partition(Xs, v, seed)
     blocks = solve_blocks(Xs, y, partition, sigma, config)
-    F = blocks.adaptive_dense(fill=1.0)
+    F = blocks.adaptive_dense()
     meta = {
         "iterations": sum(t.iterations for t in blocks.traces),
         "clusters": v,

@@ -13,17 +13,19 @@ problem maximizes the resulting concave value function h(a), whose
 (envelope) gradient is 1 - Y(F(a) o K)Ya, by projected gradient ascent
 with optional Nesterov acceleration.
 
-11' + G(a) is PSD.  At tau = 0 the threshold is the identity: F(a) is the
-dense 11' + G(a), and no factorization runs.  For tau > 0, F(a) is kept as
-its factor W (n x r, F = W W') from :func:`linalg.gram_soft_threshold`,
-which computes only the eigenpairs above tau/2, after a trace test
-certifies that no others exceed it, by products with K alone; each call
-starts from the leading Ritz vectors of the call before, and a dense
-eigendecomposition is the fallback when the test does not pass.  The
-gradient and value then come from W in O(n^2 r), so neither G(a) nor F(a)
-is formed inside the loop; the solve returns F = W W' once, at the end.
-The eigenvalues of K, taken once per solve by the check that K is
-symmetric and PSD, give the test's margin and the pgd step constant.
+11' + G(a) is PSD.  At tau = 0 the threshold is the identity and F(a) is
+11' + G(a) itself; the gradient and value then come in closed form from
+two products with K and K o K, and F is formed once, after the loop.  For
+tau > 0, F(a) is kept as its factor W (n x r, F = W W') from
+:func:`linalg.gram_soft_threshold`, which computes only the eigenpairs
+above tau/2, after a trace test certifies that no others exceed it, by
+products with K alone; each call starts from the leading Ritz vectors of
+the call before, and a dense eigendecomposition is the fallback when the
+test does not pass.  The gradient and value then come from W in
+O(n^2 r), so neither G(a) nor F(a) is formed inside the loop; the solve
+returns F = W W' once, at the end.  The eigenvalues of K, taken once per
+solve by the check that K is symmetric and PSD, give the test's margin
+and the pgd step constant.
 """
 
 from dataclasses import dataclass, field, replace
@@ -121,48 +123,84 @@ class SolveTrace:
 
 def _adaptive_prox(w, K, tau: float, eta: float, lam_min_K: float = 0.0,
                    start=None) -> SpectralProx:
-    """Soft-threshold of 11' + diag(w) K diag(w) / (4 eta) at tau/2.
+    """Soft-threshold of 11' + diag(w) K diag(w) / (4 eta) at tau/2 > 0, as its factor.
 
-    At tau = 0 the threshold is the identity: the dense matrix is formed
-    and returned unfactored, with its trace as the nuclear norm.  For
-    tau > 0 the factor comes from :func:`linalg.gram_soft_threshold`, which
-    never forms the matrix on its certified path and starts from ``start``
-    when it is given.  The smallest eigenvalue of the weighted Gram part is
-    at least min(0, lam_min(K)) max_i w_i^2 / (4 eta), the floor its test
+    The factor comes from :func:`linalg.gram_soft_threshold`, which never
+    forms the matrix on its certified path and starts from ``start`` when
+    it is given.  The smallest eigenvalue of the weighted Gram part is at
+    least min(0, lam_min(K)) max_i w_i^2 / (4 eta), the floor its test
     needs.
     """
-    K = np.asarray(K, dtype=float)
-    if K.shape != (w.size, w.size):
-        raise DataError("dual weights and kernel matrix have inconsistent sizes")
-    if tau == 0:
-        G = (K * np.outer(w, w)) / (4.0 * eta)
-        G += 1.0
-        return SpectralProx(None, float(np.trace(G)), 0, False, unfactored=G)
     floor = min(0.0, lam_min_K) * float(np.max(w * w, initial=0.0)) / (4.0 * eta)
     return gram_soft_threshold(K, w, 1.0 / (4.0 * eta), 0.5 * tau, floor, start)
 
 
-def _evaluate(prox: SpectralProx, K, w, base: float, tau: float, eta: float):
-    """(F o K) w and base - w'(F o K)w / 2 + eta ||F - 11'||_F^2 + tau eta ||F||_*.
+def _adaptive_term(K, tau: float, eta: float, lam_min_K: float, trace: SolveTrace,
+                   freeze_f: bool):
+    """The adaptive part of one solve's oracle, and F at its end: (term, final).
 
-    The shared value/gradient body of both solvers; w is the dual weight
-    vector (a o y, or hat - check).  With a factor W of F, (F o K) w is
-    sum_k W_k o (K (W_k o w)), O(n^2 r), and the deviation term comes from
-    :func:`_deviation_sq`.  An unfactored F is used as it is.
+    ``term(w, base)`` gives (F(w) o K) w and the value
+    base - w'(F o K)w / 2 + eta ||F - 11'||_F^2 + tau eta ||F||_* at the
+    dual weights w (a o y, or hat - check); ``final(w)`` gives F(w), with
+    its factor put on ``trace``.  Three regimes:
+
+    - ``freeze_f``: F = 11', kept as its factor W = 1.
+    - tau = 0: F = 11' + diag(w) K diag(w) / (4 eta) in closed form, with
+      K2 = K o K formed once: (F o K) w = K w + w o (K2 (w o w)) / (4 eta)
+      and ||F - 11'||_F^2 = (w o w)' K2 (w o w) / (16 eta^2).  F itself is
+      formed only by ``final``.
+    - tau > 0: the certified prox's factor W, from which (F o K) w is
+      sum_k W_k o (K (W_k o w)), O(n^2 r), and the deviation term comes
+      from :func:`_deviation_sq`.  Each call starts from the leading Ritz
+      vectors of the call before, so it needs fewer subspace steps when
+      the duals move little; ``final`` starts from the fixed block, so F
+      is that of a cold :func:`_adaptive_prox` call, bit for bit, whatever
+      path the iterates took.  Calls are counted in ``trace``.
     """
-    W = prox.factor
-    if W is None:
-        F = prox.unfactored
-        q = (F * K) @ w
-        dev = F - 1.0
-        dev_sq = float((dev * dev).sum())
-    else:
+    if tau == 0 and not freeze_f:
+        K2 = K * K
+
+        def closed_term(w, base):
+            u = K2 @ (w * w)
+            q = K @ w + w * u / (4.0 * eta)
+            # eta ||F - 11'||_F^2 = (w o w)' K2 (w o w) / (16 eta).
+            return q, base - 0.5 * float(w @ q) + float((w * w) @ u) / (16.0 * eta)
+
+        def closed_final(w):
+            F = (K * np.outer(w, w)) / (4.0 * eta)
+            F += 1.0
+            return F
+
+        return closed_term, closed_final
+
+    n = K.shape[0]
+    frozen = SpectralProx(np.ones((n, 1)), float(n), 1, False) if freeze_f else None
+    basis = None
+
+    def prox_at(w, warm=True):
+        nonlocal basis
+        if frozen is not None:
+            return frozen
+        prox = _adaptive_prox(w, K, tau, eta, lam_min_K, basis if warm else None)
+        basis = prox.basis
+        trace.record_prox(prox)
+        return prox
+
+    def term(w, base):
+        prox = prox_at(w)
+        W = prox.factor
         q = np.sum(W * (K @ (W * w[:, None])), axis=1)
-        dev_sq = _deviation_sq(W)
-    value = base - 0.5 * float(w @ q) + eta * dev_sq
-    if tau > 0:
-        value += tau * eta * prox.nuclear
-    return q, value
+        value = base - 0.5 * float(w @ q) + eta * _deviation_sq(W)
+        if tau > 0:
+            value += tau * eta * prox.nuclear
+        return q, value
+
+    def final(w):
+        prox = prox_at(w, warm=False)
+        trace.factor = prox.factor
+        return prox.matrix
+
+    return term, final
 
 
 def _deviation_sq(W) -> float:
@@ -189,35 +227,28 @@ def _deviation_sq(W) -> float:
     return n * n * excess ** 2 + 2.0 * n * float(Ec @ Ec) + float(np.sum(np.square(E.T @ E)))
 
 
-def _frozen_prox(n: int) -> SpectralProx:
-    """F = 11' as its factor, the standard-SVM (frozen) adaptive matrix."""
-    return SpectralProx(np.ones((n, 1)), float(n), 1, False)
-
-
-def _svm_oracle(y, K, prox_at, tau: float, eta: float):
-    """The classifier dual's oracle: a -> (1 - Y(F(a) o K)Ya, h(a)), from one prox.
-
-    ``prox_at`` maps the dual weights y o a to the adaptive-matrix prox.
-    """
+def _svm_oracle(y, term):
+    """The classifier dual's oracle: a -> (1 - Y(F(a) o K)Ya, h(a)), from one adaptive term."""
 
     def evaluate(a):
-        w = y * a
-        q, h = _evaluate(prox_at(w), K, w, float(np.sum(a)), tau, eta)
+        q, h = term(y * a, float(np.sum(a)))
         return 1.0 - y * q, h
 
     return evaluate
 
 
-def _at_point(oracle, z, K, config: SolverConfig, freeze_f: bool, *data):
-    """The gradient and value at z of the dual oracle ``oracle(*data, K, prox_at, tau, eta)``.
+def _at_point(oracle, z, K, config: SolverConfig, freeze_f: bool, y, *data):
+    """The gradient and value at z of the dual oracle ``oracle(y, *data, term)``.
 
     The one body of the public value functions: the prox starts from the
     fixed block and takes K as PSD without the solver's check.
     """
     K = np.asarray(K, dtype=float)
+    if K.shape != (y.size, y.size):
+        raise DataError("dual weights and kernel matrix have inconsistent sizes")
     eta = _eta_for_frozen(config) if freeze_f else _require_eta(config)
-    prox_at = _prox_sequence(K, config.tau, eta, 0.0, SolveTrace(), freeze_f)
-    return oracle(*data, K, prox_at, config.tau, eta)(np.asarray(z, dtype=float))
+    term = _adaptive_term(K, config.tau, eta, 0.0, SolveTrace(), freeze_f)[0]
+    return oracle(y, *data, term)(np.asarray(z, dtype=float))
 
 
 def dual_objective(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> float:
@@ -344,8 +375,8 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
     away from the true projection and stalls convergence.
     """
     y = _check_labels(y, require_both_classes=with_equality)
-    K, L, eta, trace, prox_at = _setup(K, y.size, config, freeze_f, lipschitz_svm)
-    evaluate = _svm_oracle(y, K, prox_at, config.tau, eta)
+    L, trace, term, final = _setup(K, y.size, config, freeze_f, lipschitz_svm)
+    evaluate = _svm_oracle(y, term)
     C = config.C
 
     def proj(v):
@@ -355,7 +386,7 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
         return y * a
 
     a = _ascend(evaluate, proj, L, weights, y.size, config, trace, record_iterates)
-    return DualState(alpha=a, y=y), _final_matrix(prox_at, weights(a), trace), trace
+    return DualState(alpha=a, y=y), final(weights(a)), trace
 
 
 def _setup(K, n: int, config: SolverConfig, freeze_f: bool, lipschitz):
@@ -363,8 +394,9 @@ def _setup(K, n: int, config: SolverConfig, freeze_f: bool, lipschitz):
 
     Checks that K is a PSD n x n matrix, warns when tau >= 2n, and picks
     eta and the step constant: ||K||_F with F frozen, the pgd constant from
-    lambda_max(K), else ``lipschitz(n, C, K, eta)``.  Returns K, the step
-    constant, eta, a new trace and the solve's prox sequence.
+    lambda_max(K), else ``lipschitz(n, C, K, eta)``.  Returns the step
+    constant, a new trace and the solve's adaptive term and final F
+    (:func:`_adaptive_term`).
     """
     K, lam_min_K, lam_max_K = _check_psd_gram(K)
     if K.shape[0] != n:
@@ -382,7 +414,8 @@ def _setup(K, n: int, config: SolverConfig, freeze_f: bool, lipschitz):
             L = _pgd_constant(n, config.C, lam_max_K, eta, config.tau)
         else:
             L = lipschitz(n, config.C, K, eta)
-    return K, L, eta, trace, _prox_sequence(K, config.tau, eta, lam_min_K, trace, freeze_f)
+    term, final = _adaptive_term(K, config.tau, eta, lam_min_K, trace, freeze_f)
+    return L, trace, term, final
 
 
 def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
@@ -460,43 +493,6 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
         trace.objective_history.append(evaluate(z)[1])
     trace.final_beta = None if beta is None else beta.copy()
     return z
-
-
-def _prox_sequence(K, tau, eta, lam_min_K, trace, freeze_f):
-    """The adaptive-matrix prox of one solve, as a function of the dual weights.
-
-    Each call starts from the leading Ritz vectors of the call before (the
-    fixed start block on the first call and after a dense fallback), so a
-    call needs fewer subspace steps when the duals move little;
-    ``warm=False`` starts from the fixed block.  Calls are counted in
-    ``trace``.  With ``freeze_f`` every call returns the factor W = 1 of
-    F = 11'.
-    """
-    frozen = _frozen_prox(K.shape[0]) if freeze_f else None
-    basis = None
-
-    def prox_at(w, warm=True):
-        nonlocal basis
-        if frozen is not None:
-            return frozen
-        prox = _adaptive_prox(w, K, tau, eta, lam_min_K, basis if warm else None)
-        basis = prox.basis
-        trace.record_prox(prox)
-        return prox
-
-    return prox_at
-
-
-def _final_matrix(prox_at, w, trace) -> np.ndarray:
-    """F at the final duals from the fixed start block, with its factor put on ``trace``.
-
-    Starting from the fixed block makes F the same, bit for bit, as a cold
-    :func:`_adaptive_prox` call gives at the same duals, whatever path the
-    iterates took.
-    """
-    prox = prox_at(w, warm=False)
-    trace.factor = prox.factor
-    return prox.matrix
 
 
 def resolve_eta(K, y, config: SolverConfig, epsilon: float | None = None) -> SolverConfig:

@@ -10,8 +10,6 @@ from .solver import (
     SolverConfig,
     _ascend,
     _at_point,
-    _evaluate,
-    _final_matrix,
     _setup,
     project_exact,
     resolve_eta,
@@ -69,12 +67,12 @@ class SvrModel:
         return inverse_minmax(self.y_scaler, scaled[:, None])[:, 0]
 
 
-def _svr_oracle(y, epsilon: float, K, prox_at, tau: float, eta: float):
-    """The paired dual's oracle on the stacked z = [hat; check], from one prox.
+def _svr_oracle(y, epsilon: float, term):
+    """The paired dual's oracle on the stacked z = [hat; check], from one adaptive term.
 
     z -> (gradient, value); the gradient blocks are -eps 1 - q + y and
-    -eps 1 + q - y with q = (F o K)(hat - check), and ``prox_at`` maps the
-    prox weights hat - check to the adaptive-matrix prox.
+    -eps 1 + q - y with q = (F o K)(hat - check), which ``term`` gives at
+    the prox weights hat - check.
     """
     n = y.size
 
@@ -82,7 +80,7 @@ def _svr_oracle(y, epsilon: float, K, prox_at, tau: float, eta: float):
         ah, ac = z[:n], z[n:]
         w = ah - ac
         base = float(w @ y) - epsilon * float(np.sum(ah + ac))
-        q, h = _evaluate(prox_at(w), K, w, base, tau, eta)
+        q, h = term(w, base)
         return np.concatenate([-epsilon - q + y, -epsilon + q - y]), h
 
     return evaluate
@@ -137,21 +135,23 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     constraint on the difference.  Stops when the step of hat - check
     drops to ``tol`` or at t_max.  K must be symmetric and PSD, as for
     the classifier solver (DataError otherwise); the adaptive matrix comes
-    from the same spectral prox.  Returns (SvrDualState, F, SolveTrace).
+    from the same adaptive term (:func:`solver._adaptive_term`).  epsilon
+    must be nonnegative and finite (ParameterError otherwise).  Returns
+    (SvrDualState, F, SolveTrace).
     """
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DataError("targets contain non-finite values")
-    if epsilon < 0:
-        raise ParameterError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise ParameterError(f"epsilon must be nonnegative and finite, got {epsilon}")
     n = y.size
-    K, L, eta, trace, prox_at = _setup(K, n, config, freeze_f, lipschitz_svr)
+    L, trace, term, final = _setup(K, n, config, freeze_f, lipschitz_svr)
     # The loop steps by 1/L and the paired dual by 1/(2L), for its stacked
     # constant L: lipschitz_svr, the pgd constant, or 2 ||K||_F with F frozen.
     L *= 4.0 if freeze_f else 2.0
     # +-1 constraint vector: equality 1'(hat - check) = 0 on the stacked state.
     u = np.concatenate([np.ones(n), -np.ones(n)])
-    evaluate = _svr_oracle(y, epsilon, K, prox_at, config.tau, eta)
+    evaluate = _svr_oracle(y, epsilon, term)
 
     def proj(z):
         return project_exact(z, u, config.C)
@@ -161,7 +161,7 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
 
     z = _ascend(evaluate, proj, L, weights, 2 * n, config, trace, record_iterates)
     state = SvrDualState(alpha_hat=z[:n], alpha_check=z[n:], epsilon=epsilon)
-    return state, _final_matrix(prox_at, weights(z), trace), trace
+    return state, final(weights(z)), trace
 
 
 def recover_bias_svr(alpha_hat, alpha_check, y, F, K, C: float, epsilon: float) -> float:

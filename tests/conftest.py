@@ -161,10 +161,21 @@ def dense_soft_threshold(A, threshold):
 def adaptive_matrix(w, K, tau: float, eta: float) -> np.ndarray:
     """The solvers' adaptive matrix at dual weights w (a o y, or hat - check).
 
-    The soft-threshold of 11' + diag(w) K diag(w) / (4 eta) at tau/2, from
-    the fixed start block; at tau = 0 it is 11' + diag(w) K diag(w) / (4 eta).
+    At tau = 0 it is 11' + diag(w) K diag(w) / (4 eta), formed here; for
+    tau > 0, the soft-threshold of that matrix at tau/2 from a cold
+    ``solver._adaptive_prox``.
     """
-    return solver._adaptive_prox(np.asarray(w, dtype=float), K, tau, eta).matrix
+    w = np.asarray(w, dtype=float)
+    if tau == 0:
+        return 1.0 + np.asarray(K, dtype=float) * np.outer(w, w) / (4.0 * eta)
+    return solver._adaptive_prox(w, K, tau, eta).matrix
+
+
+def block_kernel(K, partition) -> np.ndarray:
+    """Copy of K with cross-cluster entries zeroed."""
+    K = np.asarray(K, dtype=float)
+    assign = partition.assignment
+    return np.where(assign[:, None] == assign[None, :], K, 0.0)
 
 
 def decision_values_insample(model) -> np.ndarray:

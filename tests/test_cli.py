@@ -425,6 +425,65 @@ class TestExitCodes:
         code, _, err = run(argv + ["--data", path], capsys)
         assert code == 1 and err.startswith("usage error: --clusters expects integers")
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--clusters", "3"],
+        ["train", "--clusters", "abc"],
+        ["train", "--task", "svr", "--clusters", "2"],
+    ], ids=["exact", "exact-non-integer", "svr"])
+    def test_clusters_without_scalable_mode_is_usage_error(self, argv, toy_file, tmp_path,
+                                                           capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        code, out, err = run(argv + ["--data", path, "--model", model_path], capsys)
+        assert (code, out) == (1, "")
+        assert err == "usage error: --clusters applies to --mode scalable only\n"
+        assert not os.path.exists(model_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--data", "d", "--task", "svm"],
+        ["bounds", "--data", "d", "--mode", "exact"],
+        ["bounds", "--data", "d", "--cv"],
+        ["bounds", "--data", "d", "--folds", "3"],
+        ["bounds", "--data", "d", "--epsilon", "7"],
+        ["bounds", "--data", "d", "--task", "svr", "--cv", "--folds", "1", "--epsilon", "7"],
+        ["predict", "--model", "m", "--data", "d", "--seed", "1"],
+        ["grid", "--model", "m", "--grid", "0,1,0,1,4", "--seed", "1"],
+    ], ids=["bounds-task", "bounds-mode", "bounds-cv", "bounds-folds", "bounds-epsilon",
+            "bounds-svr-cv", "predict-seed", "grid-seed"])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: unrecognized arguments: --")
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_eval_repeats_below_one_is_usage_error(self, repeats, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        assert run(["train", "--data", path, "--t-max", "5", "--model", model_path],
+                   capsys)[0] == 0
+        code, out, err = run(["eval", "--model", model_path, "--data", path,
+                              "--repeats", repeats], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: --repeats must be at least 1, got {repeats}\n"
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_svr_non_finite_epsilon_is_usage_error(self, epsilon, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        code, out, err = run(["train", "--task", "svr", "--data", path, "--t-max", "5",
+                              "--epsilon", epsilon, "--model", model_path], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: epsilon must be nonnegative and finite")
+        assert not os.path.exists(model_path)
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf", "-5"])
+    def test_bounds_bad_kappa_is_usage_error(self, kappa, toy_file, capsys):
+        path, _ = toy_file
+        code, out, err = run(["bounds", "--data", path, "--tau", "0", "--eta", "10",
+                              "--t-max", "5", "--clusters", "2", "--kappa", kappa], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: kappa must be nonnegative and finite")
+
     def test_unwritable_model_path_is_data_error(self, toy_file, tmp_path, capsys):
         path, _ = toy_file
         code, _, err = run(["train", "--data", path, "--t-max", "5",

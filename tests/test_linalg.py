@@ -163,17 +163,24 @@ class TestPsdSoftThreshold:
         assert_matches_dense(prox, np.ones((n, n)) + 0.9 * threshold * np.eye(n), threshold)
 
     def test_zero_threshold_returns_input_unfactored(self, rng, monkeypatch):
-        # tau = 0 in the solvers' prox: 11' + diag(w) K diag(w) / (4 eta) itself.
+        # tau = 0 in the solvers: F is 11' + diag(w) K diag(w) / (4 eta)
+        # itself, formed only for the solve's result and never factored; the
+        # loop's gradient and value take the closed form.
         def forbidden(*args, **kwargs):
             raise AssertionError("no factorization expected at threshold 0")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         K, w, _ = adaptive_input(rng, 50, 0.5, 0.1)
-        prox = solver._adaptive_prox(w, K, 0.0, 2.5)
+        trace = solver.SolveTrace()
+        term, final = solver._adaptive_term(K, 0.0, 2.5, 0.0, trace, False)
         A = (K * np.outer(w, w)) / (4.0 * 2.5) + 1.0
-        assert prox.factor is None and np.array_equal(prox.matrix, A)
-        assert prox.nuclear == pytest.approx(np.trace(A))
-        assert (prox.rank, prox.dense) == (0, False)
+        q, value = term(w, 0.0)
+        q_dense = (A * K) @ w
+        value_dense = -0.5 * w @ q_dense + 2.5 * np.sum((A - 1.0) ** 2)
+        assert np.max(np.abs(q - q_dense)) <= 1e-12 * np.max(np.abs(q_dense))
+        assert value == pytest.approx(value_dense, rel=1e-12)
+        assert np.array_equal(final(w), A)
+        assert trace.factor is None and (trace.prox_rank, trace.prox_fallbacks) == (0, 0)
 
     @pytest.mark.parametrize("scale", [1e-4, 1e-2])
     def test_output_exactly_symmetric_and_deterministic(self, rng, scale):

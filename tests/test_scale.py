@@ -6,7 +6,6 @@ from adakern.kernel import gaussian_gram
 from adakern.scale import (
     BlockSolution,
     Partition,
-    block_kernel,
     bound_report,
     cross_cluster_mass,
     decomposition_objective,
@@ -19,7 +18,7 @@ from adakern.scale import (
 from adakern.solver import SolverConfig, solve
 from adakern.svm import train
 
-from conftest import two_blobs
+from conftest import block_kernel, two_blobs
 
 
 def config(**kwargs):
@@ -148,7 +147,7 @@ class TestLemmaEquivalence:
         K_bar = block_kernel(K, p)
         state, F_masked, _ = solve(K_bar, y, cfg, with_equality=False)
         blocks = solve_blocks(Xs, y, p, 0.6, cfg)
-        F_ext = blocks.adaptive_dense(fill=1.0)
+        F_ext = blocks.adaptive_dense()
         H_masked = decomposition_objective(state.alpha, y, K_bar, F_masked, cfg.eta)
         H_blocks = decomposition_objective(blocks.alpha_bar, y, K_bar, F_ext, cfg.eta)
         assert abs(H_masked - H_blocks) < 1e-6 * max(1.0, abs(H_masked))
@@ -234,6 +233,16 @@ class TestBoundReport:
         assert report.warnings
 
 
+def dense_screen(blocks, K, partition, y, B, B2, C, kappa=1.0):
+    """The screening sets from the assembled F_bar and the masked K_bar."""
+    K_bar = block_kernel(K, partition)
+    alpha = blocks.alpha_bar
+    grad = 1.0 - y * ((blocks.adaptive_dense() * K_bar) @ (y * alpha))
+    threshold = (B + B2) * C * (np.abs(K_bar).sum(axis=0) + kappa)
+    return (np.flatnonzero((alpha == 0.0) & (grad <= -threshold)),
+            np.flatnonzero((alpha == 0.0) & (grad <= threshold)))
+
+
 class TestScreening:
     def test_gradient_one_yields_empty_set(self):
         p = Partition(assignment=np.array([0, 0, 1, 1]), n_clusters=2)
@@ -241,8 +250,25 @@ class TestScreening:
                                blocks=[np.ones((2, 2))] * 2, traces=[None, None])
         K = np.eye(4)
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        out = screen_nonsupport(blocks, block_kernel(K, p), y, B=0.1, B2=1.1, C=1.0)
-        assert out.size == 0
+        strict, positive = screen_nonsupport(blocks, K, y, B=0.1, B2=1.1, C=1.0)
+        assert strict.size == 0
+        # the positive threshold 1.2 (1 + 1) lies above the gradient 1
+        assert np.array_equal(positive, np.arange(4))
+
+    def test_blockwise_sets_match_dense_assembly(self):
+        X, y = two_blobs(80, separation=3.0, seed=31)
+        from adakern.data import apply_minmax, fit_minmax
+        Xs = apply_minmax(fit_minmax(X), X)
+        cfg = config(eta=10.0)
+        K = gaussian_gram(Xs, 0.4)
+        for v, B, B2 in ((3, 0.0, 1e-3), (4, 1e-4, 1e-3), (8, 0.0, 1e-2)):
+            p = kmeans_partition(Xs, v, seed=7)
+            blocks = solve_blocks(Xs, y, p, 0.4, cfg)
+            sets = screen_nonsupport(blocks, K, y, B, B2, 1.0, kappa=0.5)
+            reference = dense_screen(blocks, K, p, y, B, B2, 1.0, kappa=0.5)
+            assert sets[0].size and sets[1].size > sets[0].size
+            for got, want in zip(sets, reference):
+                assert np.array_equal(got, want)
 
     def test_strict_set_has_no_false_positives(self):
         X, y = two_blobs(80, separation=3.0, seed=31)
@@ -259,6 +285,15 @@ class TestScreening:
             assert alpha_star[i] <= 1e-8
         # the positive-threshold variant is the diagnostic superset
         assert set(report.screened_indices) <= set(report.screened_positive_indices)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -5.0])
+    def test_bad_kappa_rejected(self, kappa):
+        p = Partition(assignment=np.array([0, 0, 1, 1]), n_clusters=2)
+        blocks = BlockSolution(partition=p, alpha_bar=np.zeros(4),
+                               blocks=[np.ones((2, 2))] * 2, traces=[None, None])
+        with pytest.raises(ParameterError):
+            bound_report(blocks, np.eye(4), p, config(), np.array([1.0, -1.0, 1.0, -1.0]),
+                         kappa=kappa)
 
 
 class TestTrainScalable:

@@ -105,8 +105,12 @@ class TestWeightedGram:
                 assert np.isclose(G[i, j], a[i] * y[i] * K[i, j] * a[j] * y[j] / (4 * eta))
 
     def test_shape_mismatch(self, rng):
+        for tau, frozen in ((0.0, False), (0.01, False), (0.0, True)):
+            with pytest.raises(DataError):
+                dual_objective(np.zeros(3), labels(3), toy_kernel(rng, 4),
+                               SolverConfig(C=1.0, tau=tau, eta=1.0), freeze_f=frozen)
         with pytest.raises(DataError):
-            solver._adaptive_prox(np.zeros(3), toy_kernel(rng, 4), 0.0, 1.0)
+            solver._adaptive_prox(np.zeros(3), toy_kernel(rng, 4), 0.01, 1.0)
         with pytest.raises(DataError):
             solve(toy_kernel(rng, 4), labels(3), SolverConfig(C=1.0, eta=1.0))
 
@@ -570,15 +574,17 @@ def test_dual_state_validation(rng):
         bad.validate(1.5)
 
 
-def dense_prox(A, threshold, floor=0.0):
+def dense_prox(A, threshold):
     """A full eigendecomposition on every call: the reference for the certified prox.
 
-    F is returned unfactored, so a solve running on it also takes the dense
-    gradient and value formulas.
+    A is PSD, so F = W W' with W = V sqrt(shrunk) over the eigenpairs above
+    the threshold.
     """
-    B, shrunk = dense_soft_threshold(A, threshold)
-    return SpectralProx(None, float(np.sum(np.abs(shrunk))), int(np.count_nonzero(shrunk)),
-                        True, unfactored=B)
+    values, vectors = np.linalg.eigh(0.5 * (A + A.T))
+    kept = values > threshold
+    shrunk = values[kept] - threshold
+    return SpectralProx(vectors[:, kept] * np.sqrt(shrunk), float(np.sum(shrunk)),
+                        int(np.count_nonzero(kept)), True)
 
 
 def dense_gram_prox(K, w, scale, threshold, floor=0.0, start=None):
@@ -687,6 +693,48 @@ class TestCertifiedProx:
         assert (svr_trace.prox_fallbacks, svr_trace.prox_rank) == (0, 0)
         assert np.all(np.isfinite(F)) and np.all(np.isfinite(F_svr))
 
+    def test_zero_tau_forms_the_adaptive_matrix_once(self, monkeypatch):
+        # The closed form needs no n x n adaptive matrix inside the loop:
+        # F = 11' + diag(w) K diag(w) / (4 eta) is formed once, for the result.
+        calls = [0]
+        original = np.outer
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        X, y = two_blobs(40, seed=6)
+        K = gaussian_gram(X, 0.8)
+        cfg = SolverConfig(C=1.0, tau=0.0, eta=2.0, t_max=50, tol=1e-300)
+        runs = ((lambda: solve(K, y, cfg), lambda state: state.alpha * y),
+                (lambda: solve_svr(K, y, cfg, epsilon=0.1), lambda state: state.difference))
+        for run, weights in runs:
+            calls[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(np, "outer", counted)
+                state, F, trace = run()
+            assert (trace.iterations, calls[0]) == (50, 1)
+            assert np.array_equal(F, adaptive_matrix(weights(state), K, 0.0, cfg.eta))
+
+
+class TestZeroTauClosedForm:
+    def test_value_functions_match_dense_reference(self, rng):
+        # 1 - Y(F o K)Ya and h(a) against F = 11' + diag(a o y) K diag(a o y) / (4 eta).
+        n, eta = 60, 0.7
+        K = toy_kernel(rng, n)
+        y = labels(n)
+        cfg = SolverConfig(C=10.0, tau=0.0, eta=eta)
+        for C in (0.1, 1.0, 10.0):
+            a = random_feasible(rng, y, C)
+            w = a * y
+            F = adaptive_matrix(w, K, 0.0, eta)
+            q = (F * K) @ w
+            g_ref = 1.0 - y * q
+            h_ref = a.sum() - 0.5 * w @ q + eta * np.sum((F - 1.0) ** 2)
+            g = dual_gradient(a, y, K, cfg)
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+            assert abs(dual_objective(a, y, K, cfg) - h_ref) <= 1e-12 * abs(h_ref)
+
 
 def exact_deviation_sq(W):
     """||W W' - 11'||_F^2 in exact rational arithmetic on the float entries of W."""
@@ -701,11 +749,17 @@ def exact_deviation_sq(W):
     return total
 
 
+def factored_term(monkeypatch, prox, K, tau, eta):
+    """The solvers' adaptive term at tau > 0 with the prox pinned to ``prox``."""
+    monkeypatch.setattr(solver, "gram_soft_threshold", lambda *args: prox)
+    return solver._adaptive_term(K, tau, eta, 0.0, solver.SolveTrace(), False)[0]
+
+
 class TestFactoredEvaluation:
     """The solvers' gradient and value from the factor W against the dense formulas."""
 
     @pytest.mark.parametrize("r", [0, 1, 3, 8])
-    def test_matches_dense_formulas(self, rng, r):
+    def test_matches_dense_formulas(self, rng, monkeypatch, r):
         n, tau, eta = 60, 0.05, 1.7
         K = toy_kernel(rng, n)
         for scale in (1.0, 0.05):
@@ -714,7 +768,8 @@ class TestFactoredEvaluation:
             nuclear = float(np.sum(W * W))
             w = rng.uniform(-1.0, 1.0, n)
             base = float(rng.uniform(-5.0, 5.0))
-            q, value = solver._evaluate(SpectralProx(W, nuclear, r, False), K, w, base, tau, eta)
+            q, value = factored_term(monkeypatch, SpectralProx(W, nuclear, r, False),
+                                     K, tau, eta)(w, base)
             q_dense = (F * K) @ w
             value_dense = (base - 0.5 * w @ q_dense + eta * np.sum((F - 1.0) ** 2)
                            + tau * eta * nuclear)
@@ -730,8 +785,7 @@ class TestFactoredEvaluation:
             W = 1e-6 * rng.normal(size=(n, r))
             W[:, 0] += sign
             exact = exact_deviation_sq(W)
-            _, value = solver._evaluate(SpectralProx(W, 0.0, r, False), np.eye(n),
-                                        np.zeros(n), 0.0, 0.0, 1.0)
+            value = solver._deviation_sq(W)
             assert abs(value - float(exact)) <= 1e-12 * float(exact)
 
     def test_frozen_factor_gives_standard_svm_bits(self, rng):
@@ -740,9 +794,14 @@ class TestFactoredEvaluation:
         K = toy_kernel(rng, n)
         y = labels(n)
         a = random_feasible(rng, y, 1.0)
-        q, value = solver._evaluate(solver._frozen_prox(n), K, y * a, float(np.sum(a)), 0.0, 1.0)
+        trace = solver.SolveTrace()
+        term, final = solver._adaptive_term(K, 0.0, 1.0, 0.0, trace, True)
+        q, value = term(y * a, float(np.sum(a)))
         assert np.array_equal(1.0 - y * q, 1.0 - y * (K @ (y * a)))
         assert value == float(np.sum(a)) - 0.5 * float((y * a) @ q)
+        assert np.array_equal(final(y * a), np.ones((n, n)))
+        assert np.array_equal(trace.factor, np.ones((n, 1)))
+        assert (trace.prox_fallbacks, trace.prox_rank) == (0, 0)
 
     def test_warm_started_prox_matches_cold_along_a_solve(self, monkeypatch):
         # Rayleigh-Ritz steps are counted by the small eigh calls they make.

@@ -1,0 +1,60 @@
+"""No public function or class of the package exists only for the tests.
+
+A public (no leading underscore) top-level function or class of a module
+in ``src/adakern`` must be referenced by name from ``src/``, outside its
+own definition, or from ``perfbench/``.  References are names and
+attribute accesses in the syntax tree; an import alone, such as a re-export
+in ``__init__.py``, does not count.  The synthetic generators ``data.gen_*``
+are the paper's datasets and documented API, so they are excepted.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "adakern"
+
+
+def public_definitions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def referenced_names(path: Path) -> set[str]:
+    """The names a file uses; a top-level definition's uses of its own name do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != owner:
+                found.add(name)
+    return found
+
+
+def test_public_names_are_used_outside_the_tests():
+    sources = sorted(PACKAGE.glob("*.py"))
+    used = set()
+    for path in sources + sorted((ROOT / "perfbench").glob("*.py")):
+        used |= referenced_names(path)
+    test_only = [f"{path.stem}.{name}" for path in sources
+                 for name in public_definitions(path)
+                 if name not in used and not (path.stem == "data" and name.startswith("gen_"))]
+    assert not test_only, f"public but referenced only from tests/: {test_only}"
+
+
+def test_a_name_used_only_by_itself_counts_as_unused(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def lonely(n):\n    return lonely(n - 1) if n else 0\n\n\n"
+                    "def caller():\n    return helper()\n", encoding="utf-8")
+    assert public_definitions(path) == ["lonely", "caller"]
+    used = referenced_names(path)
+    assert "lonely" not in used and "helper" in used

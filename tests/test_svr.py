@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import adakern.solver as solver
-from adakern.errors import DataError
+from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram
 from adakern.solver import SolverConfig
 from adakern.svr import (
@@ -144,6 +144,25 @@ class TestGradients:
             assert abs(gc[i] - fd_c) < 1e-5
 
 
+    def test_zero_tau_matches_dense_reference(self, rng):
+        # Against F = 11' + diag(hat - check) K diag(hat - check) / (4 eta).
+        n, eta, eps = 50, 0.6, 0.05
+        K = gaussian_gram(rng.normal(size=(n, 2)), 0.7)
+        y = rng.uniform(0.0, 1.0, n)
+        cfg = config(C=5.0, tau=0.0, eta=eta)
+        for C in (0.1, 1.0, 5.0):
+            ah, ac = box_pair(rng, n, C)
+            w = ah - ac
+            F = adaptive_matrix(w, K, 0.0, eta)
+            q = (F * K) @ w
+            h_ref = (w @ y - eps * np.sum(ah + ac) - 0.5 * w @ q
+                     + eta * np.sum((F - 1.0) ** 2))
+            for g, g_ref in zip(svr_gradients(ah, ac, K, y, eps, cfg),
+                                (-eps - q + y, -eps + q - y)):
+                assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+            assert abs(svr_objective(ah, ac, y, K, eps, cfg) - h_ref) <= 1e-12 * abs(h_ref)
+
+
 class TestLipschitz:
     def test_formula_value(self):
         # n=2, C=1, ||K||_F^2 = 2, eta=1 -> 2 (2 + 9*2*2/4) = 22
@@ -210,6 +229,11 @@ class TestSolve:
         state, _, _ = solve_svr(K, np.zeros(n), config(tau=0.0), epsilon=0.1)
         assert np.allclose(state.alpha_hat, 0.0, atol=1e-10)
         assert np.allclose(state.alpha_check, 0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.1])
+    def test_bad_epsilon_rejected(self, epsilon):
+        with pytest.raises(ParameterError):
+            solve_svr(np.eye(4), np.zeros(4), config(), epsilon=epsilon)
 
     def test_indefinite_kernel_rejected(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
