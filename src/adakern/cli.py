@@ -48,11 +48,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="fit a model and write it to disk")
     _add_solver_flags(p)
     p.add_argument("--task", choices=("svm", "svr"), default="svm")
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--epsilon", type=float, help="--task svr only (default 0.1)")
     p.add_argument("--mode", choices=("exact", "scalable"), default="exact")
     p.add_argument("--clusters", help="cluster count (--mode scalable only; default 1)")
     p.add_argument("--cv", action="store_true")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, help="--cv only (default 5)")
     p.add_argument("--model", required=True, help="output model path")
 
     p = sub.add_parser("predict", help="predict labels/values for a dataset")
@@ -132,6 +132,12 @@ def cmd_train(args) -> int:
         v = _cluster_counts("1" if args.clusters is None else args.clusters)[0]
     elif args.clusters is not None:
         raise ParameterError("--clusters applies to --mode scalable only")
+    if args.epsilon is not None and args.task != "svr":
+        raise ParameterError("--epsilon applies to --task svr only")
+    if args.folds is not None and not args.cv:
+        raise ParameterError("--folds applies to --cv only")
+    epsilon = 0.1 if args.epsilon is None else args.epsilon
+    folds = 5 if args.folds is None else args.folds
     mode = dataio.CLASSIFICATION if args.task == "svm" else dataio.REGRESSION
     ds = _read_dataset(args.data, args.format, mode)
     config = _config_from_args(args)
@@ -140,11 +146,10 @@ def cmd_train(args) -> int:
     if args.cv:
         if args.task == "svm":
             sigma, C, _ = svm.cross_validate(
-                ds.X, ds.y, CV_GRID, CV_GRID, args.folds, args.seed, config)
+                ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config)
         else:
             sigma, C, _ = svr.cross_validate_svr(
-                ds.X, ds.y, CV_GRID, CV_GRID, args.folds, args.seed,
-                config, args.epsilon)
+                ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config, epsilon)
         config = replace(config, C=C)
 
     if args.task == "svm":
@@ -154,7 +159,7 @@ def cmd_train(args) -> int:
         else:
             model = svm.train(ds.X, ds.y, sigma, config)
     else:
-        model = svr.train_svr(ds.X, ds.y, sigma, config, epsilon=args.epsilon)
+        model = svr.train_svr(ds.X, ds.y, sigma, config, epsilon=epsilon)
     model.meta["seed"] = args.seed
     save_model(model, args.model)
 
@@ -216,9 +221,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    scale.check_kappa(args.kappa)
+    counts = _cluster_counts(args.clusters)
     ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
     config = _config_from_args(args)
-    counts = _cluster_counts(args.clusters)
     y, _, Xs, K = svm._training_inputs(ds.X, ds.y, args.sigma)
     config = resolve_eta(K, y, config)
     exact = scale.exact_reference(K, y, config)

@@ -9,22 +9,30 @@ whose product W W' is F bit for bit: a ``rank r`` line and n ``W`` rows of
 r values (none at r = 0), and loading forms F = W W' the same way.  Other
 models store n ``F`` rows, or F blocks for the decomposition mode, as
 format 1 does.  Format 3 drops the ``projection_rounds`` line, a setting
-no solver read.  Files of formats 1 and 2 still load; they must hold that
-line, with a positive integer, as they always did.
+no solver read.  Format 4 stores no F at all when F is the tau = 0 closed
+form of the model's own fields (X, y, the duals, sigma, eta and, for the
+decomposition mode, the cluster assignment) bit for bit: every
+decomposition model, and exact-mode models trained at tau = 0.  Loading
+then forms F with :func:`scale.adaptive_closed_form`, the function
+training used.  A model whose F is neither (say, an edited one) keeps its
+F rows or F blocks.  Files of formats 1 to 3 still load, F blocks
+included; formats 1 and 2 must hold the ``projection_rounds`` line, with a
+positive integer, as they always did.
 """
 
 import numpy as np
 
 from .data import Scaler
 from .errors import DataError, ParameterError
+from .scale import adaptive_closed_form
 from .solver import SolverConfig
 from .svm import SvmModel
 from .svr import SvrModel
 
 FORMAT_NAME = "adakern-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # Versions load_model reads; format 1 has no factor lines.
-_READABLE = ("1", "2", "3")
+_READABLE = ("1", "2", "3", "4")
 
 
 def _fmt(x: float) -> str:
@@ -73,20 +81,17 @@ def save_model(model, path: str) -> None:
     assignment = getattr(model, "assignment", None)
     if assignment is not None:
         lines.append("assignment " + " ".join(str(int(c)) for c in assignment))
-        n_clusters = int(assignment.max()) + 1
-        for c in range(n_clusters):
-            idx = np.flatnonzero(assignment == c)
-            block = model.F[np.ix_(idx, idx)]
-            lines.append(f"block {c} {idx.size}")
-            for row in block:
-                lines.append(f"B {_fmt_vec(row)}")
+        if not _is_closed_form(model, task, assignment):
+            for c in range(int(assignment.max()) + 1):
+                idx = np.flatnonzero(assignment == c)
+                lines.append(f"block {c} {idx.size}")
+                lines.extend(f"B {_fmt_vec(row)}" for row in model.F[np.ix_(idx, idx)])
     elif model.W is not None and np.array_equal(np.dot(model.W, model.W.T), model.F):
         lines.append(f"rank {model.W.shape[1]}")
         if model.W.shape[1]:
             lines.extend(f"W {_fmt_vec(row)}" for row in model.W)
-    else:
-        for row in model.F:
-            lines.append(f"F {_fmt_vec(row)}")
+    elif not (cfg.tau == 0 and _is_closed_form(model, task, None)):
+        lines.extend(f"F {_fmt_vec(row)}" for row in model.F)
 
     lines.append(f"meta_iterations {int(model.meta.get('iterations', 0))}")
     lines.append(f"meta_objective {_fmt(model.meta.get('objective', float('nan')))}")
@@ -96,6 +101,20 @@ def save_model(model, path: str) -> None:
             stream.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise DataError(f"cannot write model {path}: {exc}") from exc
+
+
+def _weights(task: str, values) -> np.ndarray:
+    """The prox weights of a model's duals, by field name: y o alpha, or hat - check."""
+    if task == "svm":
+        return values["y"] * values["alpha"]
+    return values["alpha_hat"] - values["alpha_check"]
+
+
+def _is_closed_form(model, task: str, assignment) -> bool:
+    """Whether ``load_model`` rebuilds the model's F bit for bit from its other fields."""
+    F = adaptive_closed_form(model.X, _weights(task, vars(model)), model.sigma,
+                             model.config.eta, assignment)
+    return np.array_equal(F, model.F)
 
 
 # Lines every model file has besides its X and F rows (or F blocks), and
@@ -241,29 +260,43 @@ def _build(fields, rows, blocks, version: str):
                 raise DataError(f"{key} has length {value.size}, expected {expected}")
 
     X = _matrix(rows["X"], n, d, "X")
+    arrays = [X] + [v for k, v in fields.items() if k in _VECTOR_LENGTHS]
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise DataError("stored arrays contain non-finite values")
     assignment = fields.get("assignment")
     mode = fields["mode"]
     if mode not in ("exact", "scalable") or (assignment is not None) != (mode == "scalable"):
         raise DataError(f"mode {mode!r} does not match the stored F")
+    # From format 4 on, a file leaves out an F that the tau = 0 closed form gives.
+    closed = int(version) >= 4 and not (rows["F"] or rows["W"] or blocks or "rank" in fields)
     W = None
     if assignment is None:
         if blocks:
             raise DataError("F blocks without a cluster assignment")
         W = _factor(fields.get("rank"), rows, n)
-        F = _matrix(rows["F"], n, n, "F") if W is None else np.dot(W, W.T)
+        if W is not None:
+            F = np.dot(W, W.T)
+        elif closed and config.tau == 0:
+            F = adaptive_closed_form(X, _weights(task, fields), sigma, config.eta)
+        else:
+            F = _matrix(rows["F"], n, n, "F")
     else:
         if task != "svm" or rows["F"] or rows["W"] or "rank" in fields or assignment.min() < 0:
-            raise DataError("a cluster assignment needs an SVM model with F blocks")
-        if sorted(blocks) != list(range(assignment.max() + 1)):
+            raise DataError("a cluster assignment needs an SVM model with F blocks or none")
+        if closed:
+            F = adaptive_closed_form(X, _weights(task, fields), sigma, config.eta,
+                                     assignment)
+        elif sorted(blocks) != list(range(assignment.max() + 1)):
             raise DataError("F blocks do not match the cluster assignment")
-        F = np.ones((n, n))
-        for c, (size, rows) in blocks.items():
-            idx = np.flatnonzero(assignment == c)
-            if size != idx.size:
-                raise DataError(f"block {c} declares {size} rows, assignment has {idx.size}")
-            F[np.ix_(idx, idx)] = _matrix(rows, size, size, f"block {c}")
-    arrays = [X, F] + [v for k, v in fields.items() if k in _VECTOR_LENGTHS]
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+        else:
+            F = np.ones((n, n))
+            for c, (size, rows) in blocks.items():
+                idx = np.flatnonzero(assignment == c)
+                if size != idx.size:
+                    raise DataError(f"block {c} declares {size} rows, assignment has "
+                                    f"{idx.size}")
+                F[np.ix_(idx, idx)] = _matrix(rows, size, size, f"block {c}")
+    if not np.all(np.isfinite(F)):
         raise DataError("stored arrays contain non-finite values")
 
     common = dict(X=X, y=fields["y"], F=F, bias=bias, sigma=sigma, config=config,

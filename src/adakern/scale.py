@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram, pairwise_sq_dists
-from .solver import SolverConfig, resolve_eta, solve
+from .solver import SolverConfig, _zero_tau_matrix, resolve_eta, solve
 from .svm import SvmModel, _f_rank, _training_inputs
 
 
@@ -150,6 +150,27 @@ def solve_blocks(X, y, partition: Partition, sigma: float,
                          traces=traces, single_class_blocks=single_class)
 
 
+def adaptive_closed_form(X, w, sigma: float, eta: float, assignment=None) -> np.ndarray:
+    """The adaptive matrix of a tau = 0 model, rebuilt from what the model keeps.
+
+    With no ``assignment`` (exact mode) F = 11' + diag(w) K diag(w) / (4 eta)
+    with K = gaussian_gram(X, sigma); with one, that block for each cluster
+    c, from K_c = gaussian_gram(X[c], sigma) and w[c], and 1 across
+    clusters.  w is the prox weights of the duals (y o alpha, or
+    hat - check).  These are the kernels and the expression
+    (:func:`solver._zero_tau_matrix`) that the solves use, so the result
+    equals the trained F bit for bit; training and ``load_model`` both
+    form F here.
+    """
+    if assignment is None:
+        return _zero_tau_matrix(gaussian_gram(X, sigma), w, eta)
+    F = np.ones((w.size, w.size))
+    for c in range(int(assignment.max()) + 1):
+        idx = np.flatnonzero(assignment == c)
+        F[np.ix_(idx, idx)] = _zero_tau_matrix(gaussian_gram(X[idx], sigma), w[idx], eta)
+    return F
+
+
 def cross_cluster_mass(K, partition: Partition) -> float:
     """Q(pi): total absolute kernel mass across cluster boundaries."""
     K = np.asarray(K, dtype=float)
@@ -164,6 +185,21 @@ def decomposition_objective(alpha, y, K, F, eta: float) -> float:
     dev = np.asarray(F, dtype=float) - 1.0
     return (float(np.sum(alpha)) - 0.5 * float(w @ ((F * K) @ w))
             + eta * float((dev * dev).sum()))
+
+
+def _block_objective(alpha, w, K, F, partition: Partition, eta: float) -> float:
+    """:func:`decomposition_objective` for an F that is 1 off the diagonal blocks.
+
+    With G = F - 11', w'(F o K)w = w'Kw + sum_c w_c'(G_c o K_c)w_c and
+    ||F - 11'||^2 = sum_c ||G_c||^2, so only the blocks are read.
+    """
+    value = float(np.sum(alpha)) - 0.5 * float(w @ (K @ w))
+    for idx in partition.clusters():
+        block = np.ix_(idx, idx)
+        dev = F[block] - 1.0
+        wc = w[idx]
+        value += eta * float((dev * dev).sum()) - 0.5 * float(wc @ ((dev * K[block]) @ wc))
+    return value
 
 
 def screen_nonsupport(block_solution: BlockSolution, K, y, B: float, B2: float,
@@ -192,6 +228,12 @@ def screen_nonsupport(block_solution: BlockSolution, K, y, B: float, B2: float,
             np.flatnonzero(candidate & (grad <= threshold)))
 
 
+def check_kappa(kappa: float) -> None:
+    """Reject a screening kernel bound that is negative or not finite (ParameterError)."""
+    if not 0 <= kappa < np.inf:
+        raise ParameterError(f"kappa must be nonnegative and finite, got {kappa}")
+
+
 def bound_report(approx: BlockSolution, K, partition: Partition,
                  config: SolverConfig, y, exact=None,
                  kappa: float = 1.0) -> BoundReport:
@@ -211,8 +253,7 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
     eta = config.eta
     if eta is None:
         raise ParameterError("eta must be resolved for bound evaluation")
-    if not 0 <= kappa < np.inf:
-        raise ParameterError(f"kappa must be nonnegative and finite, got {kappa}")
+    check_kappa(kappa)
     C = config.C
     n = y.size
 
@@ -285,14 +326,17 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
     """Decomposition-mode training; returns a model with zero bias.
 
     eta resolution uses the standard whole-data SVM protocol, then each
-    k-means block is solved independently and the adaptive matrix is
-    assembled with off-block entries at the neutral value 1.
+    k-means block is solved independently.  The adaptive matrix is the
+    closed form of the block duals (:func:`adaptive_closed_form`), with
+    off-block entries at the neutral value 1; its rank and the objective
+    are read off the blocks, with no n x n eigendecomposition.
     """
     y, scaler, Xs, K = _training_inputs(X, y, sigma)
     config = resolve_eta(K, y, config)
     partition = kmeans_partition(Xs, v, seed)
     blocks = solve_blocks(Xs, y, partition, sigma, config)
-    F = blocks.adaptive_dense()
+    w = y * blocks.alpha_bar
+    F = adaptive_closed_form(Xs, w, sigma, config.eta, partition.assignment)
     meta = {
         "iterations": sum(t.iterations for t in blocks.traces),
         "clusters": v,
@@ -300,10 +344,10 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
         "single_class_blocks": blocks.single_class_blocks,
         "f_min": float(F.min()),
         "f_max": float(F.max()),
-        "f_rank": _f_rank(F),
+        "f_rank": _f_rank(F, None, w),
         "prox_fallbacks": sum(t.prox_fallbacks for t in blocks.traces),
         "prox_rank": max(t.prox_rank for t in blocks.traces),
-        "objective": decomposition_objective(blocks.alpha_bar, y, K, F, config.eta),
+        "objective": _block_objective(blocks.alpha_bar, w, K, F, partition, config.eta),
         "warnings": [],
     }
     return SvmModel(

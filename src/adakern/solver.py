@@ -29,6 +29,7 @@ and the pgd step constant.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,12 +167,7 @@ def _adaptive_term(K, tau: float, eta: float, lam_min_K: float, trace: SolveTrac
             # eta ||F - 11'||_F^2 = (w o w)' K2 (w o w) / (16 eta).
             return q, base - 0.5 * float(w @ q) + float((w * w) @ u) / (16.0 * eta)
 
-        def closed_final(w):
-            F = (K * np.outer(w, w)) / (4.0 * eta)
-            F += 1.0
-            return F
-
-        return closed_term, closed_final
+        return closed_term, lambda w: _zero_tau_matrix(K, w, eta)
 
     n = K.shape[0]
     frozen = SpectralProx(np.ones((n, 1)), float(n), 1, False) if freeze_f else None
@@ -201,6 +197,19 @@ def _adaptive_term(K, tau: float, eta: float, lam_min_K: float, trace: SolveTrac
         return prox.matrix
 
     return term, final
+
+
+def _zero_tau_matrix(K, w, eta: float) -> np.ndarray:
+    """F(w) = 11' + diag(w) K diag(w) / (4 eta), the adaptive matrix at tau = 0.
+
+    The one expression of it: the solve's final F at tau = 0 and the
+    closed-form rebuild of a trained model (:func:`scale.adaptive_closed_form`)
+    both call this, so they agree bit for bit on the same K, w and eta.
+    Where w_i = 0, row and column i are exactly 1.
+    """
+    F = (K * np.outer(w, w)) / (4.0 * eta)
+    F += 1.0
+    return F
 
 
 def _deviation_sq(W) -> float:
@@ -333,11 +342,24 @@ def _check_labels(y, require_both_classes: bool) -> np.ndarray:
     return y
 
 
-def _check_psd_gram(K) -> tuple[np.ndarray, float, float]:
+class _PsdGram(NamedTuple):
+    """A kernel matrix that passed :func:`_check_psd_gram`, with its extreme eigenvalues."""
+
+    K: np.ndarray
+    lam_min: float
+    lam_max: float
+
+
+def _check_psd_gram(K) -> _PsdGram:
     """Reject a K that is not square, symmetric and PSD; returns K, lambda_min(K) and lambda_max(K).
 
-    Symmetric means max |K - K'| <= 1e-12 max(1, ||K||_F).
+    Symmetric means max |K - K'| <= 1e-12 max(1, ||K||_F).  A K that is
+    already a :class:`_PsdGram` is returned as it is, so a trainer checks
+    its kernel once and passes the result to both the eta solve and the
+    main solve.
     """
+    if isinstance(K, _PsdGram):
+        return K
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise DataError(f"kernel matrix must be square, got shape {K.shape}")
@@ -352,7 +374,7 @@ def _check_psd_gram(K) -> tuple[np.ndarray, float, float]:
     lam_min, lam_max = float(evals[0]), float(evals[-1])
     if lam_min < -1e-8 * max(1.0, lam_max):
         raise DataError(f"kernel matrix is not PSD: lambda_min = {lam_min:.3e}")
-    return K, lam_min, lam_max
+    return _PsdGram(K, lam_min, lam_max)
 
 
 def solve(K, y, config: SolverConfig, freeze_f: bool = False,
@@ -363,10 +385,12 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
     where F(a) is the adaptive matrix at a, and stops at t_max or when
     the iterate step drops to ``tol``.
 
-    ``freeze_f`` pins F to the all-one matrix (standard SVM dual; step
-    constant ||K||_F).  ``with_equality=False`` drops the hyperplane
-    constraint so the projection is a plain box clip (used by the
-    block-decomposition mode).  Returns (DualState, F, SolveTrace).
+    K is a symmetric PSD n x n matrix, or the :class:`_PsdGram` of one
+    that passed the check before.  ``freeze_f`` pins F to the all-one
+    matrix (standard SVM dual; step constant ||K||_F).
+    ``with_equality=False`` drops the hyperplane constraint so the
+    projection is a plain box clip (used by the block-decomposition mode).
+    Returns (DualState, F, SolveTrace).
 
     The feasible-set projection inside the loop is computed exactly
     (:func:`project_exact`): the dual-averaging step projects points far
@@ -392,7 +416,8 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
 def _setup(K, n: int, config: SolverConfig, freeze_f: bool, lipschitz):
     """The set-up both solvers share.
 
-    Checks that K is a PSD n x n matrix, warns when tau >= 2n, and picks
+    Checks that K is a PSD n x n matrix (once: a K that already passed
+    the check comes as a :class:`_PsdGram`), warns when tau >= 2n, and picks
     eta and the step constant: ||K||_F with F frozen, the pgd constant from
     lambda_max(K), else ``lipschitz(n, C, K, eta)``.  Returns the step
     constant, a new trace and the solve's adaptive term and final F
@@ -499,8 +524,10 @@ def resolve_eta(K, y, config: SolverConfig, epsilon: float | None = None) -> Sol
     """Fill in ``eta`` from a preliminary standard (frozen-F) solve when unset.
 
     The classifier's dual is solved, or with ``epsilon`` given the SVR dual
-    on targets y.  eta is w'w for that solve's prox weights w (y o alpha,
-    or hat - check); when they vanish it falls back to 0.1 C^2.
+    on targets y; K may be the :class:`_PsdGram` of a kernel checked
+    before, which that solve does not check again.  eta is w'w for the
+    solve's prox weights w (y o alpha, or hat - check); when they vanish it
+    falls back to 0.1 C^2.
     """
     if config.eta is not None:
         return config

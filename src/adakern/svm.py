@@ -7,7 +7,7 @@ import numpy as np
 from .data import Scaler, apply_minmax, fit_minmax, kfold
 from .errors import DataError
 from .kernel import cross_gram, gaussian_gram, pairwise_sq_dists
-from .solver import SolverConfig, SolveTrace, _check_labels, resolve_eta, solve
+from .solver import SolverConfig, SolveTrace, _check_labels, _check_psd_gram, resolve_eta, solve
 
 # Relative margin for calling a dual coordinate interior to (0, C).
 _MARGIN_RTOL = 1e-6
@@ -105,13 +105,14 @@ def train(X, y, sigma: float, config: SolverConfig,
     keeps F at the all-one matrix, which is the plain SVM baseline.
     """
     y, scaler, Xs, K = _training_inputs(X, y, sigma)
+    gram = _check_psd_gram(K)
     if not freeze_f:
-        config = resolve_eta(K, y, config)
-    state, F, trace = solve(K, y, config, freeze_f=freeze_f)
+        config = resolve_eta(gram, y, config)
+    state, F, trace = solve(gram, y, config, freeze_f=freeze_f)
     state.validate(config.C)
     bias = recover_bias(state.alpha, y, F, K, config.C)
     meta = {**_trace_meta(trace), "f_min": float(F.min()), "f_max": float(F.max()),
-            "f_rank": _f_rank(F, trace.factor)}
+            "f_rank": _f_rank(F, trace.factor, y * state.alpha)}
     return SvmModel(
         X=Xs, y=y, alpha=state.alpha, F=F, bias=bias, sigma=sigma,
         config=config, scaler=scaler, meta=meta, W=trace.factor,
@@ -130,14 +131,25 @@ def _trace_meta(trace: SolveTrace) -> dict:
     }
 
 
-def _f_rank(F: np.ndarray, factor: np.ndarray | None = None) -> int:
+def _f_rank(F: np.ndarray, factor: np.ndarray | None, w: np.ndarray) -> int:
     """Numerical rank of F: its eigenvalues above 1e-6 of the largest.
 
     The squared column norms of a factor W (F = W W') are F's nonzero
-    spectrum, so with W given no eigendecomposition runs.
+    spectrum, so with W given no eigendecomposition runs.  Without one, F
+    is the tau = 0 closed form 11' + G, where G is zero outside the rows
+    and columns S at which the prox weights w are nonzero (s of them).
+    F's range then lies in that of Q = [e_S, 1_{S^c} / sqrt(n - s)], whose
+    columns are orthonormal, so F's nonzero spectrum is that of the
+    (s + 1) x (s + 1) matrix Q'FQ: F_SS bordered by sqrt(n - s) 1, with
+    n - s in the corner (no border when s = n; just [n] when s = 0).
     """
     if factor is None:
-        spectrum = np.linalg.eigvalsh(0.5 * (F + F.T))
+        S = np.flatnonzero(w)
+        rest = w.size - S.size
+        compressed = np.full((S.size + 1, S.size + 1), np.sqrt(rest))
+        compressed[:-1, :-1] = F[np.ix_(S, S)]
+        compressed[-1, -1] = rest
+        spectrum = np.linalg.eigvalsh(compressed if rest else compressed[:-1, :-1])
     else:
         spectrum = np.einsum("ij,ij->j", factor, factor)
     top = float(spectrum.max(initial=0.0))

@@ -10,6 +10,7 @@ from .solver import (
     SolverConfig,
     _ascend,
     _at_point,
+    _check_psd_gram,
     _setup,
     project_exact,
     resolve_eta,
@@ -133,8 +134,9 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
     state [hat; check] with ascent step 1/(2L) and dual-averaging step
     1/(4L); the feasible set is the box on both blocks plus the equality
     constraint on the difference.  Stops when the step of hat - check
-    drops to ``tol`` or at t_max.  K must be symmetric and PSD, as for
-    the classifier solver (DataError otherwise); the adaptive matrix comes
+    drops to ``tol`` or at t_max.  K must be symmetric and PSD, or the
+    :class:`solver._PsdGram` of such a K, as for the classifier solver
+    (DataError otherwise); the adaptive matrix comes
     from the same adaptive term (:func:`solver._adaptive_term`).  epsilon
     must be nonnegative and finite (ParameterError otherwise).  Returns
     (SvrDualState, F, SolveTrace).
@@ -191,10 +193,11 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = 0.1,
     y, scaler, Xs, K = _training_inputs(X, y, sigma, classes=False)
     y_scaler = fit_minmax(y[:, None])
     ys = apply_minmax(y_scaler, y[:, None])[:, 0]
+    gram = _check_psd_gram(K)
     if not freeze_f:
-        config = resolve_eta(K, ys, config, epsilon=epsilon)
+        config = resolve_eta(gram, ys, config, epsilon=epsilon)
 
-    state, F, trace = solve_svr(K, ys, config, epsilon, freeze_f=freeze_f)
+    state, F, trace = solve_svr(gram, ys, config, epsilon, freeze_f=freeze_f)
     state.validate(config.C)
     bias = recover_bias_svr(state.alpha_hat, state.alpha_check, ys, F, K,
                             config.C, epsilon)

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,6 +293,110 @@ class TestFormatV2:
         assert loaded.W is None and np.array_equal(loaded.F, edited.F)
 
 
+def _format_3_blocks(text, model):
+    """The format 3 file of a decomposition model saved as format 4: its F blocks added."""
+    lines = text.replace(f"adakern-model {FORMAT_VERSION}\n", "adakern-model 3\n", 1).splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("assignment ")) + 1
+    blocks = []
+    for c in range(int(model.assignment.max()) + 1):
+        idx = np.flatnonzero(model.assignment == c)
+        blocks.append(f"block {c} {idx.size}")
+        blocks.extend("B " + " ".join(f"{v:.17e}" for v in row)
+                      for row in model.F[np.ix_(idx, idx)])
+    return "\n".join(lines[:at] + blocks + lines[at:]) + "\n"
+
+
+class TestFormatV4:
+    @staticmethod
+    def closed_form_models():
+        from adakern.scale import train_scalable
+        from adakern.solver import SolverConfig
+        from adakern.svm import train
+        from adakern.svr import train_svr
+        X, y = two_blobs(40, seed=21)
+        config = SolverConfig(C=1.0, tau=0.0, eta=0.5, t_max=80)
+        return X, {
+            "scalable-v1": train_scalable(X, y, 0.6, replace(config, tau=0.01), 1, 0),
+            "scalable-v3": train_scalable(X, y, 0.6, replace(config, tau=0.01), 3, 0),
+            "exact-svm": train(X, y, 0.6, config),
+            "exact-svr": train_svr(X, X[:, 0], 0.6, config, epsilon=0.05),
+        }
+
+    def test_closed_form_models_store_no_F(self, tmp_path):
+        X, models = self.closed_form_models()
+        probe = X[:15] + 0.05
+        for name, model in models.items():
+            path = str(tmp_path / f"{name}.model")
+            save_model(model, path)
+            with open(path) as stream:
+                keys = {line.split(" ", 1)[0] for line in stream}
+            assert not keys & {"F", "B", "block", "W", "rank"}, name
+            loaded = load_model(path)
+            assert np.array_equal(loaded.F, model.F), name
+            assert loaded.W is None and np.array_equal(loaded.X, model.X)
+            predict = "decision_function" if hasattr(model, "alpha") else "predict"
+            assert np.array_equal(getattr(loaded, predict)(probe),
+                                  getattr(model, predict)(probe)), name
+
+    def test_format_3_scalable_file_still_loads(self, tmp_path):
+        X, models = self.closed_form_models()
+        model = models["scalable-v3"]
+        path = str(tmp_path / "v4.model")
+        save_model(model, path)
+        with open(path) as stream:
+            v3 = _format_3_blocks(stream.read(), model)
+        assert v3.count("\nblock ") == 3
+        loaded = load_model(_write(str(tmp_path / "v3.model"), v3))
+        assert np.array_equal(loaded.F, model.F) and loaded.mode == "scalable"
+        # A format 3 file must hold its blocks.
+        bare = re.sub(r"\n(block|B) [^\n]*", "", v3)
+        with pytest.raises(DataError, match="blocks"):
+            load_model(_write(str(tmp_path / "bare.model"), bare))
+
+    def test_edited_F_keeps_its_rows(self, tmp_path):
+        X, models = self.closed_form_models()
+        for name, key, i in (("scalable-v3", "B", 5), ("exact-svm", "F", 3),
+                             ("exact-svr", "F", 3)):
+            model = models[name]
+            F = model.F.copy()
+            F[i, i] += 1e-3
+            edited = replace(model, F=F)
+            path = str(tmp_path / "edited.model")
+            save_model(edited, path)
+            with open(path) as stream:
+                assert f"\n{key} " in stream.read()
+            assert np.array_equal(load_model(path).F, F)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t: t.replace("\nmeta_iterations", "\nB" + " 1.0" * 14 + "\nmeta_iterations"),
+        lambda t: re.sub(r"(\nassignment [^\n]*)", r"\1 0", t, count=1),
+        lambda t: re.sub(r"(\nassignment [^\n]*) \d+\n", r"\1\n", t, count=1),
+        lambda t: t.replace(f"adakern-model {FORMAT_VERSION}", "adakern-model 3", 1),
+    ], ids=["stray-B-line", "assignment-too-long", "assignment-too-short", "no-blocks-in-v3"])
+    def test_scalable_defects_exit_2(self, mutate, saved_models, tmp_path, capsys):
+        text, data = saved_models["scalable"]
+        assert "\nassignment " in text and "\nblock " not in text
+        mutated = mutate(text)
+        assert mutated != text
+        code, _, err = run(["predict", "--model", _write(str(tmp_path / "bad.model"), mutated),
+                            "--data", data], capsys)
+        assert (code, err.startswith("data error")) == (2, True)
+
+    @pytest.mark.parametrize("tau", ["1.00000000000000002e-02", None])
+    def test_exact_file_without_F_needs_tau_zero_and_format_4(self, tau, tmp_path):
+        X, models = self.closed_form_models()
+        path = str(tmp_path / "m.model")
+        save_model(models["exact-svm"], path)
+        with open(path) as stream:
+            text = stream.read()
+        if tau is None:
+            text = text.replace(f"adakern-model {FORMAT_VERSION}", "adakern-model 3", 1)
+        else:
+            text = re.sub(r"\ntau \S+", f"\ntau {tau}", text, count=1)
+        with pytest.raises(DataError, match="stored F"):
+            load_model(_write(path, text))
+
+
 class TestScalableVsExact:
     def test_single_cluster_matches_no_bias_reference(self, tmp_path, capsys):
         # --mode scalable --clusters 1 must predict exactly like the exact
@@ -483,6 +588,37 @@ class TestExitCodes:
                               "--t-max", "5", "--clusters", "2", "--kappa", kappa], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("usage error: kappa must be nonnegative and finite")
+
+    @pytest.mark.parametrize("kappa", ["nan", "-1"])
+    def test_bounds_bad_kappa_stops_before_any_solve(self, kappa, toy_file, monkeypatch,
+                                                     capsys):
+        from adakern import scale
+
+        def fail(*args, **kwargs):
+            raise AssertionError("solved before the kappa check")
+
+        for name in ("exact_reference", "solve_blocks", "kmeans_partition"):
+            monkeypatch.setattr(scale, name, fail)
+        monkeypatch.setattr("adakern.cli.resolve_eta", fail)
+        path, _ = toy_file
+        code, out, err = run(["bounds", "--data", path, "--clusters", "2",
+                              "--kappa", kappa], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: kappa must be nonnegative and finite")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--epsilon", "7"], "--epsilon applies to --task svr only"),
+        (["--task", "svm", "--epsilon", "0.1"], "--epsilon applies to --task svr only"),
+        (["--folds", "3"], "--folds applies to --cv only"),
+        (["--task", "svr", "--folds", "3"], "--folds applies to --cv only"),
+    ], ids=["svm-epsilon", "explicit-svm-epsilon", "folds-without-cv", "svr-folds-without-cv"])
+    def test_train_flag_that_is_not_read_is_usage_error(self, argv, message, toy_file,
+                                                        tmp_path, capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        code, out, err = run(["train", "--data", path, "--model", model_path] + argv, capsys)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+        assert not os.path.exists(model_path)
 
     def test_unwritable_model_path_is_data_error(self, toy_file, tmp_path, capsys):
         path, _ = toy_file

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from adakern.data import apply_minmax, fit_minmax, gen_two_class_toy
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram
 from adakern.scale import (
     BlockSolution,
     Partition,
+    adaptive_closed_form,
     bound_report,
     cross_cluster_mass,
     decomposition_objective,
@@ -333,3 +335,50 @@ class TestTrainScalable:
         assert np.array_equal(model.F, F)
         assert np.array_equal(model.decision_function(probe),
                               reference.decision_function(probe))
+
+
+class TestClosedFormModel:
+    """The decomposition model's F, rank and objective come from its blocks."""
+
+    @staticmethod
+    def scalable(eta, v=5, n=400):
+        ds = gen_two_class_toy(n, seed=1)
+        return train_scalable(ds.X, ds.y, 0.05, SolverConfig(C=1.0, tau=0.0, eta=eta, t_max=100),
+                              v, 1)
+
+    def test_closed_form_equals_the_block_solves(self):
+        X, y = two_blobs(40, seed=15)
+        Xs = apply_minmax(fit_minmax(X), X)
+        cfg = config(eta=0.5, t_max=200)
+        for v in (1, 3):
+            p = kmeans_partition(Xs, v, seed=2)
+            blocks = solve_blocks(Xs, y, p, 0.6, cfg)
+            F = adaptive_closed_form(Xs, y * blocks.alpha_bar, 0.6, cfg.eta, p.assignment)
+            assert np.array_equal(F, blocks.adaptive_dense())
+            model = train_scalable(X, y, 0.6, cfg, v, 2)
+            assert np.array_equal(model.F, F) and np.array_equal(model.alpha, blocks.alpha_bar)
+        # No assignment: the exact-mode tau = 0 F of the whole problem.
+        K = gaussian_gram(Xs, 0.6)
+        state, F, _ = solve(K, y, cfg)
+        assert np.array_equal(adaptive_closed_form(Xs, y * state.alpha, 0.6, cfg.eta), F)
+
+    def test_no_n_by_n_eigendecomposition(self, monkeypatch):
+        shapes = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda A, *a, f=original, **k: shapes.append(A.shape) or f(A, *a, **k))
+        model = self.scalable(1e4)
+        support = np.count_nonzero(model.alpha)
+        assert 0 < support < 399 and (support + 1, support + 1) in shapes
+        assert max(shape[0] for shape in shapes) < 400
+
+    @pytest.mark.parametrize("eta, rank", [(1e4, 1), (0.015, 2), (0.09, 10)])
+    def test_f_rank_and_objective_match_the_dense_formulas(self, eta, rank):
+        model = self.scalable(eta)
+        evals = np.linalg.eigvalsh(model.F)
+        assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) == rank
+        K = gaussian_gram(model.X, model.sigma)
+        dense = decomposition_objective(model.alpha, model.y, K, model.F, eta)
+        assert abs(model.meta["objective"] - dense) <= 1e-12 * abs(dense)
+        assert model.meta["f_min"] == model.F.min() and model.meta["f_max"] == model.F.max()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adakern import svm
-from adakern.data import apply_minmax, gen_two_class_toy, inverse_minmax
+from adakern.data import apply_minmax, fit_minmax, gen_two_class_toy, inverse_minmax
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import cross_gram, gaussian_gram
 from adakern.scale import train_scalable
@@ -107,8 +107,9 @@ class TestTrain:
         assert model.meta["prox_fallbacks"] == 0 and model.meta["prox_rank"] >= 1
 
     def test_f_rank_from_the_factor(self, monkeypatch):
-        # One eigvalsh of K per solve (eta solve, adaptive solve) and none of F:
-        # the rank is read off the factor's column norms, with the same cut.
+        # One eigvalsh of K per train (its check serves the eta solve and the
+        # adaptive solve) and none of F: the rank is read off the factor's
+        # column norms, with the same cut.
         ds = gen_two_class_toy(80, seed=5)
         calls = []
         original = np.linalg.eigvalsh
@@ -116,12 +117,82 @@ class TestTrain:
         for sigma in (0.25, 0.05):
             calls.clear()
             model = train(ds.X, ds.y, sigma, small_config())
-            assert len(calls) == 2
+            assert len(calls) == 1
             evals = original(model.F)
             assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) >= 1
             assert model.meta["f_rank"] == model.W.shape[1]
         frozen = train(ds.X, ds.y, 0.25, small_config(), freeze_f=True)
         assert frozen.meta["f_rank"] == 1 and np.array_equal(frozen.F, np.ones((80, 80)))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.01])
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    def test_one_kernel_check_per_train(self, task, tau, monkeypatch):
+        # With eta unset the eta solve and the main solve share one check of
+        # K: one eigvalsh of K per train.  At tau = 0 the classifier's rank
+        # takes one more, of the compressed (s + 1) x (s + 1) matrix, which
+        # is n x n here since every point is a support vector.
+        ds = gen_two_class_toy(60, seed=8)
+        K = gaussian_gram(apply_minmax(fit_minmax(ds.X), ds.X), 0.3)
+        inputs = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: inputs.append(A) or original(A))
+        config = small_config(tau=tau, t_max=200)
+        if task == "svm":
+            train(ds.X, ds.y, 0.3, config)
+        else:
+            train_svr(ds.X, ds.X[:, 0], 0.3, config, epsilon=0.05)
+        assert sum(A.shape == K.shape and np.array_equal(A, K) for A in inputs) == 1
+        rank_calls = 1 if (task, tau) == ("svm", 0.0) else 0
+        assert sum(A.shape == K.shape for A in inputs) == 1 + rank_calls
+
+    @pytest.mark.parametrize("defect, message", [
+        ("asymmetric", "not symmetric"), ("indefinite", "not PSD"), ("non-square", "square"),
+    ])
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    def test_one_kernel_check_keeps_every_rejection(self, task, defect, message, monkeypatch):
+        ds = gen_two_class_toy(20, seed=8)
+
+        def bad_gram(X, sigma):
+            K = gaussian_gram(X, sigma)
+            if defect == "asymmetric":
+                K[0, 1] += 1e-3
+            elif defect == "indefinite":
+                K -= 2.0 * np.eye(len(K))
+            else:
+                K = np.hstack([K, K[:, :1]])
+            return K
+
+        monkeypatch.setattr(svm, "gaussian_gram", bad_gram)
+        for eta in (None, 1.0):
+            with pytest.raises(DataError, match=message):
+                if task == "svm":
+                    train(ds.X, ds.y, 0.3, small_config(eta=eta))
+                else:
+                    train_svr(ds.X, ds.X[:, 0], 0.3, small_config(eta=eta), epsilon=0.05)
+
+    @pytest.mark.parametrize("rank", [1, 2, 7, 10])
+    def test_compressed_rank_matches_dense_count(self, rank, rng):
+        # F = 11' + diag(w) K diag(w) / (4 eta) with K of rank r - 1 has rank
+        # min(r - 1, s) + 1 for s nonzero weights; s runs over 0 (F = 11'),
+        # fewer than r - 1, some, n - 1 and n (no border).
+        n, eta = 40, 0.5
+        Z = rng.normal(size=(n, rank - 1))
+        K = Z @ Z.T
+        for s in sorted({0, rank // 2, 12, n - 1, n}):
+            w = np.zeros(n)
+            w[rng.permutation(n)[:s]] = rng.uniform(0.2, 1.0, s) * rng.choice([-1.0, 1.0], s)
+            F = (K * np.outer(w, w)) / (4.0 * eta) + 1.0
+            evals = np.linalg.eigvalsh(F)
+            dense = int(np.sum(evals > 1e-6 * evals[-1]))
+            assert svm._f_rank(F, None, w) == dense == min(rank - 1, s) + 1
+
+    @pytest.mark.parametrize("eta", [1e4, 100.0, 1.0])
+    def test_zero_tau_f_rank_matches_dense_count(self, eta):
+        ds = gen_two_class_toy(80, seed=5)
+        model = train(ds.X, ds.y, 0.25, small_config(tau=0.0, eta=eta, t_max=300))
+        assert model.W is None
+        evals = np.linalg.eigvalsh(model.F)
+        assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) >= 1
 
     def test_label_symmetry(self):
         X, y = two_blobs(20, seed=13)
