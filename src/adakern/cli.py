@@ -19,6 +19,7 @@ from .svm import SvmModel
 from .svr import SvrModel
 
 CV_GRID = [2.0 ** p for p in range(-5, 6)]
+CV_FOLDS = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,11 +49,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="fit a model and write it to disk")
     _add_solver_flags(p)
     p.add_argument("--task", choices=("svm", "svr"), default="svm")
-    p.add_argument("--epsilon", type=float, help="--task svr only (default 0.1)")
+    p.add_argument("--epsilon", type=float,
+                   help=f"--task svr only (default {svr.DEFAULT_EPSILON})")
     p.add_argument("--mode", choices=("exact", "scalable"), default="exact")
     p.add_argument("--clusters", help="cluster count (--mode scalable only; default 1)")
     p.add_argument("--cv", action="store_true")
-    p.add_argument("--folds", type=int, help="--cv only (default 5)")
+    p.add_argument("--folds", type=int, help=f"--cv only (default {CV_FOLDS})")
     p.add_argument("--model", required=True, help="output model path")
 
     p = sub.add_parser("predict", help="predict labels/values for a dataset")
@@ -136,8 +138,8 @@ def cmd_train(args) -> int:
         raise ParameterError("--epsilon applies to --task svr only")
     if args.folds is not None and not args.cv:
         raise ParameterError("--folds applies to --cv only")
-    epsilon = 0.1 if args.epsilon is None else args.epsilon
-    folds = 5 if args.folds is None else args.folds
+    epsilon = svr.DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    folds = CV_FOLDS if args.folds is None else args.folds
     mode = dataio.CLASSIFICATION if args.task == "svm" else dataio.REGRESSION
     ds = _read_dataset(args.data, args.format, mode)
     config = _config_from_args(args)

@@ -13,8 +13,8 @@ no solver read.  Format 4 stores no F at all when F is the tau = 0 closed
 form of the model's own fields (X, y, the duals, sigma, eta and, for the
 decomposition mode, the cluster assignment) bit for bit: every
 decomposition model, and exact-mode models trained at tau = 0.  Loading
-then forms F with :func:`scale.adaptive_closed_form`, the function
-training used.  A model whose F is neither (say, an edited one) keeps its
+then forms F with :func:`scale.adaptive_closed_form`, from the kernels
+and the expression the solves use.  A model whose F is neither (say, an edited one) keeps its
 F rows or F blocks.  Files of formats 1 to 3 still load, F blocks
 included; formats 1 and 2 must hold the ``projection_rounds`` line, with a
 positive integer, as they always did.

@@ -159,8 +159,7 @@ def adaptive_closed_form(X, w, sigma: float, eta: float, assignment=None) -> np.
     clusters.  w is the prox weights of the duals (y o alpha, or
     hat - check).  These are the kernels and the expression
     (:func:`solver._zero_tau_matrix`) that the solves use, so the result
-    equals the trained F bit for bit; training and ``load_model`` both
-    form F here.
+    equals the trained F bit for bit; ``load_model`` forms F here.
     """
     if assignment is None:
         return _zero_tau_matrix(gaussian_gram(X, sigma), w, eta)
@@ -185,21 +184,6 @@ def decomposition_objective(alpha, y, K, F, eta: float) -> float:
     dev = np.asarray(F, dtype=float) - 1.0
     return (float(np.sum(alpha)) - 0.5 * float(w @ ((F * K) @ w))
             + eta * float((dev * dev).sum()))
-
-
-def _block_objective(alpha, w, K, F, partition: Partition, eta: float) -> float:
-    """:func:`decomposition_objective` for an F that is 1 off the diagonal blocks.
-
-    With G = F - 11', w'(F o K)w = w'Kw + sum_c w_c'(G_c o K_c)w_c and
-    ||F - 11'||^2 = sum_c ||G_c||^2, so only the blocks are read.
-    """
-    value = float(np.sum(alpha)) - 0.5 * float(w @ (K @ w))
-    for idx in partition.clusters():
-        block = np.ix_(idx, idx)
-        dev = F[block] - 1.0
-        wc = w[idx]
-        value += eta * float((dev * dev).sum()) - 0.5 * float(wc @ ((dev * K[block]) @ wc))
-    return value
 
 
 def screen_nonsupport(block_solution: BlockSolution, K, y, B: float, B2: float,
@@ -326,17 +310,15 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
     """Decomposition-mode training; returns a model with zero bias.
 
     eta resolution uses the standard whole-data SVM protocol, then each
-    k-means block is solved independently.  The adaptive matrix is the
-    closed form of the block duals (:func:`adaptive_closed_form`), with
-    off-block entries at the neutral value 1; its rank and the objective
-    are read off the blocks, with no n x n eigendecomposition.
+    k-means block is solved independently and the adaptive matrix is
+    assembled with off-block entries at the neutral value 1.  Its rank is
+    read off the block duals, with no n x n eigendecomposition.
     """
     y, scaler, Xs, K = _training_inputs(X, y, sigma)
     config = resolve_eta(K, y, config)
     partition = kmeans_partition(Xs, v, seed)
     blocks = solve_blocks(Xs, y, partition, sigma, config)
-    w = y * blocks.alpha_bar
-    F = adaptive_closed_form(Xs, w, sigma, config.eta, partition.assignment)
+    F = blocks.adaptive_dense()
     meta = {
         "iterations": sum(t.iterations for t in blocks.traces),
         "clusters": v,
@@ -344,10 +326,10 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
         "single_class_blocks": blocks.single_class_blocks,
         "f_min": float(F.min()),
         "f_max": float(F.max()),
-        "f_rank": _f_rank(F, None, w),
+        "f_rank": _f_rank(F, None, y * blocks.alpha_bar),
         "prox_fallbacks": sum(t.prox_fallbacks for t in blocks.traces),
         "prox_rank": max(t.prox_rank for t in blocks.traces),
-        "objective": _block_objective(blocks.alpha_bar, w, K, F, partition, config.eta),
+        "objective": decomposition_objective(blocks.alpha_bar, y, K, F, config.eta),
         "warnings": [],
     }
     return SvmModel(

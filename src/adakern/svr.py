@@ -17,6 +17,8 @@ from .solver import (
 )
 from .svm import _expansion, _grid_search, _kkt_bias, _trace_meta, _training_inputs
 
+DEFAULT_EPSILON = 0.1
+
 
 @dataclass
 class SvrDualState:
@@ -182,7 +184,7 @@ def recover_bias_svr(alpha_hat, alpha_check, y, F, K, C: float, epsilon: float) 
     return _kkt_bias(values, signs, np.concatenate([alpha_hat, alpha_check]), C)
 
 
-def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = 0.1,
+def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT_EPSILON,
               freeze_f: bool = False) -> SvrModel:
     """Fit the adaptive-kernel SVR.
 

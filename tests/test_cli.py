@@ -668,7 +668,11 @@ def test_svr_cv_selects_from_grid():
 
 @pytest.fixture(scope="module")
 def saved_models(tmp_path_factory):
-    """(model text, data path) for an exact SVM, a scalable SVM and an SVR model."""
+    """(model text, data path) for an exact SVM, a scalable SVM and an SVR model.
+
+    Also the scalable model as a format 3 file with its F blocks, and an
+    exact SVM trained at tau = 0, whose format 4 file holds no F.
+    """
     from adakern.data import CLASSIFICATION, REGRESSION
     from adakern.scale import train_scalable
     from adakern.solver import SolverConfig
@@ -683,15 +687,18 @@ def saved_models(tmp_path_factory):
     targets = str(root / "targets.libsvm")
     write_dataset(targets, Dataset(X=X, y=X[:, 0], mode=REGRESSION))
     cases = {}
+    scalable = train_scalable(X, y, 0.6, config, 3, 0)
     for name, model, data in [
         ("svm", train(X, y, 0.6, config), classes),
-        ("scalable", train_scalable(X, y, 0.6, config, 3, 0), classes),
+        ("scalable", scalable, classes),
         ("svr", train_svr(X, X[:, 0], 0.6, config, epsilon=0.05), targets),
+        ("svm-tau0", train(X, y, 0.6, replace(config, tau=0.0)), classes),
     ]:
         path = str(root / f"{name}.model")
         save_model(model, path)
         with open(path) as stream:
             cases[name] = (stream.read(), data)
+    cases["scalable-v3"] = (_format_3_blocks(cases["scalable"][0], scalable), classes)
     return cases
 
 
@@ -719,7 +726,7 @@ def _mutations(text, rng):
 
 
 class TestMalformedModelFiles:
-    @pytest.mark.parametrize("name", ["svm", "scalable", "svr"])
+    @pytest.mark.parametrize("name", ["svm", "scalable", "svr", "scalable-v3", "svm-tau0"])
     def test_every_mutation_is_a_data_error(self, name, saved_models, tmp_path, capsys):
         text, data = saved_models[name]
         path = str(tmp_path / "mutated.model")
