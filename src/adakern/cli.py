@@ -15,11 +15,12 @@ from . import scale, svm, svr
 from .errors import DataError, NumericalError, ParameterError
 from .persist import load_model, save_model
 from .solver import SolverConfig, resolve_eta
-from .svm import SvmModel
 from .svr import SvrModel
 
 CV_GRID = [2.0 ** p for p in range(-5, 6)]
 CV_FOLDS = 5
+# --tau when unset; bounds and train --mode scalable solve at tau = 0 and take no other.
+EXACT_TAU = 0.01
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,7 +34,7 @@ def _add_solver_flags(p):
     p.add_argument("--format", choices=("libsvm", "csv"), default="libsvm")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=0.01)
+    p.add_argument("--tau", type=float, help=f"default {EXACT_TAU}; decomposition mode: 0 only")
     p.add_argument("--eta", default="auto", help="auto or a positive number")
     p.add_argument("--variant", choices=("nesterov", "pgd", "monotone"),
                    default="nesterov")
@@ -100,18 +101,23 @@ def _resolve_eta_flag(value):
     if value == "auto":
         return None
     try:
-        eta = float(value)
+        return float(value)
     except ValueError as exc:
         raise ParameterError(f"--eta must be 'auto' or a number, got {value!r}") from exc
-    return eta
 
 
 def _config_from_args(args) -> SolverConfig:
     variant = "monotone-nesterov" if args.variant == "monotone" else args.variant
     return SolverConfig(
-        C=args.C, tau=args.tau, eta=_resolve_eta_flag(args.eta),
-        t_max=args.t_max, tol=args.tol, variant=variant,
+        C=args.C, tau=EXACT_TAU if args.tau is None else args.tau,
+        eta=_resolve_eta_flag(args.eta), t_max=args.t_max, tol=args.tol, variant=variant,
     )
+
+
+def _check_zero_tau(args, command: str) -> None:
+    """Reject a nonzero --tau for a command of the decomposition mode, which solves at tau = 0."""
+    if args.tau:
+        raise ParameterError(f"{command} solves at tau = 0, got --tau {args.tau}")
 
 
 def _cluster_counts(text: str) -> list[int]:
@@ -132,6 +138,7 @@ def cmd_train(args) -> int:
         if args.task != "svm":
             raise ParameterError("scalable mode applies to the svm task only")
         v = _cluster_counts("1" if args.clusters is None else args.clusters)[0]
+        _check_zero_tau(args, "train --mode scalable")
     elif args.clusters is not None:
         raise ParameterError("--clusters applies to --mode scalable only")
     if args.epsilon is not None and args.task != "svr":
@@ -154,31 +161,22 @@ def cmd_train(args) -> int:
                 ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config, epsilon)
         config = replace(config, C=C)
 
-    if args.task == "svm":
-        if args.mode == "scalable":
-            model = scale.train_scalable(ds.X, ds.y, sigma, config, v, args.seed)
-            model.meta["clusters"] = v
-        else:
-            model = svm.train(ds.X, ds.y, sigma, config)
+    if args.mode == "scalable":
+        model = scale.train_scalable(ds.X, ds.y, sigma, config, v, args.seed)
+    elif args.task == "svm":
+        model = svm.train(ds.X, ds.y, sigma, config)
     else:
         model = svr.train_svr(ds.X, ds.y, sigma, config, epsilon=epsilon)
     model.meta["seed"] = args.seed
     save_model(model, args.model)
 
-    rows = [("key", "value"),
-            ("task", args.task),
-            ("sigma", sigma),
-            ("C", model.config.C),
-            ("eta", model.config.eta),
-            ("iterations", model.meta.get("iterations", 0)),
-            ("objective", model.meta.get("objective", float("nan"))),
-            ("prox_fallbacks", model.meta.get("prox_fallbacks")),
-            ("prox_rank", model.meta.get("prox_rank"))]
-    if isinstance(model, SvmModel):
-        rows += [("f_min", model.meta.get("f_min")),
-                 ("f_max", model.meta.get("f_max")),
-                 ("f_rank", model.meta.get("f_rank"))]
+    rows = [("key", "value"), ("task", args.task), ("sigma", sigma),
+            ("C", model.config.C), ("eta", model.config.eta)]
+    rows += [(key, model.meta[key]) for key in ("iterations", "objective", "prox_fallbacks",
+                                                 "prox_rank", "f_min", "f_max", "f_rank")]
     _emit(rows)
+    for text in model.meta["warnings"]:
+        print(f"warning: {text}", file=sys.stderr)
     return 0
 
 
@@ -225,6 +223,7 @@ def cmd_eval(args) -> int:
 def cmd_bounds(args) -> int:
     scale.check_kappa(args.kappa)
     counts = _cluster_counts(args.clusters)
+    _check_zero_tau(args, "bounds")
     ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
     config = _config_from_args(args)
     y, _, Xs, K = svm._training_inputs(ds.X, ds.y, args.sigma)
@@ -249,6 +248,8 @@ def cmd_bounds(args) -> int:
                      len(report.screened_indices),
                      len(report.screened_positive_indices),
                      blocks.single_class_blocks))
+        for text in report.warnings:
+            print(f"warning: v = {v}: {text}", file=sys.stderr)
     _emit(rows)
     return 0
 

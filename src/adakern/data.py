@@ -127,19 +127,6 @@ def parse_libsvm(lines, mode: str = CLASSIFICATION) -> Dataset:
     return Dataset(X=X, y=y, mode=mode, provenance="libsvm")
 
 
-def write_libsvm(dataset: Dataset, stream) -> None:
-    """Emit a Dataset in sparse libsvm text (nonzero features only)."""
-    for xi, yi in zip(dataset.X, dataset.y):
-        if dataset.mode == CLASSIFICATION:
-            parts = [f"{int(yi):+d}"]
-        else:
-            parts = [f"{yi:.17e}"]
-        parts.extend(
-            f"{j + 1}:{v:.17e}" for j, v in enumerate(xi) if v != 0.0
-        )
-        stream.write(" ".join(parts) + "\n")
-
-
 def parse_csv(lines, mode: str = CLASSIFICATION, label_column: int = -1) -> Dataset:
     """Parse delimited rows with the label in ``label_column`` (default last).
 

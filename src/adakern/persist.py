@@ -14,17 +14,20 @@ form of the model's own fields (X, y, the duals, sigma, eta and, for the
 decomposition mode, the cluster assignment) bit for bit: every
 decomposition model, and exact-mode models trained at tau = 0.  Loading
 then forms F with :func:`scale.adaptive_closed_form`, from the kernels
-and the expression the solves use.  A model whose F is neither (say, an edited one) keeps its
-F rows or F blocks.  Files of formats 1 to 3 still load, F blocks
-included; formats 1 and 2 must hold the ``projection_rounds`` line, with a
-positive integer, as they always did.
+and the expression the solves use.  A model whose F is neither (say, an
+edited one) keeps its F rows or F blocks.  Files of formats 1 to 3 still
+load, F blocks included; formats 1 and 2 must hold the
+``projection_rounds`` line, with a positive integer, as they always did.
+Clusters are enumerated only through :class:`scale.Partition`, built on
+load from the ``assignment`` and ``clusters`` lines before any block is
+formed.  A model with eta unset (F frozen at 11') writes ``eta none``.
 """
 
 import numpy as np
 
 from .data import Scaler
 from .errors import DataError, ParameterError
-from .scale import adaptive_closed_form
+from .scale import Partition, adaptive_closed_form
 from .solver import SolverConfig
 from .svm import SvmModel
 from .svr import SvrModel
@@ -46,6 +49,9 @@ def _fmt_vec(v) -> str:
 def save_model(model, path: str) -> None:
     task = "svr" if isinstance(model, SvrModel) else "svm"
     cfg = model.config
+    assignment = getattr(model, "assignment", None)
+    labels = np.zeros(model.X.shape[0], dtype=int) if assignment is None else assignment
+    partition = Partition(labels, int(np.max(labels)) + 1)
     lines = [
         f"{FORMAT_NAME} {FORMAT_VERSION}",
         f"task {task}",
@@ -55,10 +61,10 @@ def save_model(model, path: str) -> None:
         f"bias {_fmt(model.bias)}",
         f"C {_fmt(cfg.C)}",
         f"tau {_fmt(cfg.tau)}",
-        f"eta {_fmt(cfg.eta)}",
+        f"eta {'none' if cfg.eta is None else _fmt(cfg.eta)}",
         f"t_max {cfg.t_max}",
         f"tol {_fmt(cfg.tol)}",
-        f"clusters {int(model.meta.get('clusters', 1))}",
+        f"clusters {partition.n_clusters}",
         f"seed {int(model.meta.get('seed', 0))}",
         f"n {model.X.shape[0]}",
         f"d {model.X.shape[1]}",
@@ -78,19 +84,17 @@ def save_model(model, path: str) -> None:
     for row in model.X:
         lines.append(f"X {_fmt_vec(row)}")
 
-    assignment = getattr(model, "assignment", None)
     if assignment is not None:
         lines.append("assignment " + " ".join(str(int(c)) for c in assignment))
-        if not _is_closed_form(model, task, assignment):
-            for c in range(int(assignment.max()) + 1):
-                idx = np.flatnonzero(assignment == c)
+        if not _is_closed_form(model, task, partition):
+            for c, idx in enumerate(partition.clusters()):
                 lines.append(f"block {c} {idx.size}")
                 lines.extend(f"B {_fmt_vec(row)}" for row in model.F[np.ix_(idx, idx)])
     elif model.W is not None and np.array_equal(np.dot(model.W, model.W.T), model.F):
         lines.append(f"rank {model.W.shape[1]}")
         if model.W.shape[1]:
             lines.extend(f"W {_fmt_vec(row)}" for row in model.W)
-    elif not (cfg.tau == 0 and _is_closed_form(model, task, None)):
+    elif not (cfg.tau == 0 and _is_closed_form(model, task, partition)):
         lines.extend(f"F {_fmt_vec(row)}" for row in model.F)
 
     lines.append(f"meta_iterations {int(model.meta.get('iterations', 0))}")
@@ -110,11 +114,11 @@ def _weights(task: str, values) -> np.ndarray:
     return values["alpha_hat"] - values["alpha_check"]
 
 
-def _is_closed_form(model, task: str, assignment) -> bool:
+def _is_closed_form(model, task: str, partition: Partition) -> bool:
     """Whether ``load_model`` rebuilds the model's F bit for bit from its other fields."""
-    F = adaptive_closed_form(model.X, _weights(task, vars(model)), model.sigma,
-                             model.config.eta, assignment)
-    return np.array_equal(F, model.F)
+    eta = model.config.eta
+    return eta is not None and np.array_equal(model.F, adaptive_closed_form(
+        model.X, _weights(task, vars(model)), model.sigma, eta, partition))
 
 
 # Lines every model file has besides its X and F rows (or F blocks), and
@@ -185,7 +189,8 @@ def load_model(path: str):
 
     Any defect in the file (wrong header or version, a missing, repeated or
     unknown key, a value that does not parse, an array of the wrong length,
-    a non-finite array entry, no closing ``end`` line) raises ``DataError``.
+    a non-finite array entry, a cluster assignment that does not fit the
+    ``clusters`` line, no closing ``end`` line) raises ``DataError``.
     """
     try:
         with open(path, encoding="utf-8") as stream:
@@ -231,7 +236,7 @@ def _build(fields, rows, blocks, version: str):
         config = SolverConfig(
             C=float(fields["C"]),
             tau=float(fields["tau"]),
-            eta=float(fields["eta"]),
+            eta=None if fields["eta"] == "none" else float(fields["eta"]),
             t_max=int(fields["t_max"]),
             tol=float(fields["tol"]),
             variant=fields["variant"],
@@ -267,35 +272,26 @@ def _build(fields, rows, blocks, version: str):
     mode = fields["mode"]
     if mode not in ("exact", "scalable") or (assignment is not None) != (mode == "scalable"):
         raise DataError(f"mode {mode!r} does not match the stored F")
+    W = None
+    if assignment is not None:
+        if task != "svm" or rows["F"] or rows["W"] or "rank" in fields:
+            raise DataError("a cluster assignment needs an SVM model with F blocks or none")
+        partition = Partition(assignment, meta["clusters"])
+    elif blocks:
+        raise DataError("F blocks without a cluster assignment")
+    else:
+        partition = Partition(np.zeros(n, dtype=int), 1)
     # From format 4 on, a file leaves out an F that the tau = 0 closed form gives.
     closed = int(version) >= 4 and not (rows["F"] or rows["W"] or blocks or "rank" in fields)
-    W = None
-    if assignment is None:
-        if blocks:
-            raise DataError("F blocks without a cluster assignment")
-        W = _factor(fields.get("rank"), rows, n)
-        if W is not None:
-            F = np.dot(W, W.T)
-        elif closed and config.tau == 0:
-            F = adaptive_closed_form(X, _weights(task, fields), sigma, config.eta)
-        else:
-            F = _matrix(rows["F"], n, n, "F")
+    if closed and (assignment is not None or config.tau == 0):
+        if config.eta is None:
+            raise DataError("eta none, but F is the closed form, which needs eta")
+        F = adaptive_closed_form(X, _weights(task, fields), sigma, config.eta, partition)
+    elif assignment is not None:
+        F = partition.block_diagonal(_stored_blocks(blocks, partition))
     else:
-        if task != "svm" or rows["F"] or rows["W"] or "rank" in fields or assignment.min() < 0:
-            raise DataError("a cluster assignment needs an SVM model with F blocks or none")
-        if closed:
-            F = adaptive_closed_form(X, _weights(task, fields), sigma, config.eta,
-                                     assignment)
-        elif sorted(blocks) != list(range(assignment.max() + 1)):
-            raise DataError("F blocks do not match the cluster assignment")
-        else:
-            F = np.ones((n, n))
-            for c, (size, rows) in blocks.items():
-                idx = np.flatnonzero(assignment == c)
-                if size != idx.size:
-                    raise DataError(f"block {c} declares {size} rows, assignment has "
-                                    f"{idx.size}")
-                F[np.ix_(idx, idx)] = _matrix(rows, size, size, f"block {c}")
+        W = _factor(fields.get("rank"), rows, n)
+        F = _matrix(rows["F"], n, n, "F") if W is None else np.dot(W, W.T)
     if not np.all(np.isfinite(F)):
         raise DataError("stored arrays contain non-finite values")
 
@@ -308,6 +304,17 @@ def _build(fields, rows, blocks, version: str):
                     epsilon=epsilon,
                     y_scaler=Scaler(mins=fields["y_scaler_min"], maxs=fields["y_scaler_max"]),
                     **common)
+
+
+def _stored_blocks(blocks, partition: Partition):
+    """The F blocks of a format 1 to 3 file in cluster order, checked against the partition."""
+    if sorted(blocks) != list(range(partition.n_clusters)):
+        raise DataError("F blocks do not match the cluster assignment")
+    for c, idx in enumerate(partition.clusters()):
+        size, rows = blocks[c]
+        if size != idx.size:
+            raise DataError(f"block {c} declares {size} rows, assignment has {idx.size}")
+        yield _matrix(rows, size, size, f"block {c}")
 
 
 def _factor(rank, rows, n: int):

@@ -14,26 +14,39 @@ import numpy as np
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram, pairwise_sq_dists
 from .solver import SolverConfig, _zero_tau_matrix, resolve_eta, solve
-from .svm import SvmModel, _f_rank, _training_inputs
+from .svm import SvmModel, _model_meta, _training_inputs
 
 
 @dataclass
 class Partition:
-    """Cluster assignment over range(n)."""
+    """Cluster assignment over range(n), the one cluster type of the decomposition mode.
+
+    A count outside [1, n], an index out of range (both checked first) or
+    an empty cluster raises DataError.
+    """
 
     assignment: np.ndarray
     n_clusters: int
 
     def __post_init__(self):
         self.assignment = np.asarray(self.assignment, dtype=int)
-        counts = np.bincount(self.assignment, minlength=self.n_clusters)
-        if self.assignment.min(initial=0) < 0 or self.assignment.max(initial=0) >= self.n_clusters:
+        if not 1 <= self.n_clusters <= self.assignment.size:
+            raise DataError(f"cluster count {self.n_clusters} not in [1, {self.assignment.size}]")
+        if self.assignment.min() < 0 or self.assignment.max() >= self.n_clusters:
             raise DataError("cluster indices out of range")
-        if np.any(counts == 0):
+        if np.any(np.bincount(self.assignment, minlength=self.n_clusters) == 0):
             raise DataError("partition contains an empty cluster")
 
     def clusters(self) -> list[np.ndarray]:
         return [np.flatnonzero(self.assignment == c) for c in range(self.n_clusters)]
+
+    def block_diagonal(self, blocks) -> np.ndarray:
+        """n x n: blocks[c] (an iterable) on cluster c's rows and columns, 1 elsewhere."""
+        n = self.assignment.size
+        M = np.ones((n, n))
+        for idx, block in zip(self.clusters(), blocks):
+            M[np.ix_(idx, idx)] = block
+        return M
 
 
 @dataclass
@@ -48,11 +61,7 @@ class BlockSolution:
 
     def adaptive_dense(self) -> np.ndarray:
         """Dense adaptive matrix with off-block entries set to 1."""
-        n = self.alpha_bar.size
-        F = np.ones((n, n))
-        for idx, block in zip(self.partition.clusters(), self.blocks):
-            F[np.ix_(idx, idx)] = block
-        return F
+        return self.partition.block_diagonal(self.blocks)
 
 
 @dataclass
@@ -99,7 +108,6 @@ def kmeans_partition(X, v: int, seed: int) -> Partition:
         centers[c] = X[pick]
         closest = np.minimum(closest, pairwise_sq_dists(X, centers[c:c + 1])[:, 0])
 
-    assignment = np.zeros(n, dtype=int)
     for _ in range(100):
         dists = pairwise_sq_dists(X, centers)
         assignment = np.argmin(dists, axis=1)
@@ -132,8 +140,7 @@ def solve_blocks(X, y, partition: Partition, sigma: float,
     if config.eta is None:
         raise ParameterError("eta must be resolved before solving blocks")
     block_config = replace(config, tau=0.0)
-    n = y.size
-    alpha = np.zeros(n)
+    alpha = np.zeros(y.size)
     blocks = []
     traces = []
     single_class = 0
@@ -150,24 +157,21 @@ def solve_blocks(X, y, partition: Partition, sigma: float,
                          traces=traces, single_class_blocks=single_class)
 
 
-def adaptive_closed_form(X, w, sigma: float, eta: float, assignment=None) -> np.ndarray:
+def adaptive_closed_form(X, w, sigma: float, eta: float, partition: Partition) -> np.ndarray:
     """The adaptive matrix of a tau = 0 model, rebuilt from what the model keeps.
 
-    With no ``assignment`` (exact mode) F = 11' + diag(w) K diag(w) / (4 eta)
-    with K = gaussian_gram(X, sigma); with one, that block for each cluster
-    c, from K_c = gaussian_gram(X[c], sigma) and w[c], and 1 across
-    clusters.  w is the prox weights of the duals (y o alpha, or
-    hat - check).  These are the kernels and the expression
-    (:func:`solver._zero_tau_matrix`) that the solves use, so the result
-    equals the trained F bit for bit; ``load_model`` forms F here.
+    For each cluster c of ``partition`` the block
+    11' + diag(w[c]) K_c diag(w[c]) / (4 eta), with
+    K_c = gaussian_gram(X[c], sigma), and 1 across clusters; an exact-mode
+    model passes the one-cluster partition.  w is the prox weights of the
+    duals (y o alpha, or hat - check).  These are the kernels and the
+    expression (:func:`solver._zero_tau_matrix`) that the solves use, so
+    the result equals the trained F bit for bit; ``load_model`` forms F
+    here.
     """
-    if assignment is None:
-        return _zero_tau_matrix(gaussian_gram(X, sigma), w, eta)
-    F = np.ones((w.size, w.size))
-    for c in range(int(assignment.max()) + 1):
-        idx = np.flatnonzero(assignment == c)
-        F[np.ix_(idx, idx)] = _zero_tau_matrix(gaussian_gram(X[idx], sigma), w[idx], eta)
-    return F
+    return partition.block_diagonal(
+        _zero_tau_matrix(gaussian_gram(X[idx], sigma), w[idx], eta)
+        for idx in partition.clusters())
 
 
 def cross_cluster_mass(K, partition: Partition) -> float:
@@ -310,28 +314,19 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
     """Decomposition-mode training; returns a model with zero bias.
 
     eta resolution uses the standard whole-data SVM protocol, then each
-    k-means block is solved independently and the adaptive matrix is
-    assembled with off-block entries at the neutral value 1.  Its rank is
-    read off the block duals, with no n x n eigendecomposition.
+    k-means block is solved independently at tau = 0, which the model's
+    config records, and the adaptive matrix is assembled with off-block
+    entries at the neutral value 1.  Its rank is read off the block duals,
+    with no n x n eigendecomposition.
     """
     y, scaler, Xs, K = _training_inputs(X, y, sigma)
-    config = resolve_eta(K, y, config)
+    config = replace(resolve_eta(K, y, config), tau=0.0)
     partition = kmeans_partition(Xs, v, seed)
     blocks = solve_blocks(Xs, y, partition, sigma, config)
     F = blocks.adaptive_dense()
-    meta = {
-        "iterations": sum(t.iterations for t in blocks.traces),
-        "clusters": v,
-        "seed": seed,
-        "single_class_blocks": blocks.single_class_blocks,
-        "f_min": float(F.min()),
-        "f_max": float(F.max()),
-        "f_rank": _f_rank(F, None, y * blocks.alpha_bar),
-        "prox_fallbacks": sum(t.prox_fallbacks for t in blocks.traces),
-        "prox_rank": max(t.prox_rank for t in blocks.traces),
-        "objective": decomposition_objective(blocks.alpha_bar, y, K, F, config.eta),
-        "warnings": [],
-    }
+    objective = decomposition_objective(blocks.alpha_bar, y, K, F, config.eta)
+    meta = {**_model_meta(blocks.traces, F, None, y * blocks.alpha_bar, objective),
+            "clusters": v, "seed": seed, "single_class_blocks": blocks.single_class_blocks}
     return SvmModel(
         X=Xs, y=y, alpha=blocks.alpha_bar, F=F, bias=0.0, sigma=sigma,
         config=config, scaler=scaler, mode="scalable",

@@ -111,23 +111,31 @@ def train(X, y, sigma: float, config: SolverConfig,
     state, F, trace = solve(gram, y, config, freeze_f=freeze_f)
     state.validate(config.C)
     bias = recover_bias(state.alpha, y, F, K, config.C)
-    meta = {**_trace_meta(trace), "f_min": float(F.min()), "f_max": float(F.max()),
-            "f_rank": _f_rank(F, trace.factor, y * state.alpha)}
+    meta = _model_meta([trace], F, trace.factor, y * state.alpha, trace.objective_history[-1])
     return SvmModel(
         X=Xs, y=y, alpha=state.alpha, F=F, bias=bias, sigma=sigma,
         config=config, scaler=scaler, meta=meta, W=trace.factor,
     )
 
 
-def _trace_meta(trace: SolveTrace) -> dict:
-    """The solve diagnostics that every trained model keeps in ``meta``."""
+def _model_meta(traces: list[SolveTrace], F: np.ndarray, factor: np.ndarray | None,
+                w: np.ndarray, objective: float) -> dict:
+    """The ``meta`` of every trained model: its solves' diagnostics, F's range and rank.
+
+    Iterations and prox fallbacks are summed, ``prox_rank`` is the largest,
+    ``warnings`` holds every solve's; ``terminated_by`` is max_iter if any is.
+    """
+    stops = [t.terminated_by for t in traces]
     return {
-        "iterations": trace.iterations,
-        "objective": trace.objective_history[-1] if trace.objective_history else float("nan"),
-        "terminated_by": trace.terminated_by,
-        "prox_fallbacks": trace.prox_fallbacks,
-        "prox_rank": trace.prox_rank,
-        "warnings": list(trace.warnings),
+        "iterations": sum(t.iterations for t in traces),
+        "objective": objective,
+        "terminated_by": "max_iter" if "max_iter" in stops else stops[0],
+        "prox_fallbacks": sum(t.prox_fallbacks for t in traces),
+        "prox_rank": max(t.prox_rank for t in traces),
+        "warnings": [text for t in traces for text in t.warnings],
+        "f_min": float(F.min()),
+        "f_max": float(F.max()),
+        "f_rank": _f_rank(F, factor, w),
     }
 
 

@@ -15,7 +15,7 @@ from .solver import (
     project_exact,
     resolve_eta,
 )
-from .svm import _expansion, _grid_search, _kkt_bias, _trace_meta, _training_inputs
+from .svm import _expansion, _grid_search, _kkt_bias, _model_meta, _training_inputs
 
 DEFAULT_EPSILON = 0.1
 
@@ -203,7 +203,8 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
     state.validate(config.C)
     bias = recover_bias_svr(state.alpha_hat, state.alpha_check, ys, F, K,
                             config.C, epsilon)
-    meta = {**_trace_meta(trace), "complementarity_gap": state.complementarity_gap()}
+    meta = _model_meta([trace], F, trace.factor, state.difference, trace.objective_history[-1])
+    meta["complementarity_gap"] = state.complementarity_gap()
     return SvrModel(
         X=Xs, y=ys, alpha_hat=state.alpha_hat, alpha_check=state.alpha_check,
         F=F, bias=bias, sigma=sigma, epsilon=epsilon, config=config,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adakern import solver
+from adakern.data import CLASSIFICATION
 from adakern.errors import ParameterError
 from adakern.kernel import gaussian_gram, pairwise_sq_dists
 from adakern.solver import project_exact
@@ -41,6 +42,19 @@ def paired_blobs(n, modes=10, spread=0.05, pair_offset=0.01, seed=0):
     y = np.concatenate(y)
     order = rng.permutation(len(y))
     return X[order], y[order]
+
+
+def write_libsvm(dataset, stream) -> None:
+    """Emit a Dataset in sparse libsvm text (nonzero features only)."""
+    for xi, yi in zip(dataset.X, dataset.y):
+        if dataset.mode == CLASSIFICATION:
+            parts = [f"{int(yi):+d}"]
+        else:
+            parts = [f"{yi:.17e}"]
+        parts.extend(
+            f"{j + 1}:{v:.17e}" for j, v in enumerate(xi) if v != 0.0
+        )
+        stream.write(" ".join(parts) + "\n")
 
 
 def random_feasible(rng, y, C):

@@ -1,17 +1,18 @@
 import io
 import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adakern.cli import main
-from adakern.data import Dataset, gen_two_class_toy, write_libsvm
+from adakern.data import Dataset, gen_two_class_toy
 from adakern.errors import DataError
 from adakern.persist import FORMAT_VERSION, load_model, save_model
 
-from conftest import two_blobs
+from conftest import two_blobs, write_libsvm
 
 
 def write_dataset(path, ds):
@@ -55,6 +56,30 @@ class TestTrainPredictEval:
         assert out.startswith("metric,value")
         accuracy = float(out.strip().splitlines()[1].split(",")[1])
         assert accuracy >= 0.9
+
+    def test_train_prints_the_same_keys_for_svm_and_svr(self, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        keys = {}
+        for task in ("svm", "svr"):
+            code, out, err = run(["train", "--task", task, "--data", path, "--t-max", "20",
+                                  "--model", str(tmp_path / f"{task}.model")], capsys)
+            assert (code, err) == (0, "")
+            keys[task] = [line.split(",", 1)[0] for line in out.splitlines()]
+        assert keys["svm"] == keys["svr"]
+        assert {"iterations", "prox_rank", "f_min", "f_max", "f_rank"} <= set(keys["svr"])
+
+    @pytest.mark.parametrize("flags, tau", [
+        (["--mode", "scalable"], 0.0),
+        (["--mode", "scalable", "--tau", "0"], 0.0),
+        ([], 0.01),
+    ], ids=["scalable", "scalable-tau-0", "exact"])
+    def test_default_tau_per_mode(self, flags, tau, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        code, _, err = run(["train", "--data", path, "--t-max", "5", "--model", model_path]
+                           + flags, capsys)
+        assert (code, err) == (0, "")
+        assert load_model(model_path).config.tau == tau
 
     def test_eval_repeats_reports_mean_std(self, toy_file, tmp_path, capsys):
         path, _ = toy_file
@@ -149,6 +174,28 @@ class TestPersistence:
         loaded = load_model(mp)
         assert np.array_equal(model.predict(X), loaded.predict(X))
         os.unlink(mp)
+
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    def test_frozen_model_without_eta_roundtrip(self, task, tmp_path):
+        from adakern.solver import SolverConfig
+        from adakern.svm import train
+        from adakern.svr import train_svr
+        X, y = two_blobs(30, seed=6)
+        config = SolverConfig(C=1.0, tau=0.01, eta=None, t_max=50)
+        if task == "svm":
+            model, predict = train(X, y, 0.6, config, freeze_f=True), "decision_function"
+        else:
+            model, predict = train_svr(X, X[:, 0], 0.6, config, freeze_f=True), "predict"
+        assert model.config.eta is None
+        path = str(tmp_path / "frozen.model")
+        save_model(model, path)
+        with open(path) as stream:
+            text = stream.read()
+        assert "\neta none\n" in text and "\nrank 1\n" in text
+        loaded = load_model(path)
+        assert loaded.config.eta is None and np.array_equal(loaded.F, np.ones((30, 30)))
+        probe = X + 0.05
+        assert np.array_equal(getattr(loaded, predict)(probe), getattr(model, predict)(probe))
 
     def test_version_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -397,6 +444,46 @@ class TestFormatV4:
             load_model(_write(path, text))
 
 
+    @pytest.mark.parametrize("name", ["scalable", "svm-tau0"])
+    def test_eta_none_needs_a_stored_F(self, name, saved_models, tmp_path):
+        text, _ = saved_models[name]
+        mutated = re.sub(r"\neta \S+", "\neta none", text, count=1)
+        assert mutated != text
+        with pytest.raises(DataError, match="eta none"):
+            load_model(_write(str(tmp_path / "m.model"), mutated))
+
+
+def _with_assignment(text, edit):
+    """The model text with its assignment entries (strings) replaced by edit(entries)."""
+    match = re.search(r"\nassignment ([^\n]*)", text)
+    return text[:match.start(1)] + " ".join(edit(match.group(1).split())) + text[match.end(1):]
+
+
+class TestClusterLines:
+    """load_model checks a decomposition file's assignment against its clusters line first."""
+
+    @pytest.mark.parametrize("name", ["scalable", "scalable-v3"])
+    @pytest.mark.parametrize("mutate", [
+        lambda t: _with_assignment(t, lambda a: ["-1"] + a[1:]),
+        lambda t: _with_assignment(t, lambda a: [str(10**12)] + a[1:]),
+        lambda t: _with_assignment(t, lambda a: ["0" if c == "2" else c for c in a]),
+        lambda t: t.replace("\nclusters 3\n", "\nclusters 4\n"),
+        lambda t: t.replace("\nclusters 3\n", "\nclusters 2\n"),
+        lambda t: t.replace("\nclusters 3\n", f"\nclusters {10**12}\n"),
+    ], ids=["negative-index", "huge-index", "empty-cluster", "clusters-above",
+            "clusters-below", "clusters-huge"])
+    def test_defect_exits_2_at_once(self, mutate, name, saved_models, tmp_path, capsys):
+        text, data = saved_models[name]
+        assert "\nclusters 3\n" in text
+        mutated = mutate(text)
+        assert mutated != text
+        path = _write(str(tmp_path / "bad.model"), mutated)
+        start = time.perf_counter()
+        code, _, err = run(["predict", "--model", path, "--data", data], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err.startswith("data error")) == (2, True)
+
+
 class TestScalableVsExact:
     def test_single_cluster_matches_no_bias_reference(self, tmp_path, capsys):
         # --mode scalable --clusters 1 must predict exactly like the exact
@@ -448,6 +535,37 @@ class TestBoundsCommand:
             assert int(cells[0]) in (2, 3)
             measured, bound = float(cells[5]), float(cells[6])
             assert measured <= bound
+
+
+class TestWarnings:
+    """bounds and train print the warnings of their reports and solves to stderr."""
+
+    def test_bounds_prints_the_nonpositive_entry_warning(self, tmp_path, capsys):
+        # Two sites, each holding a +1 and a -1 point.  At a small eta the
+        # duals of a pair make its cross entry of F negative.
+        path = _write(str(tmp_path / "pairs.libsvm"), "+1 1:0\n-1 1:0\n+1 1:1\n-1 1:1\n")
+        code, out, err = run(["bounds", "--data", path, "--eta", "0.001", "--t-max", "2000",
+                              "--clusters", "1,2"], capsys)
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 3 and lines[0].startswith("v,Q_pi,B1,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+        assert err == "".join(f"warning: v = {v}: adaptive matrices contain nonpositive "
+                              "entries; the bound hypothesis 0 < B1 is violated\n"
+                              for v in (1, 2))
+
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    def test_train_prints_the_solve_warning(self, task, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        argv = ["train", "--task", task, "--data", path, "--t-max", "5",
+                "--model", str(tmp_path / "m.txt")]
+        code, out, err = run(argv + ["--tau", "80"], capsys)
+        assert code == 0
+        assert err == ("warning: tau = 80.0 >= 2n = 80: the adaptive matrix may collapse "
+                       "to zero\n")
+        quiet = run(argv + ["--tau", "79"], capsys)
+        assert quiet[0] == 0 and quiet[2] == ""
+        assert ([line.split(",")[0] for line in quiet[1].splitlines()]
+                == [line.split(",")[0] for line in out.splitlines()])
 
 
 class TestGridCommand:
@@ -559,6 +677,21 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert (code, out) == (1, "")
         assert err.startswith("usage error: unrecognized arguments: --")
+
+    @pytest.mark.parametrize("argv, command", [
+        (["bounds", "--clusters", "2"], "bounds"),
+        (["train", "--mode", "scalable", "--clusters", "2"], "train --mode scalable"),
+    ], ids=["bounds", "train-scalable"])
+    def test_decomposition_nonzero_tau_is_usage_error(self, argv, command, toy_file,
+                                                      tmp_path, capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        if argv[0] == "train":
+            argv = argv + ["--model", model_path]
+        code, out, err = run(argv + ["--data", path, "--tau", "0.01"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {command} solves at tau = 0, got --tau 0.01\n"
+        assert not os.path.exists(model_path)
 
     @pytest.mark.parametrize("repeats", ["0", "-3"])
     def test_eval_repeats_below_one_is_usage_error(self, repeats, toy_file, tmp_path, capsys):

@@ -18,9 +18,10 @@ from adakern.data import (
     parse_libsvm,
     step_value,
     surface_value,
-    write_libsvm,
 )
 from adakern.errors import DataError, ParameterError
+
+from conftest import write_libsvm
 
 
 class TestLibsvm:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,25 @@ class TestPartitionType:
         groups = p.clusters()
         assert np.array_equal(groups[0], [1, 3])
         assert np.array_equal(groups[1], [0, 2])
+
+    @pytest.mark.parametrize("assignment, n_clusters, message", [
+        ([0, 10**12], 2, "out of range"),
+        ([0, -1], 2, "out of range"),
+        ([0, 10**12], 10**12, "cluster count"),
+        ([0, 1], 0, "cluster count"),
+        ([0, 1], 3, "cluster count"),
+    ], ids=["huge-index", "negative-index", "huge-count", "zero-count", "count-above-n"])
+    def test_rejects_before_counting(self, assignment, n_clusters, message):
+        start = time.perf_counter()
+        with pytest.raises(DataError, match=message):
+            Partition(np.array(assignment), n_clusters)
+        assert time.perf_counter() - start < 0.1
+
+    def test_block_diagonal(self):
+        p = Partition(assignment=np.array([1, 0, 1, 0]), n_clusters=2)
+        M = p.block_diagonal(np.full((2, 2), 10.0 * (c + 1)) for c in range(2))
+        assert np.array_equal(M, [[20, 1, 20, 1], [1, 10, 1, 10],
+                                  [20, 1, 20, 1], [1, 10, 1, 10]])
 
 
 class TestSolveBlocks:
@@ -311,6 +332,22 @@ class TestTrainScalable:
         labels = model.predict(X)
         assert set(np.unique(labels)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("t_max", [3, 2000])
+    def test_meta_summarises_the_block_solves(self, t_max):
+        X, y = two_blobs(40, seed=15)
+        cfg = SolverConfig(C=1.0, tau=0.01, eta=2.0, t_max=t_max, tol=1e-3)
+        model = train_scalable(X, y, 0.6, cfg, v=3, seed=2)
+        p = kmeans_partition(model.X, 3, seed=2)
+        traces = solve_blocks(model.X, model.y, p, 0.6, cfg).traces
+        stops = {t.terminated_by for t in traces}
+        assert model.meta["terminated_by"] == ("max_iter" if "max_iter" in stops
+                                               else "tolerance")
+        assert model.meta["terminated_by"] == ("max_iter" if t_max == 3 else "tolerance")
+        assert model.meta["iterations"] == sum(t.iterations for t in traces)
+        assert model.meta["warnings"] == []
+        # The blocks solve at tau = 0, and the model's config says so.
+        assert model.config.tau == 0.0 and model.config.eta == 2.0
+
     def test_single_cluster_matches_plain_box_solve(self):
         from dataclasses import replace
 
@@ -353,14 +390,15 @@ class TestClosedFormModel:
         for v in (1, 3):
             p = kmeans_partition(Xs, v, seed=2)
             blocks = solve_blocks(Xs, y, p, 0.6, cfg)
-            F = adaptive_closed_form(Xs, y * blocks.alpha_bar, 0.6, cfg.eta, p.assignment)
+            F = adaptive_closed_form(Xs, y * blocks.alpha_bar, 0.6, cfg.eta, p)
             assert np.array_equal(F, blocks.adaptive_dense())
             model = train_scalable(X, y, 0.6, cfg, v, 2)
             assert np.array_equal(model.F, F) and np.array_equal(model.alpha, blocks.alpha_bar)
-        # No assignment: the exact-mode tau = 0 F of the whole problem.
+        # One cluster: the exact-mode tau = 0 F of the whole problem.
         K = gaussian_gram(Xs, 0.6)
         state, F, _ = solve(K, y, cfg)
-        assert np.array_equal(adaptive_closed_form(Xs, y * state.alpha, 0.6, cfg.eta), F)
+        one = Partition(np.zeros(y.size, dtype=int), 1)
+        assert np.array_equal(adaptive_closed_form(Xs, y * state.alpha, 0.6, cfg.eta, one), F)
 
     def test_no_n_by_n_eigendecomposition(self, monkeypatch):
         shapes = []

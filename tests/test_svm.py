@@ -6,7 +6,7 @@ from adakern.data import apply_minmax, fit_minmax, gen_two_class_toy, inverse_mi
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import cross_gram, gaussian_gram
 from adakern.scale import train_scalable
-from adakern.solver import SolverConfig, project_exact
+from adakern.solver import SolverConfig, SolveTrace, project_exact
 from adakern.svm import (
     accuracy,
     extend_adaptive,
@@ -193,6 +193,20 @@ class TestTrain:
         assert model.W is None
         evals = np.linalg.eigvalsh(model.F)
         assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) >= 1
+
+    def test_model_meta_combines_the_solves(self):
+        traces = [SolveTrace(iterations=3, terminated_by="tolerance", warnings=["a"],
+                             prox_fallbacks=1, prox_rank=2),
+                  SolveTrace(iterations=5, terminated_by="max_iter", warnings=["b", "c"],
+                             prox_rank=4),
+                  SolveTrace(iterations=2, terminated_by="tolerance", prox_fallbacks=2)]
+        F = np.array([[2.0, 1.0], [1.0, 0.5]])
+        meta = svm._model_meta(traces, F, None, np.array([1.0, 0.0]), -1.5)
+        assert meta == {"iterations": 10, "objective": -1.5, "terminated_by": "max_iter",
+                        "prox_fallbacks": 3, "prox_rank": 4, "warnings": ["a", "b", "c"],
+                        "f_min": 0.5, "f_max": 2.0, "f_rank": 2}
+        meta = svm._model_meta(traces[::2], F, np.ones((2, 1)), np.zeros(2), 0.0)
+        assert (meta["terminated_by"], meta["f_rank"]) == ("tolerance", 1)
 
     def test_label_symmetry(self):
         X, y = two_blobs(20, seed=13)

@@ -328,6 +328,18 @@ class TestTrainPredict:
         model = train_svr(X, y, 0.8, config(tau=0.0), epsilon=0.1, freeze_f=True)
         assert np.all(model.F == 1.0)
 
+    @pytest.mark.parametrize("tau, eta, freeze_f, rank", [
+        (0.0, 0.01, False, 12), (0.01, 0.1, False, 8), (0.01, None, True, 1),
+    ], ids=["tau-0", "factor", "frozen"])
+    def test_f_rank_matches_dense_count(self, tau, eta, freeze_f, rank):
+        X = np.linspace(-3, 3, 40)[:, None]
+        model = train_svr(X, np.sin(3 * X[:, 0]), 0.1,
+                          config(C=2.0, tau=tau, eta=eta, t_max=1500, variant="pgd"),
+                          epsilon=0.02, freeze_f=freeze_f)
+        evals = np.linalg.eigvalsh(model.F)
+        assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) == rank
+        assert (model.meta["f_min"], model.meta["f_max"]) == (model.F.min(), model.F.max())
+
     def test_dual_state_validates(self):
         X = np.linspace(0, 1, 10)[:, None]
         y = np.cos(2 * X[:, 0])
