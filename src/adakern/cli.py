@@ -153,7 +153,10 @@ def cmd_train(args) -> int:
     sigma = args.sigma
 
     if args.cv:
-        if args.task == "svm":
+        if args.mode == "scalable":
+            sigma, C, _ = scale.cross_validate_scalable(
+                ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config, v)
+        elif args.task == "svm":
             sigma, C, _ = svm.cross_validate(
                 ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config)
         else:
@@ -173,7 +176,8 @@ def cmd_train(args) -> int:
     rows = [("key", "value"), ("task", args.task), ("sigma", sigma),
             ("C", model.config.C), ("eta", model.config.eta)]
     rows += [(key, model.meta[key]) for key in ("iterations", "objective", "prox_fallbacks",
-                                                 "prox_rank", "f_min", "f_max", "f_rank")]
+                                                 "prox_rank", "prox_steps", "f_min", "f_max",
+                                                 "f_rank")]
     _emit(rows)
     for text in model.meta["warnings"]:
         print(f"warning: {text}", file=sys.stderr)

@@ -190,7 +190,8 @@ def load_model(path: str):
     Any defect in the file (wrong header or version, a missing, repeated or
     unknown key, a value that does not parse, an array of the wrong length,
     a non-finite array entry, a cluster assignment that does not fit the
-    ``clusters`` line, no closing ``end`` line) raises ``DataError``.
+    ``clusters`` line, an exact-mode ``clusters`` line other than 1, no
+    closing ``end`` line) raises ``DataError``.
     """
     try:
         with open(path, encoding="utf-8") as stream:
@@ -279,6 +280,8 @@ def _build(fields, rows, blocks, version: str):
         partition = Partition(assignment, meta["clusters"])
     elif blocks:
         raise DataError("F blocks without a cluster assignment")
+    elif meta["clusters"] != 1:
+        raise DataError(f"an exact-mode model has 1 cluster, the file says {meta['clusters']}")
     else:
         partition = Partition(np.zeros(n, dtype=int), 1)
     # From format 4 on, a file leaves out an F that the tau = 0 closed form gives.

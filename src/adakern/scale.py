@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram, pairwise_sq_dists
 from .solver import SolverConfig, _zero_tau_matrix, resolve_eta, solve
-from .svm import SvmModel, _model_meta, _training_inputs
+from .svm import SvmModel, _grid_search, _model_meta, _training_inputs, accuracy
 
 
 @dataclass
@@ -332,3 +332,26 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
         config=config, scaler=scaler, mode="scalable",
         assignment=partition.assignment.copy(), meta=meta,
     )
+
+
+def cross_validate_scalable(X, y, sigma_grid, C_grid, folds: int, seed: int,
+                            config_template: SolverConfig, v: int):
+    """Grid-search (sigma, C) by the mean k-fold accuracy of decomposition models.
+
+    Each fold trains :func:`train_scalable` with v clusters and k-means
+    seed ``seed`` (see :func:`svm._grid_search`).  A training fold of fewer
+    than v points cannot be clustered and is skipped, as a single-class
+    fold is.  Returns (best_sigma, best_C, table) where table rows are
+    (sigma, C, mean_accuracy).
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def fit_score(rows, held, sigma, C):
+        if np.count_nonzero(rows) < v:
+            raise DataError(f"a training fold has fewer than {v} points to cluster")
+        model = train_scalable(X[rows], y[rows], sigma, replace(config_template, C=C, eta=None),
+                               v, seed)
+        return accuracy(model, X[held], y[held])
+
+    return _grid_search(len(y), sigma_grid, C_grid, folds, seed, fit_score)

@@ -19,13 +19,13 @@ two products with K and K o K, and F is formed once, after the loop.  For
 tau > 0, F(a) is kept as its factor W (n x r, F = W W') from
 :func:`linalg.gram_soft_threshold`, which computes only the eigenpairs
 above tau/2, after a trace test certifies that no others exceed it, by
-products with K alone; each call starts from the leading Ritz vectors of
-the call before, and a dense eigendecomposition is the fallback when the
-test does not pass.  The gradient and value then come from W in
-O(n^2 r), so neither G(a) nor F(a) is formed inside the loop; the solve
-returns F = W W' once, at the end.  The eigenvalues of K, taken once per
-solve by the check that K is symmetric and PSD, give the test's margin
-and the pgd step constant.
+products with K alone; each call starts from the leading Ritz vectors
+that the test of the call before needed, and a dense eigendecomposition
+is the fallback when the test does not pass.  The gradient and value
+then come from W in O(n^2 r), so neither G(a) nor F(a) is formed inside
+the loop; the solve returns F = W W' once, at the end.  The eigenvalues
+of K, taken once per solve by the check that K is symmetric and PSD,
+give the test's margin and the pgd step constant.
 """
 
 from dataclasses import dataclass, field, replace
@@ -100,10 +100,11 @@ class SolveTrace:
     weights, ||w^(t+1) - w^(t)||_2; for the classifier that is
     ||a^(t+1) - a^(t)||_2.
     ``prox_fallbacks`` counts the spectral prox calls that fell back to
-    the dense eigendecomposition, and ``prox_rank`` is the largest number
-    of eigenpairs one call kept (both stay 0 at tau = 0).  ``factor`` is
-    W with F = W W' for the returned F, None when F is not factored
-    (tau = 0).
+    the dense eigendecomposition, ``prox_rank`` is the largest number of
+    eigenpairs one call kept, and ``prox_steps`` sums the calls'
+    eigendecompositions (:attr:`linalg.SpectralProx.steps`); all three
+    stay 0 at tau = 0 and with F frozen.  ``factor`` is W with F = W W'
+    for the returned F, None when F is not factored (tau = 0).
     """
 
     iterations: int = 0
@@ -115,11 +116,13 @@ class SolveTrace:
     iterates: dict | None = None
     prox_fallbacks: int = 0
     prox_rank: int = 0
+    prox_steps: int = 0
     factor: np.ndarray | None = None
 
     def record_prox(self, prox: SpectralProx) -> None:
         self.prox_fallbacks += int(prox.dense)
         self.prox_rank = max(self.prox_rank, prox.rank)
+        self.prox_steps += prox.steps
 
 
 def _adaptive_prox(w, K, tau: float, eta: float, lam_min_K: float = 0.0,
@@ -152,11 +155,13 @@ def _adaptive_term(K, tau: float, eta: float, lam_min_K: float, trace: SolveTrac
       formed only by ``final``.
     - tau > 0: the certified prox's factor W, from which (F o K) w is
       sum_k W_k o (K (W_k o w)), O(n^2 r), and the deviation term comes
-      from :func:`_deviation_sq`.  Each call starts from the leading Ritz
-      vectors of the call before, so it needs fewer subspace steps when
-      the duals move little; ``final`` starts from the fixed block, so F
-      is that of a cold :func:`_adaptive_prox` call, bit for bit, whatever
-      path the iterates took.  Calls are counted in ``trace``.
+      from :func:`_deviation_sq`.  Each call starts from the ``basis`` of
+      the call before, the leading Ritz vectors its trace test needed (as
+      few as 2 at rank 1), so it needs fewer and cheaper subspace steps
+      when the duals move little; ``final`` starts from the fixed block,
+      so F is that of a cold :func:`_adaptive_prox` call, bit for bit,
+      whatever path the iterates took.  Calls, fallbacks and steps are
+      counted in ``trace``.
     """
     if tau == 0 and not freeze_f:
         K2 = K * K

@@ -122,8 +122,9 @@ def _model_meta(traces: list[SolveTrace], F: np.ndarray, factor: np.ndarray | No
                 w: np.ndarray, objective: float) -> dict:
     """The ``meta`` of every trained model: its solves' diagnostics, F's range and rank.
 
-    Iterations and prox fallbacks are summed, ``prox_rank`` is the largest,
-    ``warnings`` holds every solve's; ``terminated_by`` is max_iter if any is.
+    Iterations, prox fallbacks and prox steps are summed, ``prox_rank`` is
+    the largest, ``warnings`` holds every solve's; ``terminated_by`` is
+    max_iter if any is.
     """
     stops = [t.terminated_by for t in traces]
     return {
@@ -132,6 +133,7 @@ def _model_meta(traces: list[SolveTrace], F: np.ndarray, factor: np.ndarray | No
         "terminated_by": "max_iter" if "max_iter" in stops else stops[0],
         "prox_fallbacks": sum(t.prox_fallbacks for t in traces),
         "prox_rank": max(t.prox_rank for t in traces),
+        "prox_steps": sum(t.prox_steps for t in traces),
         "warnings": [text for t in traces for text in t.warnings],
         "f_min": float(F.min()),
         "f_max": float(F.max()),

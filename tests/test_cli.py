@@ -66,7 +66,8 @@ class TestTrainPredictEval:
             assert (code, err) == (0, "")
             keys[task] = [line.split(",", 1)[0] for line in out.splitlines()]
         assert keys["svm"] == keys["svr"]
-        assert {"iterations", "prox_rank", "f_min", "f_max", "f_rank"} <= set(keys["svr"])
+        assert {"iterations", "prox_rank", "prox_steps", "f_min", "f_max",
+                "f_rank"} <= set(keys["svr"])
 
     @pytest.mark.parametrize("flags, tau", [
         (["--mode", "scalable"], 0.0),
@@ -783,6 +784,35 @@ def test_cv_selects_from_grid(tmp_path, capsys):
     assert best_row[0] == sigma
 
 
+def test_scalable_cv_scores_decomposition_models(toy_file, tmp_path, capsys, monkeypatch):
+    # --mode scalable --cv scores train_scalable models, with the run's
+    # --clusters and --seed, never exact-mode ones.
+    import adakern.cli as cli
+    from adakern import scale, svm
+
+    calls = []
+    original = scale.train_scalable
+
+    def recording(X, y, sigma, config, v, seed):
+        calls.append((X.shape[0], v, seed))
+        return original(X, y, sigma, config, v, seed)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the grid trained an exact-mode model")
+
+    monkeypatch.setattr(scale, "train_scalable", recording)
+    monkeypatch.setattr(svm, "train", forbidden)
+    monkeypatch.setattr(cli, "CV_GRID", [0.5, 1.0])
+    path, _ = toy_file
+    code, out, _ = run(["train", "--data", path, "--mode", "scalable", "--clusters", "2",
+                        "--seed", "3", "--cv", "--folds", "2", "--t-max", "30",
+                        "--model", str(tmp_path / "m.model")], capsys)
+    assert code == 0
+    # 2 sigmas x 2 Cs x 2 folds on 20 points each, then the model on all 40
+    assert calls == [(20, 2, 3)] * 8 + [(40, 2, 3)]
+    assert "\nprox_steps,0\n" in out
+
+
 def test_svr_cv_selects_from_grid():
     # tiny grid exercise of the --task svr --cv path through the library API
     from adakern.data import gen_step
@@ -876,8 +906,9 @@ class TestMalformedModelFiles:
         lambda t: re.sub(r"\ny \S+ ", "\ny ", t, count=1),
         lambda t: t.replace("\nscaler_min ", "\nscaler_min 0.5 ", 1),
         lambda t: re.sub(r"\neta \S+", "\neta inf", t, count=1),
+        lambda t: t.replace("\nclusters 1\n", "\nclusters 7\n"),
     ], ids=["version-x", "alpha-longer-than-n", "y-shorter-than-n", "scaler-longer-than-d",
-            "eta-inf"])
+            "eta-inf", "exact-mode-clusters-7"])
     def test_reported_defects_raise_data_error(self, mutate, saved_models, tmp_path):
         text, _ = saved_models["svm"]
         mutated = mutate(text)

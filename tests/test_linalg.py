@@ -129,6 +129,32 @@ def adaptive_input(rng, n, sigma, scale):
     return K, w, 1.0 + K * np.outer(w, w) * scale
 
 
+def high_rank_input(rng, n):
+    """K and w whose adaptive matrix has rank 20 at n = 360 and scale 2e-3 (seed 5)."""
+    return gaussian_gram(rng.uniform(size=(n, 2)), 0.1), rng.uniform(-1.0, 1.0, n)
+
+
+def trace_test(K, w, scale, threshold, V, r):
+    """Whether the prox's trace test passes with p = r..m of the m Ritz vectors V.
+
+    tr(A) - sum_{k<=p} theta_k and theta_{r+1} (for p > r), plus the
+    residual norm of pairs r+1..p, against the threshold less the
+    round-off margin of an exactly PSD K.
+    """
+    n = w.size
+    AV = (1.0 + K * np.outer(w, w) * scale) @ V
+    theta = np.einsum("ij,ij->j", V, AV)
+    residual = np.linalg.norm(AV - V * theta, axis=0)
+    trace = n + scale * float((w * w) @ np.diagonal(K))
+    margin = 16.0 * n * np.finfo(float).eps * trace
+    passes = []
+    for p in range(r, V.shape[1] + 1):
+        lead = theta[r] if p > r else 0.0
+        tail = trace - theta[:p].sum() + margin
+        passes.append(max(lead, tail) + np.sqrt(np.sum(residual[r:p] ** 2)) < threshold)
+    return np.array(passes)
+
+
 def assert_matches_dense(prox, A, threshold):
     F, shrunk = dense_soft_threshold(A, threshold)
     nuclear = np.abs(shrunk).sum()
@@ -224,6 +250,56 @@ class TestGramSoftThreshold:
             assert not warm.dense and warm.rank == cold.rank >= 2
             assert np.max(np.abs(warm.matrix - cold.matrix)) <= 1e-10
             assert_matches_dense(warm, 1.0 + K * np.outer(moved, moved) * scale, 0.005)
+
+    def test_warm_call_at_rank_20_takes_fewer_steps(self):
+        # n = 360 and sigma = 0.1: rank 20, where a warm start from 8 Ritz
+        # vectors regrew its block and took as long as a cold call.
+        rng = np.random.default_rng(5)
+        n, scale = 360, 2e-3
+        K, w = high_rank_input(rng, n)
+        previous = linalg.gram_soft_threshold(K, w, scale, 0.005)
+        assert previous.rank == 20 and previous.basis.shape[1] > 20
+        moved = w + 1e-3 * rng.normal(size=n)
+        warm = linalg.gram_soft_threshold(K, moved, scale, 0.005, start=previous.basis)
+        cold = linalg.gram_soft_threshold(K, moved, scale, 0.005)
+        assert warm.steps < cold.steps
+        assert (warm.rank, warm.dense) == (cold.rank, cold.dense) == (20, False)
+        assert np.max(np.abs(warm.matrix - cold.matrix)) <= 1e-10
+
+    @pytest.mark.parametrize("n, scale", [(120, 5e-3), (360, 1e-3), (360, 2e-3)])
+    def test_rank_jump_from_a_two_column_basis(self, n, scale):
+        rng = np.random.default_rng(5)
+        K, w = high_rank_input(rng, n)
+        low = linalg.gram_soft_threshold(K, w, 1e-5, 0.005)
+        assert low.rank == 1 and low.basis.shape[1] == 2
+        warm = linalg.gram_soft_threshold(K, w, scale, 0.005, start=low.basis)
+        cold = linalg.gram_soft_threshold(K, w, scale, 0.005)
+        assert (warm.rank, warm.dense) == (cold.rank, cold.dense) and cold.rank >= 8
+        assert np.max(np.abs(warm.matrix - cold.matrix)) <= 1e-10
+        assert_matches_dense(warm, 1.0 + K * np.outer(w, w) * scale, 0.005)
+
+    @pytest.mark.parametrize("n, sigma, scale", [(40, 2.0, 1e-3), (120, 0.3, 1e-4),
+                                                 (200, 1.0, 1e-2), (360, 0.1, 1e-4),
+                                                 (360, 0.1, 2e-3)])
+    def test_basis_holds_the_vectors_the_trace_test_needed(self, rng, n, sigma, scale):
+        # The basis is the first p* + 1 Ritz vectors (at least 2), p* the
+        # smallest count with which the trace test passed, or all of them
+        # when p* is the whole block (a cold block holds 8, 16, ... or n/4
+        # vectors); the test is redone here from those vectors alone.
+        blocks = {min(8 * 2 ** k, n // 4) for k in range(8)}
+        for _ in range(3):
+            K = gaussian_gram(rng.uniform(size=(n, 2)), sigma)
+            w = rng.uniform(-1.0, 1.0, n)
+            prox = linalg.gram_soft_threshold(K, w, scale, 0.005)
+            assert not prox.dense
+            m = prox.basis.shape[1]
+            passes = trace_test(K, w, scale, 0.005, prox.basis, prox.rank)
+            assert passes.any() and m > prox.rank
+            first = prox.rank + int(np.argmax(passes))
+            if m == 2:
+                assert first <= 1
+            else:
+                assert first == m - 1 or (first == m and m in blocks), (first, m)
 
     def test_fallback_returns_the_factor_and_no_basis(self):
         # K = I with the weighted diagonal just below the threshold (as in

@@ -14,6 +14,7 @@ from adakern.scale import (
     cross_cluster_mass,
     decomposition_objective,
     exact_reference,
+    cross_validate_scalable,
     kmeans_partition,
     screen_nonsupport,
     solve_blocks,
@@ -372,6 +373,30 @@ class TestTrainScalable:
         assert np.array_equal(model.F, F)
         assert np.array_equal(model.decision_function(probe),
                               reference.decision_function(probe))
+
+
+class TestCrossValidateScalable:
+    def test_scores_decomposition_models_and_skips_a_fold_it_cannot_cluster(self):
+        # 10 points in 3 folds leave training folds of 6, 7 and 7 points, so
+        # 7 clusters fit two of them; 11 clusters fit none.
+        from dataclasses import replace
+
+        from adakern.data import kfold
+        from adakern.svm import accuracy
+
+        X, y = two_blobs(10, seed=4)
+        cfg = SolverConfig(C=1.0, tau=0.0, eta=None, t_max=30)
+        expected = []
+        for held in kfold(10, 3, 1):
+            rows = np.ones(10, dtype=bool)
+            rows[held] = False
+            if rows.sum() >= 7:
+                model = train_scalable(X[rows], y[rows], 0.5, replace(cfg, C=2.0), 7, 1)
+                expected.append(accuracy(model, X[held], y[held]))
+        assert len(expected) == 2
+        table = cross_validate_scalable(X, y, [0.5], [2.0], 3, 1, cfg, 7)[2]
+        assert table == [(0.5, 2.0, float(np.mean(expected)))]
+        assert cross_validate_scalable(X, y, [0.5], [2.0], 3, 1, cfg, 11)[2] == [(0.5, 2.0, 0.0)]
 
 
 class TestClosedFormModel:

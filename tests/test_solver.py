@@ -852,6 +852,38 @@ class TestFactoredEvaluation:
         assert repeated[1] > 100 and repeated[0] <= repeated[1] // 10, repeated
         assert solve_steps < totals[1]
 
+    def test_prox_steps_count_every_eigendecomposition_of_a_solve(self, monkeypatch):
+        # Rayleigh-Ritz steps and dense fallbacks alike: the c06 fixture, the
+        # heavy tail of K = I (which falls back), and an SVR solve.
+        count = [0]
+        original = np.linalg.eigh
+
+        def counted(A, *args, **kwargs):
+            count[0] += 1
+            return original(A, *args, **kwargs)
+
+        K6, y6, cfg6 = criteria_fixtures()[1]
+        X, y = two_blobs(60, seed=2)
+        K = gaussian_gram(X, 0.7)
+        cfg = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=40)
+        runs = [lambda: solve(K6, y6, cfg6),
+                lambda: solve(np.eye(40), labels(40),
+                              SolverConfig(C=1.0, tau=0.6, eta=1.0, t_max=60, tol=1e-300)),
+                lambda: solve_svr(K, y, cfg, epsilon=0.1)]
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        fallbacks = 0
+        for run in runs:
+            before = count[0]
+            trace = run()[2]
+            assert trace.prox_steps == count[0] - before > trace.iterations
+            fallbacks += trace.prox_fallbacks
+        assert fallbacks > 0
+        # No prox runs with F frozen or at tau = 0.
+        for run in (lambda: solve(K, y, cfg, freeze_f=True),
+                    lambda: solve(K, y, replace(cfg, tau=0.0)),
+                    lambda: solve_svr(K, y, replace(cfg, tau=0.0), epsilon=0.1)):
+            assert run()[2].prox_steps == 0
+
     def test_solves_keep_the_factor_of_the_returned_matrix(self):
         X, y = two_blobs(60, seed=2)
         K = gaussian_gram(X, 0.7)

@@ -196,15 +196,15 @@ class TestTrain:
 
     def test_model_meta_combines_the_solves(self):
         traces = [SolveTrace(iterations=3, terminated_by="tolerance", warnings=["a"],
-                             prox_fallbacks=1, prox_rank=2),
+                             prox_fallbacks=1, prox_rank=2, prox_steps=7),
                   SolveTrace(iterations=5, terminated_by="max_iter", warnings=["b", "c"],
-                             prox_rank=4),
+                             prox_rank=4, prox_steps=11),
                   SolveTrace(iterations=2, terminated_by="tolerance", prox_fallbacks=2)]
         F = np.array([[2.0, 1.0], [1.0, 0.5]])
         meta = svm._model_meta(traces, F, None, np.array([1.0, 0.0]), -1.5)
         assert meta == {"iterations": 10, "objective": -1.5, "terminated_by": "max_iter",
-                        "prox_fallbacks": 3, "prox_rank": 4, "warnings": ["a", "b", "c"],
-                        "f_min": 0.5, "f_max": 2.0, "f_rank": 2}
+                        "prox_fallbacks": 3, "prox_rank": 4, "prox_steps": 18,
+                        "warnings": ["a", "b", "c"], "f_min": 0.5, "f_max": 2.0, "f_rank": 2}
         meta = svm._model_meta(traces[::2], F, np.ones((2, 1)), np.zeros(2), 0.0)
         assert (meta["terminated_by"], meta["f_rank"]) == ("tolerance", 1)
 
