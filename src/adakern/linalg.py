@@ -8,7 +8,8 @@ result as its factor; a dense eigendecomposition of A is the fallback.
 A certified call hands on as many leading Ritz vectors as its trace test
 needed, so the next call on a nearby A starts from a block that fits the
 rank: as few as 2 columns at rank 1, and every vector the test used at
-higher rank.
+higher rank.  :func:`factor_columns` forms columns of F = W W' from the
+factor, with the same bits in every batch.
 """
 
 from typing import NamedTuple
@@ -51,8 +52,27 @@ class SpectralProx(NamedTuple):
     @property
     def matrix(self) -> np.ndarray:
         """F itself; formed from the factor (exactly symmetric) on each access."""
-        # np.dot uses a symmetric BLAS product for W W', also at rank one.
-        return np.dot(self.factor, self.factor.T)
+        return factor_columns(self.factor, np.arange(len(self.factor)))
+
+
+# Width of the column blocks of factor_columns.
+_COLUMN_BLOCK = 256
+
+
+def factor_columns(W, idx) -> np.ndarray:
+    """Columns idx of F = W W' (n x len(idx)), the same bits whatever idx holds.
+
+    A BLAS product sums in an order that depends on its shape (a single
+    column goes through gemv), so W W[idx]' would give an entry of F other
+    bits in another batch.  Here every product has one shape: idx is
+    repeated to whole blocks of _COLUMN_BLOCK columns.
+    """
+    k = len(idx)
+    V = W[np.resize(idx, -(-k // _COLUMN_BLOCK) * _COLUMN_BLOCK)]
+    F = np.empty((len(W), len(V)))
+    for s in range(0, len(V), _COLUMN_BLOCK):
+        np.matmul(W, V[s:s + _COLUMN_BLOCK].T, out=F[:, s:s + _COLUMN_BLOCK])
+    return F[:, :k]
 
 
 def gram_soft_threshold(K, w, scale: float, threshold: float, floor: float = 0.0,

@@ -4,30 +4,31 @@ Key-value lines with dense arrays in 17-significant-digit scientific
 notation, which round-trips float64 exactly, so save -> load -> predict is
 bit-identical to the in-memory model on the same platform.
 
-Format 2 stores the adaptive matrix as its factor when the model has one
-whose product W W' is F bit for bit: a ``rank r`` line and n ``W`` rows of
-r values (none at r = 0), and loading forms F = W W' the same way.  Other
-models store n ``F`` rows, or F blocks for the decomposition mode, as
-format 1 does.  Format 3 drops the ``projection_rounds`` line, a setting
-no solver read.  Format 4 stores no F at all when F is the tau = 0 closed
-form of the model's own fields (X, y, the duals, sigma, eta and, for the
-decomposition mode, the cluster assignment) bit for bit: every
-decomposition model, and exact-mode models trained at tau = 0.  Loading
-then forms F with :func:`scale.adaptive_closed_form`, from the kernels
-and the expression the solves use.  A model whose F is neither (say, an
-edited one) keeps its F rows or F blocks.  Files of formats 1 to 3 still
-load, F blocks included; formats 1 and 2 must hold the
-``projection_rounds`` line, with a positive integer, as they always did.
-Clusters are enumerated only through :class:`scale.Partition`, built on
-load from the ``assignment`` and ``clusters`` lines before any block is
-formed.  A model with eta unset (F frozen at 11') writes ``eta none``.
+A file stores the adaptive matrix in the form the model holds
+(:mod:`adaptive`), and loading builds that form, with no n x n F:
+
+- :class:`adaptive.Factor`: a ``rank r`` line and n ``W`` rows of r
+  values, none at r = 0 (format 2 on).
+- :class:`adaptive.ClosedForm`: no F lines at all (format 4), since the
+  tau = 0 closed form comes from the model's X, duals, sigma, eta and, in
+  the decomposition mode, cluster assignment.
+- :class:`adaptive.Dense`: n ``F`` rows, or F blocks in the decomposition
+  mode.  An edited F is one; so is the F of a format 1 to 3 file, which
+  keeps its rows or blocks when it is loaded and saved again.
+
+Files of formats 1 to 3 still load.  Format 3 drops the
+``projection_rounds`` line, which formats 1 and 2 must hold with a
+positive integer.  Clusters are enumerated only through
+:class:`adaptive.Partition`, built on load from the ``assignment`` and
+``clusters`` lines before any block is formed.  A model with eta unset
+(F frozen at 11') writes ``eta none``.
 """
 
 import numpy as np
 
+from .adaptive import ClosedForm, Dense, Factor, Partition
 from .data import Scaler
 from .errors import DataError, ParameterError
-from .scale import Partition, adaptive_closed_form
 from .solver import SolverConfig
 from .svm import SvmModel
 from .svr import SvrModel
@@ -84,18 +85,19 @@ def save_model(model, path: str) -> None:
     for row in model.X:
         lines.append(f"X {_fmt_vec(row)}")
 
+    form = model.adaptive
     if assignment is not None:
         lines.append("assignment " + " ".join(str(int(c)) for c in assignment))
-        if not _is_closed_form(model, task, partition):
-            for c, idx in enumerate(partition.clusters()):
-                lines.append(f"block {c} {idx.size}")
-                lines.extend(f"B {_fmt_vec(row)}" for row in model.F[np.ix_(idx, idx)])
-    elif model.W is not None and np.array_equal(np.dot(model.W, model.W.T), model.F):
-        lines.append(f"rank {model.W.shape[1]}")
-        if model.W.shape[1]:
-            lines.extend(f"W {_fmt_vec(row)}" for row in model.W)
-    elif not (cfg.tau == 0 and _is_closed_form(model, task, partition)):
-        lines.extend(f"F {_fmt_vec(row)}" for row in model.F)
+    if isinstance(form, Factor):
+        lines.append(f"rank {form.W.shape[1]}")
+        if form.W.shape[1]:
+            lines.extend(f"W {_fmt_vec(row)}" for row in form.W)
+    elif isinstance(form, Dense) and assignment is not None:
+        for c, idx in enumerate(partition.clusters()):
+            lines.append(f"block {c} {idx.size}")
+            lines.extend(f"B {_fmt_vec(row)}" for row in form.F[np.ix_(idx, idx)])
+    elif isinstance(form, Dense):
+        lines.extend(f"F {_fmt_vec(row)}" for row in form.F)
 
     lines.append(f"meta_iterations {int(model.meta.get('iterations', 0))}")
     lines.append(f"meta_objective {_fmt(model.meta.get('objective', float('nan')))}")
@@ -105,20 +107,6 @@ def save_model(model, path: str) -> None:
             stream.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise DataError(f"cannot write model {path}: {exc}") from exc
-
-
-def _weights(task: str, values) -> np.ndarray:
-    """The prox weights of a model's duals, by field name: y o alpha, or hat - check."""
-    if task == "svm":
-        return values["y"] * values["alpha"]
-    return values["alpha_hat"] - values["alpha_check"]
-
-
-def _is_closed_form(model, task: str, partition: Partition) -> bool:
-    """Whether ``load_model`` rebuilds the model's F bit for bit from its other fields."""
-    eta = model.config.eta
-    return eta is not None and np.array_equal(model.F, adaptive_closed_form(
-        model.X, _weights(task, vars(model)), model.sigma, eta, partition))
 
 
 # Lines every model file has besides its X and F rows (or F blocks), and
@@ -138,7 +126,7 @@ _VECTOR_LENGTHS = {"y": "n", "alpha": "n", "alpha_hat": "n", "alpha_check": "n",
 
 
 def _matrix(rows, count: int, width: int, what: str) -> np.ndarray:
-    """Parse the text rows of a count x width matrix in one pass."""
+    """Parse the text rows of a count x width matrix of finite values in one pass."""
     # loadtxt skips blank rows, so they are counted as missing here.
     if len(rows) != count or not all(row.strip() for row in rows):
         raise DataError(f"stored {what} does not have {count} rows")
@@ -148,6 +136,8 @@ def _matrix(rows, count: int, width: int, what: str) -> np.ndarray:
         raise DataError(f"stored {what} does not parse: {exc}") from exc
     if matrix.shape != (count, width):
         raise DataError(f"stored {what} is not {count} x {width}")
+    if not np.all(np.isfinite(matrix)):
+        raise DataError(f"stored {what} contains non-finite values")
     return matrix
 
 
@@ -266,14 +256,12 @@ def _build(fields, rows, blocks, version: str):
                 raise DataError(f"{key} has length {value.size}, expected {expected}")
 
     X = _matrix(rows["X"], n, d, "X")
-    arrays = [X] + [v for k, v in fields.items() if k in _VECTOR_LENGTHS]
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.all(np.isfinite(v)) for k, v in fields.items() if k in _VECTOR_LENGTHS):
         raise DataError("stored arrays contain non-finite values")
     assignment = fields.get("assignment")
     mode = fields["mode"]
     if mode not in ("exact", "scalable") or (assignment is not None) != (mode == "scalable"):
         raise DataError(f"mode {mode!r} does not match the stored F")
-    W = None
     if assignment is not None:
         if task != "svm" or rows["F"] or rows["W"] or "rank" in fields:
             raise DataError("a cluster assignment needs an SVM model with F blocks or none")
@@ -289,20 +277,20 @@ def _build(fields, rows, blocks, version: str):
     if closed and (assignment is not None or config.tau == 0):
         if config.eta is None:
             raise DataError("eta none, but F is the closed form, which needs eta")
-        F = adaptive_closed_form(X, _weights(task, fields), sigma, config.eta, partition)
+        w = (fields["y"] * fields["alpha"] if task == "svm"
+             else fields["alpha_hat"] - fields["alpha_check"])
+        adaptive = ClosedForm(X, w, sigma, config.eta, partition)
     elif assignment is not None:
-        F = partition.block_diagonal(_stored_blocks(blocks, partition))
+        adaptive = Dense(partition.block_diagonal(_stored_blocks(blocks, partition)))
     else:
         W = _factor(fields.get("rank"), rows, n)
-        F = _matrix(rows["F"], n, n, "F") if W is None else np.dot(W, W.T)
-    if not np.all(np.isfinite(F)):
-        raise DataError("stored arrays contain non-finite values")
+        adaptive = Dense(_matrix(rows["F"], n, n, "F")) if W is None else Factor(W)
 
-    common = dict(X=X, y=fields["y"], F=F, bias=bias, sigma=sigma, config=config,
+    common = dict(X=X, y=fields["y"], adaptive=adaptive, bias=bias, sigma=sigma, config=config,
                   scaler=Scaler(mins=fields["scaler_min"], maxs=fields["scaler_max"]),
-                  meta=meta, W=W)
+                  meta=meta)
     if task == "svm":
-        return SvmModel(alpha=fields["alpha"], mode=mode, assignment=assignment, **common)
+        return SvmModel(alpha=fields["alpha"], assignment=assignment, **common)
     return SvrModel(alpha_hat=fields["alpha_hat"], alpha_check=fields["alpha_check"],
                     epsilon=epsilon,
                     y_scaler=Scaler(mins=fields["y_scaler_min"], maxs=fields["y_scaler_max"]),

@@ -11,42 +11,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .adaptive import ClosedForm, Partition
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram, pairwise_sq_dists
-from .solver import SolverConfig, _zero_tau_matrix, resolve_eta, solve
+from .solver import SolverConfig, resolve_eta, solve
 from .svm import SvmModel, _grid_search, _model_meta, _training_inputs, accuracy
-
-
-@dataclass
-class Partition:
-    """Cluster assignment over range(n), the one cluster type of the decomposition mode.
-
-    A count outside [1, n], an index out of range (both checked first) or
-    an empty cluster raises DataError.
-    """
-
-    assignment: np.ndarray
-    n_clusters: int
-
-    def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=int)
-        if not 1 <= self.n_clusters <= self.assignment.size:
-            raise DataError(f"cluster count {self.n_clusters} not in [1, {self.assignment.size}]")
-        if self.assignment.min() < 0 or self.assignment.max() >= self.n_clusters:
-            raise DataError("cluster indices out of range")
-        if np.any(np.bincount(self.assignment, minlength=self.n_clusters) == 0):
-            raise DataError("partition contains an empty cluster")
-
-    def clusters(self) -> list[np.ndarray]:
-        return [np.flatnonzero(self.assignment == c) for c in range(self.n_clusters)]
-
-    def block_diagonal(self, blocks) -> np.ndarray:
-        """n x n: blocks[c] (an iterable) on cluster c's rows and columns, 1 elsewhere."""
-        n = self.assignment.size
-        M = np.ones((n, n))
-        for idx, block in zip(self.clusters(), blocks):
-            M[np.ix_(idx, idx)] = block
-        return M
 
 
 @dataclass
@@ -58,10 +27,6 @@ class BlockSolution:
     blocks: list
     traces: list
     single_class_blocks: int = 0
-
-    def adaptive_dense(self) -> np.ndarray:
-        """Dense adaptive matrix with off-block entries set to 1."""
-        return self.partition.block_diagonal(self.blocks)
 
 
 @dataclass
@@ -155,23 +120,6 @@ def solve_blocks(X, y, partition: Partition, sigma: float,
         alpha[idx] = state.alpha
     return BlockSolution(partition=partition, alpha_bar=alpha, blocks=blocks,
                          traces=traces, single_class_blocks=single_class)
-
-
-def adaptive_closed_form(X, w, sigma: float, eta: float, partition: Partition) -> np.ndarray:
-    """The adaptive matrix of a tau = 0 model, rebuilt from what the model keeps.
-
-    For each cluster c of ``partition`` the block
-    11' + diag(w[c]) K_c diag(w[c]) / (4 eta), with
-    K_c = gaussian_gram(X[c], sigma), and 1 across clusters; an exact-mode
-    model passes the one-cluster partition.  w is the prox weights of the
-    duals (y o alpha, or hat - check).  These are the kernels and the
-    expression (:func:`solver._zero_tau_matrix`) that the solves use, so
-    the result equals the trained F bit for bit; ``load_model`` forms F
-    here.
-    """
-    return partition.block_diagonal(
-        _zero_tau_matrix(gaussian_gram(X[idx], sigma), w[idx], eta)
-        for idx in partition.clusters())
 
 
 def cross_cluster_mass(K, partition: Partition) -> float:
@@ -286,7 +234,7 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
     )
     if exact is not None:
         alpha_star, F_star, H_star = exact
-        F_bar = approx.adaptive_dense()
+        F_bar = approx.partition.block_diagonal(approx.blocks)
         H_bar = decomposition_objective(approx.alpha_bar, y, K, F_bar, eta)
         diff = np.asarray(alpha_star, dtype=float) - approx.alpha_bar
         report.measured_objective_gap = abs(float(H_star) - H_bar)
@@ -315,21 +263,24 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
 
     eta resolution uses the standard whole-data SVM protocol, then each
     k-means block is solved independently at tau = 0, which the model's
-    config records, and the adaptive matrix is assembled with off-block
-    entries at the neutral value 1.  Its rank is read off the block duals,
-    with no n x n eigendecomposition.
+    config records.  The model holds the adaptive matrix as its closed form
+    (:class:`adaptive.ClosedForm`: the blocks, with off-block entries at
+    the neutral value 1); the assembled n x n F serves the objective and
+    ``meta`` only, and its rank is read off the block duals, with no n x n
+    eigendecomposition.
     """
     y, scaler, Xs, K = _training_inputs(X, y, sigma)
     config = replace(resolve_eta(K, y, config), tau=0.0)
     partition = kmeans_partition(Xs, v, seed)
     blocks = solve_blocks(Xs, y, partition, sigma, config)
-    F = blocks.adaptive_dense()
+    w = y * blocks.alpha_bar
+    F = partition.block_diagonal(blocks.blocks)
     objective = decomposition_objective(blocks.alpha_bar, y, K, F, config.eta)
-    meta = {**_model_meta(blocks.traces, F, None, y * blocks.alpha_bar, objective),
+    meta = {**_model_meta(blocks.traces, F, None, w, objective),
             "clusters": v, "seed": seed, "single_class_blocks": blocks.single_class_blocks}
     return SvmModel(
-        X=Xs, y=y, alpha=blocks.alpha_bar, F=F, bias=0.0, sigma=sigma,
-        config=config, scaler=scaler, mode="scalable",
+        X=Xs, y=y, alpha=blocks.alpha_bar, adaptive=ClosedForm(Xs, w, sigma, config.eta, partition),
+        bias=0.0, sigma=sigma, config=config, scaler=scaler,
         assignment=partition.assignment.copy(), meta=meta,
     )
 

@@ -208,7 +208,7 @@ def _zero_tau_matrix(K, w, eta: float) -> np.ndarray:
     """F(w) = 11' + diag(w) K diag(w) / (4 eta), the adaptive matrix at tau = 0.
 
     The one expression of it: the solve's final F at tau = 0 and the
-    closed-form rebuild of a trained model (:func:`scale.adaptive_closed_form`)
+    closed-form rebuild of a trained model (:class:`adaptive.ClosedForm`)
     both call this, so they agree bit for bit on the same K, w and eta.
     Where w_i = 0, row and column i are exactly 1.
     """

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .adaptive import AdaptiveMatrix, ClosedForm, Factor, Partition
 from .data import Scaler, apply_minmax, fit_minmax, kfold
 from .errors import DataError
 from .kernel import cross_gram, gaussian_gram, pairwise_sq_dists
@@ -17,22 +18,29 @@ _MARGIN_RTOL = 1e-6
 class SvmModel:
     """Everything prediction needs.  ``X`` is stored in scaled space.
 
-    ``W`` is the factor of F = W W' when training produced one (tau > 0,
-    or F frozen at 11'), else None.
+    ``adaptive`` is F in the form training left it (:mod:`adaptive`);
+    ``F`` forms the n x n array on each access.  A decomposition model
+    (mode "scalable") has its cluster ``assignment``.
     """
 
     X: np.ndarray
     y: np.ndarray
     alpha: np.ndarray
-    F: np.ndarray
+    adaptive: AdaptiveMatrix
     bias: float
     sigma: float
     config: SolverConfig
     scaler: Scaler
-    mode: str = "exact"
     assignment: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-    W: np.ndarray | None = None
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.adaptive.dense()
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.assignment is None else "scalable"
 
     def decision_function(self, X_test) -> np.ndarray:
         return _expansion(self, self.alpha * self.y, X_test)
@@ -58,7 +66,7 @@ def _expansion(model, coef, X_test) -> np.ndarray:
     if not np.all(np.isfinite(X_test)):
         raise DataError("test features contain non-finite values")
     Xs = apply_minmax(model.scaler, X_test)
-    F_ext = extend_adaptive(model.F, reciprocal_similarity(model.X, Xs))
+    F_ext = extend_adaptive(model.adaptive, reciprocal_similarity(model.X, Xs))
     # In place into the C-ordered kernel matrix: the product then has the
     # memory layout, and so the matmul its summation order, of F_ext * Kx.
     Kx = cross_gram(model.X, Xs, model.sigma)
@@ -111,11 +119,19 @@ def train(X, y, sigma: float, config: SolverConfig,
     state, F, trace = solve(gram, y, config, freeze_f=freeze_f)
     state.validate(config.C)
     bias = recover_bias(state.alpha, y, F, K, config.C)
-    meta = _model_meta([trace], F, trace.factor, y * state.alpha, trace.objective_history[-1])
+    w = y * state.alpha
+    meta = _model_meta([trace], F, trace.factor, w, trace.objective_history[-1])
     return SvmModel(
-        X=Xs, y=y, alpha=state.alpha, F=F, bias=bias, sigma=sigma,
-        config=config, scaler=scaler, meta=meta, W=trace.factor,
+        X=Xs, y=y, alpha=state.alpha, adaptive=_solved_form(trace, Xs, w, sigma, config.eta),
+        bias=bias, sigma=sigma, config=config, scaler=scaler, meta=meta,
     )
+
+
+def _solved_form(trace: SolveTrace, X, w, sigma: float, eta: float | None) -> AdaptiveMatrix:
+    """F as a whole-data solve left it: its factor, or at tau = 0 the one-cluster closed form."""
+    if trace.factor is not None:
+        return Factor(trace.factor)
+    return ClosedForm(X, w, sigma, eta, Partition(np.zeros(w.size, dtype=int), 1))
 
 
 def _model_meta(traces: list[SolveTrace], F: np.ndarray, factor: np.ndarray | None,
@@ -270,7 +286,7 @@ def _stable_row_order(V) -> np.ndarray:
     order |= np.arange(m)
     order.sort(axis=1)
     order &= low
-    order += np.arange(0, n * m, m)[:, None]
+    order += (np.arange(n) * m)[:, None]
     values = V.ravel()[order]
     descent = np.zeros((n, m), dtype=bool)
     np.less(values[:, 1:], values[:, :-1], out=descent[:, 1:])
@@ -316,18 +332,17 @@ def _resort_near_ties(order, values, descent, rows, b) -> None:
     order.ravel()[where] = key
 
 
-def extend_adaptive(F, M) -> np.ndarray:
-    """Extend the trained adaptive matrix to test columns.
+def extend_adaptive(adaptive: AdaptiveMatrix, M) -> np.ndarray:
+    """Extend the trained adaptive matrix F, held in any form, to test columns.
 
     Column j of the result is column argmax_i M_ij of F; ties break toward
-    the smallest index.
+    the smallest index.  Only those columns are formed.
     """
-    F = np.asarray(F, dtype=float)
     M = np.asarray(M, dtype=float)
-    if M.shape[0] != F.shape[0]:
+    # The n x 0 block gives F's row count.
+    if M.shape[0] != adaptive.columns([]).shape[0]:
         raise DataError("similarity matrix rows must match the training size")
-    best = np.argmax(M, axis=0)
-    return F[:, best]
+    return adaptive.columns(np.argmax(M, axis=0))
 
 
 def accuracy(model: SvmModel, X, y) -> float:

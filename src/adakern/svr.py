@@ -4,6 +4,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .adaptive import AdaptiveMatrix
 from .data import Scaler, apply_minmax, fit_minmax, inverse_minmax
 from .errors import DataError, ParameterError
 from .solver import (
@@ -15,7 +16,7 @@ from .solver import (
     project_exact,
     resolve_eta,
 )
-from .svm import _expansion, _grid_search, _kkt_bias, _model_meta, _training_inputs
+from .svm import _expansion, _grid_search, _kkt_bias, _model_meta, _solved_form, _training_inputs
 
 DEFAULT_EPSILON = 0.1
 
@@ -51,11 +52,13 @@ class SvrDualState:
 
 @dataclass
 class SvrModel:
+    """As :class:`svm.SvmModel`, with the paired duals and the target scaler."""
+
     X: np.ndarray
     y: np.ndarray
     alpha_hat: np.ndarray
     alpha_check: np.ndarray
-    F: np.ndarray
+    adaptive: AdaptiveMatrix
     bias: float
     sigma: float
     epsilon: float
@@ -63,7 +66,10 @@ class SvrModel:
     scaler: Scaler
     y_scaler: Scaler
     meta: dict = field(default_factory=dict)
-    W: np.ndarray | None = None
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.adaptive.dense()
 
     def predict(self, X_test) -> np.ndarray:
         scaled = _expansion(self, self.alpha_hat - self.alpha_check, X_test)
@@ -203,12 +209,13 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
     state.validate(config.C)
     bias = recover_bias_svr(state.alpha_hat, state.alpha_check, ys, F, K,
                             config.C, epsilon)
-    meta = _model_meta([trace], F, trace.factor, state.difference, trace.objective_history[-1])
+    w = state.difference
+    meta = _model_meta([trace], F, trace.factor, w, trace.objective_history[-1])
     meta["complementarity_gap"] = state.complementarity_gap()
     return SvrModel(
         X=Xs, y=ys, alpha_hat=state.alpha_hat, alpha_check=state.alpha_check,
-        F=F, bias=bias, sigma=sigma, epsilon=epsilon, config=config,
-        scaler=scaler, y_scaler=y_scaler, meta=meta, W=trace.factor,
+        adaptive=_solved_form(trace, Xs, w, sigma, config.eta), bias=bias, sigma=sigma,
+        epsilon=epsilon, config=config, scaler=scaler, y_scaler=y_scaler, meta=meta,
     )
 
 

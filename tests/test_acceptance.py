@@ -352,7 +352,7 @@ def test_c12_out_of_sample_identity_on_training_points():
 
     from adakern.svm import extend_adaptive, reciprocal_similarity
     M = reciprocal_similarity(model.X, model.X)
-    F_extended = extend_adaptive(model.F, M)
+    F_extended = extend_adaptive(model.adaptive, M)
     extension_exact = np.array_equal(F_extended, model.F)
 
     deviation = float(np.max(np.abs(model.decision_function(ds.X)

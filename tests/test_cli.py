@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adakern.adaptive import ClosedForm, Dense
 from adakern.cli import main
 from adakern.data import Dataset, gen_two_class_toy
 from adakern.errors import DataError
@@ -267,17 +268,17 @@ class TestFormatV2:
             with open(path) as stream:
                 text = stream.read()
             assert text.startswith(f"adakern-model {FORMAT_VERSION}\n")
-            assert f"\nrank {model.W.shape[1]}\n" in text and "\nF " not in text
+            assert f"\nrank {model.adaptive.W.shape[1]}\n" in text and "\nF " not in text
             assert text.count("\nW ") == 50
             loaded = load_model(path)
-            assert np.array_equal(loaded.W, model.W)
+            assert np.array_equal(loaded.adaptive.W, model.adaptive.W)
             assert np.array_equal(loaded.F, model.F)
             predict = "decision_function" if hasattr(model, "alpha") else "predict"
             assert np.array_equal(getattr(loaded, predict)(probe), getattr(model, predict)(probe))
 
     def test_format_1_file_still_loads(self, tmp_path):
         loaded = load_model(_write(str(tmp_path / "v1.model"), FORMAT_1_SVM))
-        assert loaded.W is None and loaded.F.shape == (4, 4)
+        assert isinstance(loaded.adaptive, Dense) and loaded.F.shape == (4, 4)
         probe = np.array([[0.5, 0.5], [0.1, 0.9]])
         decisions = loaded.decision_function(probe)
         assert decisions.tolist() == pytest.approx(FORMAT_1_DECISIONS, rel=1e-12, abs=0)
@@ -285,7 +286,7 @@ class TestFormatV2:
         path = str(tmp_path / "again.model")
         save_model(loaded, path)
         again = load_model(path)
-        assert np.array_equal(again.F, loaded.F) and again.W is None
+        assert np.array_equal(again.F, loaded.F) and isinstance(again.adaptive, Dense)
         assert np.array_equal(again.decision_function(probe), decisions)
 
     def test_format_2_file_still_loads(self, saved_models, tmp_path):
@@ -295,7 +296,8 @@ class TestFormatV2:
         v2 = text.replace(f"adakern-model {FORMAT_VERSION}\n", "adakern-model 2\n", 1)
         v2 = re.sub(r"(\ntol [^\n]*\n)", r"\1projection_rounds 10\n", v2, count=1)
         loaded = load_model(_write(str(tmp_path / "v2.model"), v2))
-        assert np.array_equal(loaded.F, current.F) and np.array_equal(loaded.W, current.W)
+        assert np.array_equal(loaded.F, current.F)
+        assert np.array_equal(loaded.adaptive.W, current.adaptive.W)
         probe = current.X + 0.05
         assert np.array_equal(loaded.decision_function(probe), current.decision_function(probe))
 
@@ -317,14 +319,14 @@ class TestFormatV2:
         X, y = two_blobs(20, seed=3)
         # tau/2 above every eigenvalue of 11' + G: F collapses to zero.
         model = train(X, y, 0.6, SolverConfig(C=1.0, tau=100.0, eta=1.0, t_max=20))
-        assert model.W.shape == (20, 0) and not model.F.any()
+        assert model.adaptive.W.shape == (20, 0) and not model.F.any()
         path = str(tmp_path / "m.txt")
         save_model(model, path)
         with open(path) as stream:
             text = stream.read()
         assert "\nrank 0\n" in text and "\nW " not in text and "\nF " not in text
         loaded = load_model(path)
-        assert np.array_equal(loaded.F, model.F) and loaded.W.shape == (20, 0)
+        assert np.array_equal(loaded.F, model.F) and loaded.adaptive.W.shape == (20, 0)
         assert np.array_equal(loaded.decision_function(X), model.decision_function(X))
 
     def test_factor_that_does_not_give_F_is_not_written(self, tmp_path):
@@ -334,11 +336,11 @@ class TestFormatV2:
         from adakern.svm import train
         X, y = two_blobs(30, seed=5)
         model = train(X, y, 0.6, SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=20))
-        edited = replace(model, F=model.F + 1e-3)
+        edited = replace(model, adaptive=Dense(model.F + 1e-3))
         path = str(tmp_path / "m.txt")
         save_model(edited, path)
         loaded = load_model(path)
-        assert loaded.W is None and np.array_equal(loaded.F, edited.F)
+        assert isinstance(loaded.adaptive, Dense) and np.array_equal(loaded.F, edited.F)
 
 
 def _format_3_blocks(text, model):
@@ -381,7 +383,7 @@ class TestFormatV4:
             assert not keys & {"F", "B", "block", "W", "rank"}, name
             loaded = load_model(path)
             assert np.array_equal(loaded.F, model.F), name
-            assert loaded.W is None and np.array_equal(loaded.X, model.X)
+            assert isinstance(loaded.adaptive, ClosedForm) and np.array_equal(loaded.X, model.X)
             predict = "decision_function" if hasattr(model, "alpha") else "predict"
             assert np.array_equal(getattr(loaded, predict)(probe),
                                   getattr(model, predict)(probe)), name
@@ -408,7 +410,7 @@ class TestFormatV4:
             model = models[name]
             F = model.F.copy()
             F[i, i] += 1e-3
-            edited = replace(model, F=F)
+            edited = replace(model, adaptive=Dense(F))
             path = str(tmp_path / "edited.model")
             save_model(edited, path)
             with open(path) as stream:
@@ -511,7 +513,7 @@ class TestScalableVsExact:
         K = gaussian_gram(Xs, 0.6)
         cfg = resolve_eta(K, y, SolverConfig(C=1.0, tau=0.01, eta=None))
         state, F, _ = solve(K, y, replace(cfg, tau=0.0), with_equality=False)
-        reference = SvmModel(X=Xs, y=y, alpha=state.alpha, F=F, bias=0.0,
+        reference = SvmModel(X=Xs, y=y, alpha=state.alpha, adaptive=Dense(F), bias=0.0,
                              sigma=0.6, config=cfg, scaler=scaler)
         probe = X + 0.02
         assert np.array_equal(loaded.predict(probe), reference.predict(probe))

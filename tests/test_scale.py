@@ -3,13 +3,12 @@ import time
 import numpy as np
 import pytest
 
+from adakern.adaptive import ClosedForm, Dense, Partition
 from adakern.data import apply_minmax, fit_minmax, gen_two_class_toy
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram
 from adakern.scale import (
     BlockSolution,
-    Partition,
-    adaptive_closed_form,
     bound_report,
     cross_cluster_mass,
     decomposition_objective,
@@ -111,7 +110,7 @@ class TestSolveBlocks:
         K = gaussian_gram(Xs, 0.8)
         state, F, _ = solve(K, y, cfg, with_equality=False)
         assert np.array_equal(blocks.alpha_bar, state.alpha)
-        assert np.array_equal(blocks.adaptive_dense(), F)
+        assert np.array_equal(blocks.partition.block_diagonal(blocks.blocks), F)
 
     def test_box_respected_per_block(self):
         X, y = two_blobs(30, seed=9)
@@ -130,7 +129,7 @@ class TestSolveBlocks:
         p = kmeans_partition(Xs, 2, seed=1)
         blocks = solve_blocks(Xs, y, p, 0.1, cfg)
         H_bar = decomposition_objective(blocks.alpha_bar, y, K,
-                                        blocks.adaptive_dense(), cfg.eta)
+                                        blocks.partition.block_diagonal(blocks.blocks), cfg.eta)
         _, _, H_star = exact_reference(K, y, cfg)
         assert abs(H_star - H_bar) < 1e-4 * max(1.0, abs(H_star))
 
@@ -145,7 +144,7 @@ class TestSolveBlocks:
         assert blocks.single_class_blocks == 2
         K = gaussian_gram(X, 0.5)
         solved = decomposition_objective(blocks.alpha_bar, y, K,
-                                         blocks.adaptive_dense(), cfg.eta)
+                                         blocks.partition.block_diagonal(blocks.blocks), cfg.eta)
         zeroed = decomposition_objective(np.zeros(20), y, K,
                                          np.ones((20, 20)), cfg.eta)
         assert solved > zeroed
@@ -171,7 +170,7 @@ class TestLemmaEquivalence:
         K_bar = block_kernel(K, p)
         state, F_masked, _ = solve(K_bar, y, cfg, with_equality=False)
         blocks = solve_blocks(Xs, y, p, 0.6, cfg)
-        F_ext = blocks.adaptive_dense()
+        F_ext = blocks.partition.block_diagonal(blocks.blocks)
         H_masked = decomposition_objective(state.alpha, y, K_bar, F_masked, cfg.eta)
         H_blocks = decomposition_objective(blocks.alpha_bar, y, K_bar, F_ext, cfg.eta)
         assert abs(H_masked - H_blocks) < 1e-6 * max(1.0, abs(H_masked))
@@ -261,7 +260,7 @@ def dense_screen(blocks, K, partition, y, B, B2, C, kappa=1.0):
     """The screening sets from the assembled F_bar and the masked K_bar."""
     K_bar = block_kernel(K, partition)
     alpha = blocks.alpha_bar
-    grad = 1.0 - y * ((blocks.adaptive_dense() * K_bar) @ (y * alpha))
+    grad = 1.0 - y * ((blocks.partition.block_diagonal(blocks.blocks) * K_bar) @ (y * alpha))
     threshold = (B + B2) * C * (np.abs(K_bar).sum(axis=0) + kappa)
     return (np.flatnonzero((alpha == 0.0) & (grad <= -threshold)),
             np.flatnonzero((alpha == 0.0) & (grad <= threshold)))
@@ -333,6 +332,12 @@ class TestTrainScalable:
         labels = model.predict(X)
         assert set(np.unique(labels)) <= {-1.0, 1.0}
 
+    def test_empty_batch_gives_empty_decisions(self):
+        X, y = two_blobs(40, seed=15)
+        model = train_scalable(X, y, 0.6, SolverConfig(C=1.0, tau=0.0, eta=None), v=3, seed=2)
+        for result in (model.decision_function(np.empty((0, 2))), model.predict(np.empty((0, 2)))):
+            assert result.shape == (0,)
+
     @pytest.mark.parametrize("t_max", [3, 2000])
     def test_meta_summarises_the_block_solves(self, t_max):
         X, y = two_blobs(40, seed=15)
@@ -366,7 +371,7 @@ class TestTrainScalable:
         K = gaussian_gram(Xs, 0.7)
         cfg = resolve_eta(K, y, SolverConfig(C=1.0, tau=0.01, eta=None))
         state, F, _ = solve(K, y, replace(cfg, tau=0.0), with_equality=False)
-        reference = SvmModel(X=Xs, y=y, alpha=state.alpha, F=F, bias=0.0,
+        reference = SvmModel(X=Xs, y=y, alpha=state.alpha, adaptive=Dense(F), bias=0.0,
                              sigma=0.7, config=cfg, scaler=scaler)
         probe = X + 0.03
         assert np.array_equal(model.alpha, state.alpha)
@@ -415,15 +420,15 @@ class TestClosedFormModel:
         for v in (1, 3):
             p = kmeans_partition(Xs, v, seed=2)
             blocks = solve_blocks(Xs, y, p, 0.6, cfg)
-            F = adaptive_closed_form(Xs, y * blocks.alpha_bar, 0.6, cfg.eta, p)
-            assert np.array_equal(F, blocks.adaptive_dense())
+            F = ClosedForm(Xs, y * blocks.alpha_bar, 0.6, cfg.eta, p).dense()
+            assert np.array_equal(F, blocks.partition.block_diagonal(blocks.blocks))
             model = train_scalable(X, y, 0.6, cfg, v, 2)
             assert np.array_equal(model.F, F) and np.array_equal(model.alpha, blocks.alpha_bar)
         # One cluster: the exact-mode tau = 0 F of the whole problem.
         K = gaussian_gram(Xs, 0.6)
         state, F, _ = solve(K, y, cfg)
         one = Partition(np.zeros(y.size, dtype=int), 1)
-        assert np.array_equal(adaptive_closed_form(Xs, y * state.alpha, 0.6, cfg.eta, one), F)
+        assert np.array_equal(ClosedForm(Xs, y * state.alpha, 0.6, cfg.eta, one).dense(), F)
 
     def test_no_n_by_n_eigendecomposition(self, monkeypatch):
         shapes = []

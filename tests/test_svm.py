@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adakern import svm
+from adakern.adaptive import ClosedForm, Dense
 from adakern.data import apply_minmax, fit_minmax, gen_two_class_toy, inverse_minmax
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import cross_gram, gaussian_gram
@@ -120,7 +121,7 @@ class TestTrain:
             assert len(calls) == 1
             evals = original(model.F)
             assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) >= 1
-            assert model.meta["f_rank"] == model.W.shape[1]
+            assert model.meta["f_rank"] == model.adaptive.W.shape[1]
         frozen = train(ds.X, ds.y, 0.25, small_config(), freeze_f=True)
         assert frozen.meta["f_rank"] == 1 and np.array_equal(frozen.F, np.ones((80, 80)))
 
@@ -190,7 +191,7 @@ class TestTrain:
     def test_zero_tau_f_rank_matches_dense_count(self, eta):
         ds = gen_two_class_toy(80, seed=5)
         model = train(ds.X, ds.y, 0.25, small_config(tau=0.0, eta=eta, t_max=300))
-        assert model.W is None
+        assert isinstance(model.adaptive, ClosedForm)
         evals = np.linalg.eigvalsh(model.F)
         assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) >= 1
 
@@ -366,7 +367,7 @@ class TestReciprocalOracle:
         model = train(X, y, 0.6, small_config(tau=0.1))
         probe = ORACLE_CASES["grid"][1] * 3.0
         Xs = apply_minmax(model.scaler, probe)
-        F_ext = extend_adaptive(model.F, oracle_reciprocal_similarity(model.X, Xs))
+        F_ext = extend_adaptive(model.adaptive, oracle_reciprocal_similarity(model.X, Xs))
         expected = (model.alpha * model.y) @ (F_ext * cross_gram(model.X, Xs, model.sigma))
         assert np.array_equal(model.decision_function(probe), expected + model.bias)
 
@@ -376,7 +377,7 @@ class TestReciprocalOracle:
                           SolverConfig(C=2.0, tau=0.01, eta=5.0, t_max=300), epsilon=0.05)
         probe = np.concatenate([0.1 + np.linspace(0, 1, 30), 0.1 - np.linspace(0, 1, 30)])[:, None]
         Xs = apply_minmax(model.scaler, probe)
-        F_ext = extend_adaptive(model.F, oracle_reciprocal_similarity(model.X, Xs))
+        F_ext = extend_adaptive(model.adaptive, oracle_reciprocal_similarity(model.X, Xs))
         scaled = ((model.alpha_hat - model.alpha_check)
                   @ (F_ext * cross_gram(model.X, Xs, model.sigma)) + model.bias)
         expected = inverse_minmax(model.y_scaler, scaled[:, None])[:, 0]
@@ -399,24 +400,24 @@ class TestExtendAdaptive:
         X = rng.normal(size=(8, 2))
         F = rng.uniform(0.9, 1.1, (8, 8))
         M = reciprocal_similarity(X, X)
-        assert np.array_equal(extend_adaptive(F, M), F)
+        assert np.array_equal(extend_adaptive(Dense(F), M), F)
 
     def test_single_column_argmax(self):
         F = np.arange(16.0).reshape(4, 4)
         M = np.array([[0.1], [0.2], [0.9], [0.3]])
-        assert np.array_equal(extend_adaptive(F, M), F[:, [2]])
+        assert np.array_equal(extend_adaptive(Dense(F), M), F[:, [2]])
 
     def test_hand_example_column(self, rng):
         X_train = np.array([[0.0], [10.0]])
         X_test = np.array([[1.0]])
         F = rng.uniform(0.9, 1.1, (2, 2))
         M = reciprocal_similarity(X_train, X_test)
-        assert np.array_equal(extend_adaptive(F, M), F[:, [0]])
+        assert np.array_equal(extend_adaptive(Dense(F), M), F[:, [0]])
 
     def test_tie_breaks_to_smallest_index(self):
         F = np.eye(3)
         M = np.array([[0.5], [0.5], [0.2]])
-        assert np.array_equal(extend_adaptive(F, M), F[:, [0]])
+        assert np.array_equal(extend_adaptive(Dense(F), M), F[:, [0]])
 
 
 class TestScalingFidelity:
@@ -435,6 +436,12 @@ class TestScalingFidelity:
         scaled = apply_minmax(model.scaler, outside[None, :])
         assert np.all(scaled > 1.0)  # values may leave [0, 1] at predict time
         assert np.isfinite(model.decision_function(outside[None, :])).all()
+
+    def test_empty_batch_gives_empty_results(self):
+        X, y = two_blobs(16, seed=3)
+        model = train(X, y, 0.9, small_config())
+        for result in (model.decision_function(np.empty((0, 2))), model.predict(np.empty((0, 2)))):
+            assert result.shape == (0,)
 
 
 def test_accuracy_beats_frozen_on_toy():

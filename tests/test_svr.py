@@ -305,6 +305,11 @@ class TestSolve:
 
 
 class TestTrainPredict:
+    def test_empty_batch_gives_empty_predictions(self):
+        X = np.linspace(0, 1, 6)[:, None]
+        model = train_svr(X, X[:, 0] ** 2, 1.0, config(eta=None), epsilon=0.1)
+        assert model.predict(np.empty((0, 1))).shape == (0,)
+
     def test_constant_targets_predict_constant(self):
         X = np.linspace(0, 1, 6)[:, None]
         y = np.full(6, 4.2)
