@@ -1,7 +1,7 @@
 """Adaptive-kernel SVM/SVR with an accelerated saddle-point solver."""
 
 from .errors import AdakernError, DataError, NumericalError, ParameterError
-from .kernel import cross_gram, gaussian_gram
+from .kernel import gaussian_gram, pairwise_sq_dists
 from .solver import (
     DualState,
     SolverConfig,
@@ -11,7 +11,7 @@ from .solver import (
     lipschitz_svm,
     solve,
 )
-from .svm import SvmModel, extend_adaptive, reciprocal_similarity, recover_bias, train
+from .svm import SvmModel, reciprocal_match, recover_bias, train
 from .svr import SvrModel, lipschitz_svr, rmse, solve_svr, svr_objective, train_svr
 
 __all__ = [
@@ -24,14 +24,13 @@ __all__ = [
     "SolverConfig",
     "SvmModel",
     "SvrModel",
-    "cross_gram",
     "dual_gradient",
     "dual_objective",
-    "extend_adaptive",
     "gaussian_gram",
     "lipschitz_svm",
     "lipschitz_svr",
-    "reciprocal_similarity",
+    "pairwise_sq_dists",
+    "reciprocal_match",
     "recover_bias",
     "rmse",
     "solve",

@@ -6,7 +6,7 @@
 and a model file stores the form (:mod:`persist`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class ClosedForm(AdaptiveMatrix):
     Per cluster c of ``partition`` (one in exact mode), the block
     :func:`solver._zero_tau_matrix` of K_c = gaussian_gram(X[c], sigma),
     as the solves form it, so F is the trained one bit for bit; 1 across
-    clusters.
+    clusters.  Each block is formed the first time it is used and kept.
     """
 
     X: np.ndarray
@@ -88,12 +88,17 @@ class ClosedForm(AdaptiveMatrix):
     sigma: float
     eta: float
     partition: Partition
+    _blocks: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    def _block(self, idx):
-        return _zero_tau_matrix(gaussian_gram(self.X[idx], self.sigma), self.w[idx], self.eta)
+    def _block(self, c, members):
+        if c not in self._blocks:
+            K = gaussian_gram(self.X[members], self.sigma)
+            self._blocks[c] = _zero_tau_matrix(K, self.w[members], self.eta)
+        return self._blocks[c]
 
     def _dense(self):
-        return self.partition.block_diagonal(map(self._block, self.partition.clusters()))
+        clusters = self.partition.clusters()
+        return self.partition.block_diagonal(map(self._block, range(len(clusters)), clusters))
 
     def _columns(self, idx):
         # Only the blocks of the clusters that idx reaches are formed.
@@ -103,7 +108,7 @@ class ClosedForm(AdaptiveMatrix):
             picked = np.flatnonzero(labels == c)
             if picked.size:
                 local = np.searchsorted(members, idx[picked])
-                F[np.ix_(members, picked)] = self._block(members)[:, local]
+                F[np.ix_(members, picked)] = self._block(c, members)[:, local]
         return F
 
 

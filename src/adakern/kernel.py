@@ -4,12 +4,16 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 
+# Entries of the row blocks in which pairwise_sq_dists adds the squared norms.
+_ROW_BLOCK_ENTRIES = 1 << 16
+
 
 def pairwise_sq_dists(A, B) -> np.ndarray:
     """Squared Euclidean distances between rows of A and rows of B.
 
     Uses the expanded form ||a||^2 + ||b||^2 - 2 a.b with negative
-    round-off clamped to zero.
+    round-off clamped to zero.  The result is the one n x m array it
+    allocates: the norms are added to -2 a.b in row blocks.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -19,8 +23,12 @@ def pairwise_sq_dists(A, B) -> np.ndarray:
         raise DataError(
             f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}"
         )
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
-    sq -= 2.0 * (A @ B.T)
+    sq = A @ B.T
+    sq *= -2.0
+    a_norms, b_norms = (A * A).sum(axis=1), (B * B).sum(axis=1)
+    step = max(1, _ROW_BLOCK_ENTRIES // max(b_norms.size, 1))
+    for lo in range(0, a_norms.size, step):
+        sq[lo:lo + step] += a_norms[lo:lo + step, None] + b_norms
     np.maximum(sq, 0.0, out=sq)
     return sq
 
@@ -29,6 +37,18 @@ def _check_sigma(sigma: float) -> float:
     if not np.isfinite(sigma) or sigma <= 0:
         raise ParameterError(f"kernel width sigma must be positive, got {sigma}")
     return float(sigma)
+
+
+def gaussian_from_sq_dists(D, sigma: float) -> np.ndarray:
+    """exp(-D / (2 sigma^2)), in place in the float64 array D, which it returns.
+
+    The one squared-distance-to-kernel step: the Gram matrix of training
+    and the train-by-test kernel of prediction have the same bits.
+    """
+    sigma = _check_sigma(sigma)
+    np.negative(D, out=D)
+    D /= 2.0 * sigma * sigma
+    return np.exp(D, out=D)
 
 
 def gaussian_gram(X, sigma: float) -> np.ndarray:
@@ -40,11 +60,5 @@ def gaussian_gram(X, sigma: float) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DataError("features contain non-finite values")
-    K = np.exp(-pairwise_sq_dists(X, X) / (2.0 * sigma * sigma))
+    K = gaussian_from_sq_dists(pairwise_sq_dists(X, X), sigma)
     return 0.5 * (K + K.T)
-
-
-def cross_gram(X_train, X_test, sigma: float) -> np.ndarray:
-    """n x m kernel matrix between training rows and test rows."""
-    sigma = _check_sigma(sigma)
-    return np.exp(-pairwise_sq_dists(X_train, X_test) / (2.0 * sigma * sigma))

@@ -7,7 +7,8 @@ import numpy as np
 from .adaptive import AdaptiveMatrix, ClosedForm, Factor, Partition
 from .data import Scaler, apply_minmax, fit_minmax, kfold
 from .errors import DataError
-from .kernel import cross_gram, gaussian_gram, pairwise_sq_dists
+from .kernel import gaussian_from_sq_dists, gaussian_gram, pairwise_sq_dists
+from .linalg import _COLUMN_BLOCK
 from .solver import SolverConfig, SolveTrace, _check_labels, _check_psd_gram, resolve_eta, solve
 
 # Relative margin for calling a dual coordinate interior to (0, C).
@@ -51,11 +52,14 @@ class SvmModel:
 
 
 def _expansion(model, coef, X_test) -> np.ndarray:
-    """sum_i coef_i F_ext[i, j] K(x_i, x_j) + bias for each test row j.
+    """sum_i coef_i F[i, best_j] K(x_i, x_j) + bias for each test row j.
 
     The one prediction body of the SVM and SVR models, in the model's
     scaled target space: checks the test features, min-max scales them and
-    extends the trained adaptive matrix to them by reciprocal rank.
+    extends the trained adaptive matrix to them by reciprocal rank (column
+    best_j of F, :func:`reciprocal_match`).  The distances turn into the
+    kernel in place, and F's columns multiply into it chunk by chunk, so
+    no other n x m float array is formed.
     """
     X_test = np.asarray(X_test, dtype=float)
     if X_test.ndim != 2 or X_test.shape[1] != model.X.shape[1]:
@@ -66,11 +70,15 @@ def _expansion(model, coef, X_test) -> np.ndarray:
     if not np.all(np.isfinite(X_test)):
         raise DataError("test features contain non-finite values")
     Xs = apply_minmax(model.scaler, X_test)
-    F_ext = extend_adaptive(model.adaptive, reciprocal_similarity(model.X, Xs))
-    # In place into the C-ordered kernel matrix: the product then has the
-    # memory layout, and so the matmul its summation order, of F_ext * Kx.
-    Kx = cross_gram(model.X, Xs, model.sigma)
-    Kx *= F_ext
+    Kx = pairwise_sq_dists(model.X, Xs)
+    best = reciprocal_match(Kx)
+    gaussian_from_sq_dists(Kx, model.sigma)
+    # Whole blocks of linalg.factor_columns, which forms F = W W' 256 columns at a time.
+    step = -(-_chunk(len(Kx)) // _COLUMN_BLOCK) * _COLUMN_BLOCK
+    for lo in range(0, best.size, step):
+        Kx[:, lo:lo + step] *= model.adaptive.columns(best[lo:lo + step])
+    # One product over the whole C-ordered matrix: its summation order, and
+    # so its bits, are those of the unchunked expansion.
     return coef @ Kx + model.bias
 
 
@@ -222,36 +230,86 @@ def _kkt_bias(values, signs, duals, C: float) -> float:
     return 0.0
 
 
-def reciprocal_similarity(X_train, X_test) -> np.ndarray:
-    """Reciprocal nearest-neighbor similarity M_ij = 1 / (r s).
+# Entries of the chunks of reciprocal_match and _expansion: rows of D for
+# the row ranks, columns for the match and for F's columns.
+_CHUNK_ENTRIES = 1 << 16
+# A column with more candidates than this ranks its training points by a
+# sort rather than by counting for each candidate.
+_FEW_CANDIDATES = 16
 
-    r is the rank of test point j among all test points sorted by distance
-    to training point i; s is the rank of training point i among all
-    training points sorted by distance to test point j.  Ranks are 1-based
-    over the full opposite set, so every entry is positive.  Distance ties
-    break by index order: of two test points at equal distance from
-    training point i, the one with the smaller index ranks first, and
-    likewise for training points.  NaN distances (from non-finite
-    features) have no rank and raise ``DataError``.
 
-    Cost for n training and m test points: O(nm log m + nm log n) time for
-    one sort of each row and each column of the distance matrix.  Peak
-    memory is about 29 bytes per n x m entry, and about 45 on a grid of
-    test points where a quarter of the distances equal others up to
-    round-off; the 8-byte result is allocated after the working arrays are
-    freed.  Ranks are int32 and their product is exact in float64, so M is
-    exact for n, m < 2**31 and nm < 2**53.
+def _chunk(length: int) -> int:
+    """Rows or columns per chunk, for rows or columns of ``length`` entries."""
+    return max(1, _CHUNK_ENTRIES // max(length, 1))
+
+
+def reciprocal_match(D) -> np.ndarray:
+    """For each column j of the n x m squared distances D, the row of best reciprocal rank.
+
+    r_ij is the rank of column j among all columns of row i, s_ij the rank
+    of row i among all rows of column j: 1-based, distance ties by index.
+    Returns (int64, length m) for each j the i with the least r_ij s_ij,
+    ties to the smallest i: the argmax over i of the reciprocal
+    nearest-neighbor similarity M_ij = 1 / (r s), which is never formed:
+    the products are exact integers, and 1/p falls strictly with p in
+    float64 for every n m that fits in memory.  NaN distances have no
+    rank and raise ``DataError``.
+
+    The row ranks r are sorted in row chunks (int32, O(nm log m)).  Each
+    column j then has its nearest row near_j (s = 1), whose product bounds
+    the best, r[near_j, j]; since s >= 2 elsewhere, only rows with
+    2 r_ij <= r[near_j, j] can beat or tie it.  Most columns have none.
+    For the others, s is counted for each candidate, or, with more than
+    ``_FEW_CANDIDATES``, the column is ranked by a sort.  Peak memory is
+    the int32 r, 4 bytes per n x m entry, plus chunks of about
+    ``_CHUNK_ENTRIES`` entries.
     """
-    D = pairwise_sq_dists(X_train, X_test)
-    if np.isnan(D).any():
-        raise DataError("distances contain NaN; features must be finite")
-    r = _stable_ranks(D)
-    D = np.ascontiguousarray(D.T)
-    s = _stable_ranks(D)
-    del D
-    M = np.multiply(r, s.T, dtype=float)
-    np.divide(1.0, M, out=M)
-    return M
+    D = np.ascontiguousarray(D, dtype=float)
+    if D.ndim != 2 or D.shape[0] == 0:
+        raise DataError("distances must form an n x m array with n >= 1")
+    n, m = D.shape
+    r = np.empty((n, m), dtype=np.int32)
+    step = _chunk(m)
+    for lo in range(0, n, step):
+        rows = D[lo:lo + step]
+        if np.isnan(rows).any():
+            raise DataError("distances contain NaN; features must be finite")
+        r[lo:lo + step] = _stable_ranks(rows)
+    best = np.empty(m, dtype=np.int64)
+    step = _chunk(n)
+    for lo in range(0, m, step):
+        best[lo:lo + step] = _match_columns(D[:, lo:lo + step], r[:, lo:lo + step])
+    return best
+
+
+def _match_columns(D, r) -> np.ndarray:
+    """reciprocal_match of an n x w column chunk of D, given its row ranks r."""
+    n, w = D.shape
+    Dt = np.ascontiguousarray(D.T)
+    near = Dt.argmin(axis=1)
+    bound = r[near, np.arange(w)].astype(np.int64)
+    # Best (product, row) of each column so far, packed as product * n + row.
+    key = bound * n + near
+    # A bound of 1 leaves no candidate; elsewhere count them.
+    open_ = np.flatnonzero(bound >= 2)
+    candidate = r[:, open_] <= bound[open_] // 2
+    count = np.count_nonzero(candidate, axis=0)
+    few = (count > 0) & (count <= _FEW_CANDIDATES)
+    rows, k = np.nonzero(candidate[:, few])
+    cols = open_[few][k]
+    step = _chunk(n)
+    for lo in range(0, cols.size, step):
+        j, i = cols[lo:lo + step], rows[lo:lo + step]
+        lines, value = Dt[j], Dt[j, i][:, None]
+        s = np.count_nonzero((lines < value)
+                             | ((lines == value) & (np.arange(n) <= i[:, None])), axis=1)
+        np.minimum.at(key, j, (r[i, j] * s) * n + i)
+    best = key % n
+    many = open_[count > _FEW_CANDIDATES]
+    if many.size:
+        product = r[:, many].T.astype(np.int64) * _stable_ranks(Dt[many])
+        best[many] = product.argmin(axis=1)
+    return best
 
 
 # Width of the packed int64 keys in the near-tie re-sort.  Blocks beyond
@@ -330,19 +388,6 @@ def _resort_near_ties(order, values, descent, rows, b) -> None:
     key &= low
     key += row_start
     order.ravel()[where] = key
-
-
-def extend_adaptive(adaptive: AdaptiveMatrix, M) -> np.ndarray:
-    """Extend the trained adaptive matrix F, held in any form, to test columns.
-
-    Column j of the result is column argmax_i M_ij of F; ties break toward
-    the smallest index.  Only those columns are formed.
-    """
-    M = np.asarray(M, dtype=float)
-    # The n x 0 block gives F's row count.
-    if M.shape[0] != adaptive.columns([]).shape[0]:
-        raise DataError("similarity matrix rows must match the training size")
-    return adaptive.columns(np.argmax(M, axis=0))
 
 
 def accuracy(model: SvmModel, X, y) -> float:

@@ -17,7 +17,7 @@ from adakern.data import (
     gen_step,
     gen_two_class_toy,
 )
-from adakern.kernel import cross_gram, gaussian_gram
+from adakern.kernel import gaussian_from_sq_dists, gaussian_gram, pairwise_sq_dists
 from adakern.persist import load_model, save_model
 from adakern.scale import (
     bound_report,
@@ -83,7 +83,8 @@ def test_c01_svm_reduction_matches_reference_qp():
 
     rng = np.random.default_rng(0)
     probe = rng.uniform(X.min(axis=0), X.max(axis=0), (60, 2))
-    Kp = cross_gram(model.X, apply_minmax(model.scaler, probe), model.sigma)
+    Kp = gaussian_from_sq_dists(pairwise_sq_dists(model.X, apply_minmax(model.scaler, probe)),
+                                model.sigma)
     probe_signs_match = np.array_equal(
         np.sign(model.decision_function(probe)),
         np.sign((reference * y) @ Kp + ref_bias))
@@ -350,9 +351,8 @@ def test_c12_out_of_sample_identity_on_training_points():
     cfg = SolverConfig(C=1.0, tau=0.01, eta=None, tol=1e-5)
     model = train(ds.X, ds.y, 0.3, cfg)
 
-    from adakern.svm import extend_adaptive, reciprocal_similarity
-    M = reciprocal_similarity(model.X, model.X)
-    F_extended = extend_adaptive(model.adaptive, M)
+    from adakern.svm import reciprocal_match
+    F_extended = model.adaptive.columns(reciprocal_match(pairwise_sq_dists(model.X, model.X)))
     extension_exact = np.array_equal(F_extended, model.F)
 
     deviation = float(np.max(np.abs(model.decision_function(ds.X)

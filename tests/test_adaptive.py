@@ -1,17 +1,19 @@
 """The forms of the adaptive matrix: columns equal the dense matrix's bit for
-bit, and saving, loading or predicting forms no n x n array."""
+bit, blocks are formed once, and saving, loading or predicting forms no
+n x n array; bulk prediction holds no more than 16 bytes per n x m entry."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from adakern import adaptive
 from adakern.adaptive import ClosedForm, Dense, Factor, Partition
-from adakern.data import fit_minmax
+from adakern.data import fit_minmax, gen_two_class_toy
 from adakern.persist import load_model, save_model
 from adakern.scale import train_scalable
 from adakern.solver import SolverConfig
-from adakern.svm import SvmModel
+from adakern.svm import SvmModel, train
 
 from conftest import two_blobs
 from test_cli import FORMAT_1_SVM, _format_3_blocks, _write
@@ -67,6 +69,47 @@ class TestColumns:
         assert_columns_match(form)
 
 
+class TestBlocksFormedOnce:
+    """A closed form forms each cluster's Gram block once, on first use."""
+
+    def count_grams(self, model, probe, monkeypatch):
+        """Blocks formed by a first decision_function, and by it and two more."""
+        calls = []
+        original = adaptive.gaussian_gram
+
+        def counting(X, sigma):
+            calls.append(len(X))
+            return original(X, sigma)
+
+        monkeypatch.setattr(adaptive, "gaussian_gram", counting)
+        first = model.decision_function(probe)
+        formed = len(calls)
+        assert np.array_equal(model.decision_function(probe), first)
+        model.decision_function(probe[:1])
+        return formed, len(calls)
+
+    def test_three_clusters(self, monkeypatch):
+        X, y = two_blobs(40, seed=21)
+        model = train_scalable(X, y, 0.6, SolverConfig(C=1.0, tau=0.0, eta=0.5, t_max=80), 3, 0)
+        assert self.count_grams(model, X, monkeypatch) == (3, 3)
+
+    def test_exact_mode_at_tau_zero(self, monkeypatch):
+        X, y = two_blobs(40, seed=21)
+        model = train(X, y, 0.6, SolverConfig(C=1.0, tau=0.0, eta=0.5, t_max=80))
+        assert isinstance(model.adaptive, ClosedForm)
+        assert self.count_grams(model, X, monkeypatch) == (1, 1)
+
+    def test_dense_reuses_the_blocks(self, monkeypatch):
+        X, y = two_blobs(40, seed=21)
+        model = train_scalable(X, y, 0.6, SolverConfig(C=1.0, tau=0.0, eta=0.5, t_max=80), 3, 0)
+        form = model.adaptive
+        expected = ClosedForm(form.X, form.w, form.sigma, form.eta, form.partition).dense()
+        assert self.count_grams(model, X, monkeypatch) == (3, 3)
+        # Forming a block again would call None.
+        monkeypatch.setattr(adaptive, "gaussian_gram", None)
+        assert np.array_equal(model.F, expected)
+
+
 N = 2000
 # A quarter of one n x n float64 array.
 BUDGET = 2 * N * N
@@ -115,3 +158,39 @@ def test_predicting_five_points_forms_no_n_by_n_array(form_name):
     probe = model.X[:5] + 0.01
     peak, decisions = peak_bytes(lambda: model.decision_function(probe))
     assert peak < BUDGET and decisions.shape == (5,)
+
+
+# Bulk prediction holds the n x m distances (8 bytes an entry), their int32
+# row ranks (4) and chunks.  The whole similarity matrix took about 29 bytes
+# an entry, and 51 on the lattice below with its near-tie re-sort.
+BULK_N = 1000
+BYTES_PER_ENTRY = 16
+
+
+def bulk_batch(name):
+    """A 1000-point model and a batch: 4000 points off two arcs, or the
+    oracle's grid case scaled up, a 61 x 61 lattice over points quantized
+    to a step of 0.2 that lies on it (rich in equal and near-equal
+    distances)."""
+    rng = np.random.default_rng(5)
+    if name == "two-arc":
+        data = gen_two_class_toy(BULK_N + 4000, seed=5)
+        X, probe = data.X[:BULK_N], data.X[BULK_N:]
+    else:
+        X = np.round(rng.uniform(-5, 5, (BULK_N, 2))) / 5
+        uu, vv = np.meshgrid(np.linspace(-1.0, 1.0, 61), np.linspace(-1.0, 1.0, 61), indexing="ij")
+        probe = np.column_stack([uu.ravel(), vv.ravel()])
+    y = np.where(rng.uniform(size=BULK_N) < 0.5, 1.0, -1.0)
+    model = SvmModel(X=X, y=y, alpha=rng.uniform(size=BULK_N), bias=0.1, sigma=0.3,
+                     scaler=fit_minmax(X), adaptive=Factor(rng.normal(size=(BULK_N, 3))),
+                     config=SolverConfig(C=1.0, tau=0.01, eta=2.0))
+    return model, probe
+
+
+@pytest.mark.parametrize("name", ["two-arc", "lattice"])
+def test_bulk_prediction_peaks_below_16_bytes_per_entry(name):
+    model, probe = bulk_batch(name)
+    entries = BULK_N * len(probe)
+    peak, decisions = peak_bytes(lambda: model.decision_function(probe))
+    assert decisions.shape == (len(probe),)
+    assert peak < BYTES_PER_ENTRY * entries, peak / entries

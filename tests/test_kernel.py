@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from adakern.errors import DataError, ParameterError
-from adakern.kernel import cross_gram, gaussian_gram, pairwise_sq_dists
+from adakern import kernel
+from adakern.kernel import gaussian_from_sq_dists, gaussian_gram, pairwise_sq_dists
 
 
 class TestGaussianGram:
@@ -53,7 +54,13 @@ class TestGaussianGram:
             gaussian_gram(np.array([[np.nan], [0.0]]), 1.0)
 
 
+def cross_gram(A, B, sigma):
+    return gaussian_from_sq_dists(pairwise_sq_dists(A, B), sigma)
+
+
 class TestCrossGram:
+    """The train-by-test kernel as prediction forms it: distances, then the kernel in place."""
+
     def test_matches_gram_on_same_points(self, rng):
         X = rng.normal(size=(6, 2))
         K = gaussian_gram(X, 0.9)
@@ -79,9 +86,28 @@ class TestCrossGram:
         with pytest.raises(DataError):
             cross_gram(np.ones((3, 2)), np.ones((2, 3)), 1.0)
 
+    def test_in_place_with_the_bits_of_the_plain_formula(self, rng):
+        D = pairwise_sq_dists(rng.normal(size=(9, 2)), rng.normal(size=(13, 2)))
+        expected = np.exp(-D / (2.0 * 0.7 * 0.7))
+        assert gaussian_from_sq_dists(D, 0.7) is D
+        assert D.tobytes() == expected.tobytes()
+
+    def test_bad_sigma(self):
+        with pytest.raises(ParameterError):
+            gaussian_from_sq_dists(np.ones((2, 2)), 0.0)
+
 
 def test_pairwise_clamps_roundoff(rng):
     X = rng.normal(size=(4, 3))
     D = pairwise_sq_dists(X, X)
     assert np.all(D >= 0.0)
     assert np.allclose(np.diag(D), 0.0)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_pairwise_row_blocks_keep_the_expanded_form_bits(rng, block, monkeypatch):
+    A, B = rng.normal(size=(30, 3)), rng.uniform(size=(11, 3))
+    a, b = (A * A).sum(axis=1), (B * B).sum(axis=1)
+    expected = np.maximum(a[:, None] + b[None, :] - 2.0 * (A @ B.T), 0.0)
+    monkeypatch.setattr(kernel, "_ROW_BLOCK_ENTRIES", block)
+    assert pairwise_sq_dists(A, B).tobytes() == expected.tobytes()

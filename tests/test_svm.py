@@ -5,16 +5,10 @@ from adakern import svm
 from adakern.adaptive import ClosedForm, Dense
 from adakern.data import apply_minmax, fit_minmax, gen_two_class_toy, inverse_minmax
 from adakern.errors import DataError, ParameterError
-from adakern.kernel import cross_gram, gaussian_gram
+from adakern.kernel import gaussian_gram, pairwise_sq_dists
 from adakern.scale import train_scalable
 from adakern.solver import SolverConfig, SolveTrace, project_exact
-from adakern.svm import (
-    accuracy,
-    extend_adaptive,
-    recover_bias,
-    reciprocal_similarity,
-    train,
-)
+from adakern.svm import accuracy, reciprocal_match, train
 from adakern.svr import train_svr
 
 from conftest import decision_values_insample, oracle_reciprocal_similarity, two_blobs
@@ -270,33 +264,53 @@ class TestRecoverBias:
         assert max(lowers) - 1e-12 <= model.bias <= min(uppers) + 1e-12
 
 
+def match(X_train, X_test):
+    return reciprocal_match(pairwise_sq_dists(X_train, X_test))
+
+
+def oracle_match(X_train, X_test):
+    """argmax over training points of the oracle similarity, ties to the first."""
+    return np.argmax(oracle_reciprocal_similarity(X_train, X_test), axis=0)
+
+
+def oracle_expansion(model, coef, X_test):
+    """The expansion from the oracle match and the whole n x m F extension and kernel."""
+    Xs = apply_minmax(model.scaler, X_test)
+    F_ext = model.adaptive.columns(oracle_match(model.X, Xs))
+    Kx = np.exp(-pairwise_sq_dists(model.X, Xs) / (2.0 * model.sigma * model.sigma))
+    return coef @ (F_ext * Kx) + model.bias
+
+
 class TestReciprocalSimilarity:
+    """The reciprocal-rank rule, through reciprocal_match."""
+
     def test_self_match_is_one(self, rng):
         X = rng.normal(size=(7, 2))
-        M = reciprocal_similarity(X, X)
-        assert np.allclose(np.diag(M), 1.0)
+        assert np.array_equal(match(X, X), np.arange(7))
 
     def test_hand_enumerated_ranks(self):
         X_train = np.array([[0.0], [10.0]])
         X_test = np.array([[1.0]])
-        M = reciprocal_similarity(X_train, X_test)
         # train 0: test 0 is its 1st test neighbor, and train 0 is the 1st
-        # train neighbor of the test point -> 1/(1*1)
-        # train 1: r = 1, but it is the 2nd train neighbor -> 1/(1*2)
-        assert np.allclose(M, [[1.0], [0.5]])
+        # train neighbor of the test point -> r s = 1 * 1
+        # train 1: r = 1, but it is the 2nd train neighbor -> 1 * 2
+        assert np.array_equal(match(X_train, X_test), [0])
 
-    def test_all_entries_positive(self, rng):
-        M = reciprocal_similarity(rng.normal(size=(6, 3)), rng.normal(size=(4, 3)))
-        assert np.all(M > 0.0)
-        assert M.shape == (6, 4)
+    def test_indices_in_range(self, rng):
+        best = match(rng.normal(size=(6, 3)), rng.normal(size=(4, 3)))
+        assert best.dtype == np.int64 and best.shape == (4,)
+        assert np.all((best >= 0) & (best < 6))
 
     def test_column_permutation_equivariance(self, rng):
         X_train = rng.normal(size=(5, 2))
         X_test = rng.normal(size=(4, 2))
-        M = reciprocal_similarity(X_train, X_test)
         perm = rng.permutation(4)
-        M_perm = reciprocal_similarity(X_train, X_test[perm])
-        assert np.allclose(M_perm, M[:, perm])
+        assert np.array_equal(match(X_train, X_test[perm]), match(X_train, X_test)[perm])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 3, 1)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(DataError, match="n x m"):
+            reciprocal_match(np.zeros(shape))
 
 
 def _oracle_cases():
@@ -323,6 +337,18 @@ def _oracle_cases():
     center, offsets = 0.3, rng.uniform(0.0, 1.0, 40)
     cases["mirror-1d"] = (np.array([[center], [center + 0.5], [center - 0.5]]),
                           np.concatenate([center + offsets, center - offsets])[:, None])
+    # every test point far off: a small cloud high above the training plane,
+    # seen from each training point in another order, so some columns have
+    # many candidates; and that cloud beside as many points near the plane
+    X = np.column_stack([rng.normal(size=(60, 2)), np.zeros(60)])
+    far = np.column_stack([0.1 * rng.normal(size=(300, 2)), np.full(300, 10.0)])
+    near = np.column_stack([rng.normal(size=(300, 2)), np.zeros(300)])
+    cases["far-off"] = (X, far)
+    cases["half-far-off"] = (X, np.vstack([far, near]))
+    cases["duplicated-train-rows"] = (np.repeat(base, 2, axis=0), np.repeat(base, 3, axis=0))
+    cases["one-train-point"] = (rng.normal(size=(1, 2)), rng.normal(size=(50, 2)))
+    cases["one-test-point"] = (rng.normal(size=(50, 2)), rng.normal(size=(1, 2)))
+    cases["no-test-points"] = (rng.normal(size=(5, 2)), np.empty((0, 2)))
     return cases
 
 
@@ -333,8 +359,37 @@ class TestReciprocalOracle:
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_matches_stable_argsort_oracle(self, name):
         X_train, X_test = ORACLE_CASES[name]
-        assert np.array_equal(reciprocal_similarity(X_train, X_test),
-                              oracle_reciprocal_similarity(X_train, X_test))
+        assert np.array_equal(match(X_train, X_test), oracle_match(X_train, X_test))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_chunks_and_candidate_rule_do_not_matter(self, name, monkeypatch):
+        # Chunks of one row or column, of three, and one chunk for all;
+        # every column counted, or every column with a candidate sorted.
+        X_train, X_test = ORACLE_CASES[name]
+        D = pairwise_sq_dists(X_train, X_test)
+        n, m = D.shape
+        expected = oracle_match(X_train, X_test)
+        for entries in (1, 3 * max(n, m), max(n * m, 1)):
+            for few in (0, n):
+                monkeypatch.setattr(svm, "_CHUNK_ENTRIES", entries)
+                monkeypatch.setattr(svm, "_FEW_CANDIDATES", few)
+                assert np.array_equal(reciprocal_match(D), expected), (entries, few)
+
+    def test_far_off_batch_takes_the_sort_side(self, monkeypatch):
+        # Only the columns with more than _FEW_CANDIDATES candidates sort
+        # their training points (rows of n entries).
+        sorted_rows = []
+        original = svm._stable_ranks
+
+        def recording(V):
+            if V.shape[1] == len(X_train):
+                sorted_rows.append(len(V))
+            return original(V)
+
+        monkeypatch.setattr(svm, "_stable_ranks", recording)
+        X_train, X_test = ORACLE_CASES["far-off"]
+        match(X_train, X_test)
+        assert 0 < sum(sorted_rows) < len(X_test)
 
     @pytest.mark.parametrize("name", ["grid", "mirror-1d", "quantized"])
     def test_near_tie_resort_in_several_parts(self, name, monkeypatch):
@@ -343,8 +398,7 @@ class TestReciprocalOracle:
         X_train, X_test = ORACLE_CASES[name]
         b = max((len(X_train) - 1).bit_length(), (len(X_test) - 1).bit_length())
         monkeypatch.setattr(svm, "_KEY_BITS", 2 * b + 1)
-        assert np.array_equal(reciprocal_similarity(X_train, X_test),
-                              oracle_reciprocal_similarity(X_train, X_test))
+        assert np.array_equal(match(X_train, X_test), oracle_match(X_train, X_test))
 
     def test_grid_takes_the_near_tie_path(self, monkeypatch):
         calls = []
@@ -355,31 +409,26 @@ class TestReciprocalOracle:
             return original(*args)
 
         monkeypatch.setattr(svm, "_resort_near_ties", counting)
-        reciprocal_similarity(*ORACLE_CASES["grid"])
+        match(*ORACLE_CASES["grid"])
         assert calls
 
     def test_nan_distances_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(DataError, match="NaN"):
-            reciprocal_similarity(np.array([[0.0], [1.0]]), np.array([[np.inf]]))
+            match(np.array([[0.0], [1.0]]), np.array([[np.inf]]))
 
     def test_svm_decisions_match_oracle_expansion(self):
         X, y = two_blobs(30, seed=5)
         model = train(X, y, 0.6, small_config(tau=0.1))
         probe = ORACLE_CASES["grid"][1] * 3.0
-        Xs = apply_minmax(model.scaler, probe)
-        F_ext = extend_adaptive(model.adaptive, oracle_reciprocal_similarity(model.X, Xs))
-        expected = (model.alpha * model.y) @ (F_ext * cross_gram(model.X, Xs, model.sigma))
-        assert np.array_equal(model.decision_function(probe), expected + model.bias)
+        expected = oracle_expansion(model, model.alpha * model.y, probe)
+        assert np.array_equal(model.decision_function(probe), expected)
 
     def test_svr_predictions_match_oracle_expansion(self):
         X = np.linspace(-1.0, 1.0, 21)[:, None]
         model = train_svr(X, np.sign(X[:, 0]), 0.2,
                           SolverConfig(C=2.0, tau=0.01, eta=5.0, t_max=300), epsilon=0.05)
         probe = np.concatenate([0.1 + np.linspace(0, 1, 30), 0.1 - np.linspace(0, 1, 30)])[:, None]
-        Xs = apply_minmax(model.scaler, probe)
-        F_ext = extend_adaptive(model.adaptive, oracle_reciprocal_similarity(model.X, Xs))
-        scaled = ((model.alpha_hat - model.alpha_check)
-                  @ (F_ext * cross_gram(model.X, Xs, model.sigma)) + model.bias)
+        scaled = oracle_expansion(model, model.alpha_hat - model.alpha_check, probe)
         expected = inverse_minmax(model.y_scaler, scaled[:, None])[:, 0]
         assert np.array_equal(model.predict(probe), expected)
 
@@ -396,28 +445,35 @@ class TestReciprocalOracle:
 
 
 class TestExtendAdaptive:
+    """F extended to test points: its columns at the rows reciprocal_match picks."""
+
     def test_identity_on_training_points(self, rng):
         X = rng.normal(size=(8, 2))
         F = rng.uniform(0.9, 1.1, (8, 8))
-        M = reciprocal_similarity(X, X)
-        assert np.array_equal(extend_adaptive(Dense(F), M), F)
+        assert np.array_equal(Dense(F).columns(match(X, X)), F)
 
     def test_single_column_argmax(self):
+        # One test point ranks first for every training point (r = 1), so
+        # the nearest training point wins.
         F = np.arange(16.0).reshape(4, 4)
-        M = np.array([[0.1], [0.2], [0.9], [0.3]])
-        assert np.array_equal(extend_adaptive(Dense(F), M), F[:, [2]])
+        D = np.array([[4.0], [3.0], [0.5], [2.0]])
+        assert np.array_equal(Dense(F).columns(reciprocal_match(D)), F[:, [2]])
 
     def test_hand_example_column(self, rng):
         X_train = np.array([[0.0], [10.0]])
         X_test = np.array([[1.0]])
         F = rng.uniform(0.9, 1.1, (2, 2))
-        M = reciprocal_similarity(X_train, X_test)
-        assert np.array_equal(extend_adaptive(Dense(F), M), F[:, [0]])
+        assert np.array_equal(Dense(F).columns(match(X_train, X_test)), F[:, [0]])
 
     def test_tie_breaks_to_smallest_index(self):
-        F = np.eye(3)
-        M = np.array([[0.5], [0.5], [0.2]])
-        assert np.array_equal(extend_adaptive(Dense(F), M), F[:, [0]])
+        # Test point 0 at 2: training point 0.0 has r = 1, s = 2, and 3.0 has
+        # r = 2 (test point 1 at 3.5 is nearer) and s = 1; both products are
+        # 2, so the first listed wins in either order.
+        X_test = np.array([[2.0], [3.5]])
+        for X_train in (np.array([[0.0], [3.0]]), np.array([[3.0], [0.0]])):
+            assert np.array_equal(oracle_reciprocal_similarity(X_train, X_test)[:, 0],
+                                  [0.5, 0.5])
+            assert match(X_train, X_test)[0] == 0
 
 
 class TestScalingFidelity:
