@@ -4,8 +4,15 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 
-# Entries of the row blocks in which pairwise_sq_dists adds the squared norms.
-_ROW_BLOCK_ENTRIES = 1 << 16
+# Entries of the chunks in which an n x m array is worked through: the row
+# blocks of pairwise_sq_dists, and the rows and columns of svm's
+# reciprocal-rank match.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def chunk_length(length: int) -> int:
+    """Rows or columns per chunk, for rows or columns of ``length`` entries."""
+    return max(1, _CHUNK_ENTRIES // max(length, 1))
 
 
 def pairwise_sq_dists(A, B) -> np.ndarray:
@@ -26,7 +33,7 @@ def pairwise_sq_dists(A, B) -> np.ndarray:
     sq = A @ B.T
     sq *= -2.0
     a_norms, b_norms = (A * A).sum(axis=1), (B * B).sum(axis=1)
-    step = max(1, _ROW_BLOCK_ENTRIES // max(b_norms.size, 1))
+    step = chunk_length(b_norms.size)
     for lo in range(0, a_norms.size, step):
         sq[lo:lo + step] += a_norms[lo:lo + step, None] + b_norms
     np.maximum(sq, 0.0, out=sq)

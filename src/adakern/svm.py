@@ -7,12 +7,14 @@ import numpy as np
 from .adaptive import AdaptiveMatrix, ClosedForm, Factor, Partition
 from .data import Scaler, apply_minmax, fit_minmax, kfold
 from .errors import DataError
-from .kernel import gaussian_from_sq_dists, gaussian_gram, pairwise_sq_dists
-from .linalg import _COLUMN_BLOCK
+from .kernel import chunk_length, gaussian_from_sq_dists, gaussian_gram, pairwise_sq_dists
 from .solver import SolverConfig, SolveTrace, _check_labels, _check_psd_gram, resolve_eta, solve
 
 # Relative margin for calling a dual coordinate interior to (0, C).
 _MARGIN_RTOL = 1e-6
+# Columns of F that prediction forms at a time: n x 256 floats, whatever
+# the batch size.
+_F_COLUMNS = 256
 
 
 @dataclass
@@ -73,10 +75,8 @@ def _expansion(model, coef, X_test) -> np.ndarray:
     Kx = pairwise_sq_dists(model.X, Xs)
     best = reciprocal_match(Kx)
     gaussian_from_sq_dists(Kx, model.sigma)
-    # Whole blocks of linalg.factor_columns, which forms F = W W' 256 columns at a time.
-    step = -(-_chunk(len(Kx)) // _COLUMN_BLOCK) * _COLUMN_BLOCK
-    for lo in range(0, best.size, step):
-        Kx[:, lo:lo + step] *= model.adaptive.columns(best[lo:lo + step])
+    for lo in range(0, best.size, _F_COLUMNS):
+        Kx[:, lo:lo + _F_COLUMNS] *= model.adaptive.columns(best[lo:lo + _F_COLUMNS])
     # One product over the whole C-ordered matrix: its summation order, and
     # so its bits, are those of the unchunked expansion.
     return coef @ Kx + model.bias
@@ -230,19 +230,6 @@ def _kkt_bias(values, signs, duals, C: float) -> float:
     return 0.0
 
 
-# Entries of the chunks of reciprocal_match and _expansion: rows of D for
-# the row ranks, columns for the match and for F's columns.
-_CHUNK_ENTRIES = 1 << 16
-# A column with more candidates than this ranks its training points by a
-# sort rather than by counting for each candidate.
-_FEW_CANDIDATES = 16
-
-
-def _chunk(length: int) -> int:
-    """Rows or columns per chunk, for rows or columns of ``length`` entries."""
-    return max(1, _CHUNK_ENTRIES // max(length, 1))
-
-
 def reciprocal_match(D) -> np.ndarray:
     """For each column j of the n x m squared distances D, the row of best reciprocal rank.
 
@@ -252,31 +239,31 @@ def reciprocal_match(D) -> np.ndarray:
     ties to the smallest i: the argmax over i of the reciprocal
     nearest-neighbor similarity M_ij = 1 / (r s), which is never formed:
     the products are exact integers, and 1/p falls strictly with p in
-    float64 for every n m that fits in memory.  NaN distances have no
-    rank and raise ``DataError``.
+    float64 for every n m that fits in memory.  Distances must be
+    nonnegative (the ranks sort their bits); NaN or negative ones raise
+    ``DataError``.
 
     The row ranks r are sorted in row chunks (int32, O(nm log m)).  Each
     column j then has its nearest row near_j (s = 1), whose product bounds
     the best, r[near_j, j]; since s >= 2 elsewhere, only rows with
-    2 r_ij <= r[near_j, j] can beat or tie it.  Most columns have none.
-    For the others, s is counted for each candidate, or, with more than
-    ``_FEW_CANDIDATES``, the column is ranked by a sort.  Peak memory is
-    the int32 r, 4 bytes per n x m entry, plus chunks of about
-    ``_CHUNK_ENTRIES`` entries.
+    2 r_ij <= r[near_j, j] can beat or tie it.  Most columns have none;
+    the others rank their rows by a sort.  Peak memory is the int32 r,
+    4 bytes per n x m entry, plus chunks of about 2^16 entries
+    (:func:`kernel.chunk_length`).
     """
     D = np.ascontiguousarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] == 0:
         raise DataError("distances must form an n x m array with n >= 1")
     n, m = D.shape
     r = np.empty((n, m), dtype=np.int32)
-    step = _chunk(m)
+    step = chunk_length(m)
     for lo in range(0, n, step):
         rows = D[lo:lo + step]
-        if np.isnan(rows).any():
-            raise DataError("distances contain NaN; features must be finite")
+        if not (rows >= 0.0).all():
+            raise DataError("distances must be nonnegative and not NaN; features must be finite")
         r[lo:lo + step] = _stable_ranks(rows)
     best = np.empty(m, dtype=np.int64)
-    step = _chunk(n)
+    step = chunk_length(n)
     for lo in range(0, m, step):
         best[lo:lo + step] = _match_columns(D[:, lo:lo + step], r[:, lo:lo + step])
     return best
@@ -284,31 +271,14 @@ def reciprocal_match(D) -> np.ndarray:
 
 def _match_columns(D, r) -> np.ndarray:
     """reciprocal_match of an n x w column chunk of D, given its row ranks r."""
-    n, w = D.shape
     Dt = np.ascontiguousarray(D.T)
-    near = Dt.argmin(axis=1)
-    bound = r[near, np.arange(w)].astype(np.int64)
-    # Best (product, row) of each column so far, packed as product * n + row.
-    key = bound * n + near
-    # A bound of 1 leaves no candidate; elsewhere count them.
-    open_ = np.flatnonzero(bound >= 2)
-    candidate = r[:, open_] <= bound[open_] // 2
-    count = np.count_nonzero(candidate, axis=0)
-    few = (count > 0) & (count <= _FEW_CANDIDATES)
-    rows, k = np.nonzero(candidate[:, few])
-    cols = open_[few][k]
-    step = _chunk(n)
-    for lo in range(0, cols.size, step):
-        j, i = cols[lo:lo + step], rows[lo:lo + step]
-        lines, value = Dt[j], Dt[j, i][:, None]
-        s = np.count_nonzero((lines < value)
-                             | ((lines == value) & (np.arange(n) <= i[:, None])), axis=1)
-        np.minimum.at(key, j, (r[i, j] * s) * n + i)
-    best = key % n
-    many = open_[count > _FEW_CANDIDATES]
-    if many.size:
-        product = r[:, many].T.astype(np.int64) * _stable_ranks(Dt[many])
-        best[many] = product.argmin(axis=1)
+    best = Dt.argmin(axis=1)
+    bound = r[best, np.arange(len(best))]
+    # The columns in which some row could beat or tie the nearest one.
+    open_ = np.flatnonzero((r <= bound // 2).any(axis=0))
+    if open_.size:
+        product = r[:, open_].T.astype(np.int64) * _stable_ranks(Dt[open_])
+        best[open_] = product.argmin(axis=1)
     return best
 
 

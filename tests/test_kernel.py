@@ -109,5 +109,5 @@ def test_pairwise_row_blocks_keep_the_expanded_form_bits(rng, block, monkeypatch
     A, B = rng.normal(size=(30, 3)), rng.uniform(size=(11, 3))
     a, b = (A * A).sum(axis=1), (B * B).sum(axis=1)
     expected = np.maximum(a[:, None] + b[None, :] - 2.0 * (A @ B.T), 0.0)
-    monkeypatch.setattr(kernel, "_ROW_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(kernel, "_CHUNK_ENTRIES", block)
     assert pairwise_sq_dists(A, B).tobytes() == expected.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adakern import svm
+from adakern import kernel, svm
 from adakern.adaptive import ClosedForm, Dense
 from adakern.data import apply_minmax, fit_minmax, gen_two_class_toy, inverse_minmax
 from adakern.errors import DataError, ParameterError
@@ -312,6 +312,12 @@ class TestReciprocalSimilarity:
         with pytest.raises(DataError, match="n x m"):
             reciprocal_match(np.zeros(shape))
 
+    def test_negative_distances_rejected(self):
+        # The ranks sort the bits of the distances, which order only
+        # nonnegative floats.
+        with pytest.raises(DataError, match="nonnegative"):
+            reciprocal_match(np.array([[-1.0], [-2.0]]))
+
 
 def _oracle_cases():
     """(X_train, X_test) pairs, many of them rich in equal or near-equal distances."""
@@ -362,22 +368,19 @@ class TestReciprocalOracle:
         assert np.array_equal(match(X_train, X_test), oracle_match(X_train, X_test))
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
-    def test_chunks_and_candidate_rule_do_not_matter(self, name, monkeypatch):
-        # Chunks of one row or column, of three, and one chunk for all;
-        # every column counted, or every column with a candidate sorted.
+    def test_chunks_do_not_matter(self, name, monkeypatch):
+        # Chunks of one row or column, of three, and one chunk for all.
         X_train, X_test = ORACLE_CASES[name]
         D = pairwise_sq_dists(X_train, X_test)
         n, m = D.shape
         expected = oracle_match(X_train, X_test)
         for entries in (1, 3 * max(n, m), max(n * m, 1)):
-            for few in (0, n):
-                monkeypatch.setattr(svm, "_CHUNK_ENTRIES", entries)
-                monkeypatch.setattr(svm, "_FEW_CANDIDATES", few)
-                assert np.array_equal(reciprocal_match(D), expected), (entries, few)
+            monkeypatch.setattr(kernel, "_CHUNK_ENTRIES", entries)
+            assert np.array_equal(reciprocal_match(D), expected), entries
 
-    def test_far_off_batch_takes_the_sort_side(self, monkeypatch):
-        # Only the columns with more than _FEW_CANDIDATES candidates sort
-        # their training points (rows of n entries).
+    def test_only_columns_with_a_candidate_sort(self, monkeypatch):
+        # A column sorts its training points (a row of n entries) only when
+        # some row other than its nearest could beat or tie that nearest.
         sorted_rows = []
         original = svm._stable_ranks
 
