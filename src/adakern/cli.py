@@ -13,6 +13,7 @@ import numpy as np
 from . import data as dataio
 from . import scale, svm, svr
 from .errors import DataError, NumericalError, ParameterError
+from .kernel import gaussian_gram
 from .persist import load_model, save_model
 from .solver import SolverConfig, resolve_eta
 from .svr import SvrModel
@@ -28,6 +29,13 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _seed(text: str) -> int:
+    """--seed: a nonnegative integer, as numpy's random generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_solver_flags(p):
     """The flags ``train`` and ``bounds`` share: input, kernel and solver settings, seed."""
     p.add_argument("--data", required=True, help="input path, or - for stdin")
@@ -40,7 +48,7 @@ def _add_solver_flags(p):
                    default="nesterov")
     p.add_argument("--t-max", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def build_parser() -> _Parser:
@@ -69,7 +77,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("libsvm", "csv"), default="libsvm")
     p.add_argument("--repeats", type=int, default=1,
                    help="report mean/std over this many seeded splits")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("bounds", help="decomposition error bounds and screening")
     _add_solver_flags(p)
@@ -137,7 +145,10 @@ def cmd_train(args) -> int:
     if args.mode == "scalable":
         if args.task != "svm":
             raise ParameterError("scalable mode applies to the svm task only")
-        v = _cluster_counts("1" if args.clusters is None else args.clusters)[0]
+        counts = _cluster_counts("1" if args.clusters is None else args.clusters)
+        if len(counts) != 1:
+            raise ParameterError(f"train takes one --clusters count, got {args.clusters!r}")
+        v = counts[0]
         _check_zero_tau(args, "train --mode scalable")
     elif args.clusters is not None:
         raise ParameterError("--clusters applies to --mode scalable only")
@@ -230,7 +241,8 @@ def cmd_bounds(args) -> int:
     _check_zero_tau(args, "bounds")
     ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
     config = _config_from_args(args)
-    y, _, Xs, K = svm._training_inputs(ds.X, ds.y, args.sigma)
+    y, _, Xs = svm._training_inputs(ds.X, ds.y, args.sigma)
+    K = gaussian_gram(Xs, args.sigma)
     config = resolve_eta(K, y, config)
     exact = scale.exact_reference(K, y, config)
     header = ("v", "Q_pi", "B1", "B2", "B",

@@ -265,17 +265,22 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
     k-means block is solved independently at tau = 0, which the model's
     config records.  The model holds the adaptive matrix as its closed form
     (:class:`adaptive.ClosedForm`: the blocks, with off-block entries at
-    the neutral value 1); the assembled n x n F serves the objective and
-    ``meta`` only, and its rank is read off the block duals, with no n x n
-    eigendecomposition.
+    the neutral value 1); the assembled n x n F serves ``meta`` only, and
+    its rank is read off the block duals, with no n x n eigendecomposition.
+    Only an unset eta builds the whole-data Gram matrix: the objective needs
+    K on the support alone, since off it alpha is 0 and F's rows are 1.
     """
-    y, scaler, Xs, K = _training_inputs(X, y, sigma)
-    config = replace(resolve_eta(K, y, config), tau=0.0)
+    y, scaler, Xs = _training_inputs(X, y, sigma)
+    if config.eta is None:
+        config = resolve_eta(gaussian_gram(Xs, sigma), y, config)
+    config = replace(config, tau=0.0)
     partition = kmeans_partition(Xs, v, seed)
     blocks = solve_blocks(Xs, y, partition, sigma, config)
     w = y * blocks.alpha_bar
     F = partition.block_diagonal(blocks.blocks)
-    objective = decomposition_objective(blocks.alpha_bar, y, K, F, config.eta)
+    S = np.flatnonzero(w)
+    objective = decomposition_objective(blocks.alpha_bar[S], y[S], gaussian_gram(Xs[S], sigma),
+                                        F[np.ix_(S, S)], config.eta)
     meta = {**_model_meta(blocks.traces, F, None, w, objective),
             "clusters": v, "seed": seed, "single_class_blocks": blocks.single_class_blocks}
     return SvmModel(

@@ -7,7 +7,8 @@ import numpy as np
 from .adaptive import AdaptiveMatrix, ClosedForm, Factor, Partition
 from .data import Scaler, apply_minmax, fit_minmax, kfold
 from .errors import DataError
-from .kernel import chunk_length, gaussian_from_sq_dists, gaussian_gram, pairwise_sq_dists
+from .kernel import (_check_sigma, chunk_length, gaussian_from_sq_dists, gaussian_gram,
+                     pairwise_sq_dists)
 from .solver import SolverConfig, SolveTrace, _check_labels, _check_psd_gram, resolve_eta, solve
 
 # Relative margin for calling a dual coordinate interior to (0, C).
@@ -83,13 +84,13 @@ def _expansion(model, coef, X_test) -> np.ndarray:
 
 
 def _training_inputs(X, y, sigma: float, classes: bool = True):
-    """Check the training inputs, min-max scale X and build its Gram matrix.
+    """Check the training inputs and min-max scale X.
 
     The one input check of the three trainers.  X must be a finite n x d
     array with n >= 2 and y n values: +-1 labels of both classes when
     ``classes``, finite regression targets otherwise.  A defect raises
-    DataError; sigma <= 0 raises ParameterError.  Returns y, the scaler,
-    the scaled X and its Gaussian Gram matrix K.
+    DataError; sigma <= 0 raises ParameterError.  Returns y, the scaler
+    and the scaled X.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -105,10 +106,9 @@ def _training_inputs(X, y, sigma: float, classes: bool = True):
             raise DataError("training labels contain a single class")
     elif not np.all(np.isfinite(y)):
         raise DataError("targets contain non-finite values")
+    _check_sigma(sigma)
     scaler = fit_minmax(X)
-    Xs = apply_minmax(scaler, X)
-    # gaussian_gram rejects sigma <= 0 with a ParameterError.
-    return y, scaler, Xs, gaussian_gram(Xs, sigma)
+    return y, scaler, apply_minmax(scaler, X)
 
 
 def train(X, y, sigma: float, config: SolverConfig,
@@ -120,7 +120,8 @@ def train(X, y, sigma: float, config: SolverConfig,
     and recovers the decision bias from the KKT conditions.  ``freeze_f``
     keeps F at the all-one matrix, which is the plain SVM baseline.
     """
-    y, scaler, Xs, K = _training_inputs(X, y, sigma)
+    y, scaler, Xs = _training_inputs(X, y, sigma)
+    K = gaussian_gram(Xs, sigma)
     gram = _check_psd_gram(K)
     if not freeze_f:
         config = resolve_eta(gram, y, config)
@@ -282,30 +283,16 @@ def _match_columns(D, r) -> np.ndarray:
     return best
 
 
-# Width of the packed int64 keys in the near-tie re-sort.  Blocks beyond
-# what one key can number are sorted in several parts.
-_KEY_BITS = 63
-
-
 def _stable_ranks(V) -> np.ndarray:
-    """1-based rank of each entry within its row of V, ties by column (int32)."""
-    order = _stable_row_order(V)
-    ranks = np.empty(V.shape, dtype=np.int32)
-    ranks.ravel()[order] = np.arange(1, V.shape[1] + 1, dtype=np.int32)
-    return ranks
-
-
-def _stable_row_order(V) -> np.ndarray:
-    """Flat indices of V that list each row in stable ascending order.
+    """1-based rank of each entry within its row of V, ties by column (int32).
 
     V is C-contiguous, non-negative and NaN-free, so the int64 view of a
     value orders like the value.  Each row is sorted once as int64 keys:
     the value's bits with the low b bits replaced by the column index
     (m <= 2**b).  Equal values share every kept bit, so exact ties come
-    out in column order.  Values that differ only in the dropped bits
-    form a block of equal keys' high bits and come out in column order
-    too, which can put a larger value first; only blocks that show such
-    a descent are sorted again.
+    out in column order.  Values that differ only in the dropped bits come
+    out in column order too, which can put a larger value first; a row
+    that shows such a descent is sorted again whole by a stable argsort.
     """
     n, m = V.shape
     b = (m - 1).bit_length()
@@ -316,48 +303,12 @@ def _stable_row_order(V) -> np.ndarray:
     order &= low
     order += (np.arange(n) * m)[:, None]
     values = V.ravel()[order]
-    descent = np.zeros((n, m), dtype=bool)
-    np.less(values[:, 1:], values[:, :-1], out=descent[:, 1:])
-    rows = np.flatnonzero(descent.any(axis=1))
+    rows = np.flatnonzero((values[:, 1:] < values[:, :-1]).any(axis=1))
     if rows.size:
-        values, descent = values[rows], descent[rows]
-        _resort_near_ties(order, values, descent, rows, b)
-    return order
-
-
-def _resort_near_ties(order, values, descent, rows, b) -> None:
-    """Sort by (value, column), in place in ``order``, each key block with a descent.
-
-    ``values`` and ``descent`` hold the listed ``rows`` of the sorted
-    values and of their descent flags.  Within a block the values agree
-    above the low b bits, so the packed key (block number, low bits,
-    column) orders it exactly.
-    """
-    k, m = values.shape
-    low = (1 << b) - 1
-    bits = values.view(np.int64).ravel()
-    # Block bounds: row starts, changes above the low bits, and the end.
-    start = np.ones(k * m + 1, dtype=bool)
-    np.greater(bits[1:] ^ bits[:-1], low, out=start[1:-1])
-    start[:-1:m] = True
-    bounds = np.flatnonzero(start)
-    block = np.searchsorted(bounds, np.flatnonzero(descent), side="right") - 1
-    block = block[np.diff(block, prepend=-1) > 0]
-    # Positions of every entry of those blocks, each labelled 0, 1, ... by block.
-    first, sizes = bounds[block], bounds[block + 1] - bounds[block]
-    label = np.repeat(np.arange(block.size), sizes)
-    pos = np.arange(label.size) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
-    row_start = rows[pos // m] * m
-    where = row_start + pos % m
-    span = 1 << (_KEY_BITS - 2 * b)
-    key = (label & (span - 1)) << (2 * b)
-    key |= (bits[pos] & low) << b
-    key |= order.ravel()[where] - row_start
-    for part in np.split(key, np.searchsorted(label, np.arange(span, block.size, span))):
-        part.sort()
-    key &= low
-    key += row_start
-    order.ravel()[where] = key
+        order[rows] = np.argsort(V[rows], axis=1, kind="stable") + (rows * m)[:, None]
+    ranks = np.empty(V.shape, dtype=np.int32)
+    ranks.ravel()[order] = np.arange(1, m + 1, dtype=np.int32)
+    return ranks
 
 
 def accuracy(model: SvmModel, X, y) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 from .adaptive import AdaptiveMatrix
 from .data import Scaler, apply_minmax, fit_minmax, inverse_minmax
 from .errors import DataError, ParameterError
+from .kernel import gaussian_gram
 from .solver import (
     SolverConfig,
     _ascend,
@@ -198,7 +199,8 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
     epsilon applies in the scaled target space.  eta is resolved as for
     the classifier (:func:`solver.resolve_eta` on the SVR dual).
     """
-    y, scaler, Xs, K = _training_inputs(X, y, sigma, classes=False)
+    y, scaler, Xs = _training_inputs(X, y, sigma, classes=False)
+    K = gaussian_gram(Xs, sigma)
     y_scaler = fit_minmax(y[:, None])
     ys = apply_minmax(y_scaler, y[:, None])[:, 0]
     gram = _check_psd_gram(K)

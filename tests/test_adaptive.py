@@ -161,8 +161,7 @@ def test_predicting_five_points_forms_no_n_by_n_array(form_name):
 
 
 # Bulk prediction holds the n x m distances (8 bytes an entry), their int32
-# row ranks (4) and chunks.  The whole similarity matrix took about 29 bytes
-# an entry, and 51 on the lattice below with its near-tie re-sort.
+# row ranks (4) and chunks.
 BULK_N = 1000
 BYTES_PER_ENTRY = 16
 

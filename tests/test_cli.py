@@ -665,6 +665,37 @@ class TestExitCodes:
         assert err == "usage error: --clusters applies to --mode scalable only\n"
         assert not os.path.exists(model_path)
 
+    def test_train_with_several_cluster_counts_is_usage_error(self, toy_file, tmp_path,
+                                                              capsys):
+        # bounds sweeps a comma list of counts; train fits one model.
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        code, out, err = run(["train", "--mode", "scalable", "--clusters", "3,5",
+                              "--data", path, "--model", model_path], capsys)
+        assert (code, out) == (1, "")
+        assert err == "usage error: train takes one --clusters count, got '3,5'\n"
+        assert not os.path.exists(model_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--mode", "scalable", "--clusters", "2", "--seed", "-1"],
+        ["train", "--cv", "--folds", "2", "--seed", "-1"],
+        ["bounds", "--clusters", "2", "--seed", "-1"],
+        ["eval", "--repeats", "3", "--seed", "-2"],
+    ], ids=["train-scalable", "train-cv", "bounds", "eval"])
+    def test_negative_seed_is_usage_error(self, argv, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        if argv[0] == "eval":
+            assert run(["train", "--data", path, "--t-max", "5", "--model", model_path],
+                       capsys)[0] == 0
+        if argv[0] != "bounds":
+            argv = argv + ["--model", model_path]
+        code, out, err = run(argv + ["--data", path], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: argument --seed: must be a nonnegative integer, "
+                       f"got '{argv[argv.index('--seed') + 1]}'\n")
+        assert os.path.exists(model_path) == (argv[0] == "eval")
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "--data", "d", "--task", "svm"],
         ["bounds", "--data", "d", "--mode", "exact"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adakern import kernel, svm
+from adakern import kernel, svm, svr
 from adakern.adaptive import ClosedForm, Dense
 from adakern.data import apply_minmax, fit_minmax, gen_two_class_toy, inverse_minmax
 from adakern.errors import DataError, ParameterError
@@ -12,6 +12,7 @@ from adakern.svm import accuracy, reciprocal_match, train
 from adakern.svr import train_svr
 
 from conftest import decision_values_insample, oracle_reciprocal_similarity, two_blobs
+from test_adaptive import bulk_batch
 
 
 def small_config(**kwargs):
@@ -157,7 +158,8 @@ class TestTrain:
                 K = np.hstack([K, K[:, :1]])
             return K
 
-        monkeypatch.setattr(svm, "gaussian_gram", bad_gram)
+        # Each trainer builds its own Gram matrix.
+        monkeypatch.setattr(svm if task == "svm" else svr, "gaussian_gram", bad_gram)
         for eta in (None, 1.0):
             with pytest.raises(DataError, match=message):
                 if task == "svm":
@@ -394,26 +396,24 @@ class TestReciprocalOracle:
         match(X_train, X_test)
         assert 0 < sum(sorted_rows) < len(X_test)
 
-    @pytest.mark.parametrize("name", ["grid", "mirror-1d", "quantized"])
-    def test_near_tie_resort_in_several_parts(self, name, monkeypatch):
-        # The smallest key width that holds one block label bit: every part
-        # of the near-tie re-sort then holds at most two blocks.
-        X_train, X_test = ORACLE_CASES[name]
-        b = max((len(X_train) - 1).bit_length(), (len(X_test) - 1).bit_length())
-        monkeypatch.setattr(svm, "_KEY_BITS", 2 * b + 1)
-        assert np.array_equal(match(X_train, X_test), oracle_match(X_train, X_test))
-
     def test_grid_takes_the_near_tie_path(self, monkeypatch):
-        calls = []
-        original = svm._resort_near_ties
+        # A row whose packed-key sort shows a descent is ranked again by a
+        # stable argsort: the grid case holds such rows, the two-arc batch
+        # none.
+        fallback_rows = []
+        original = np.argsort
 
-        def counting(*args):
-            calls.append(args[1].shape)
-            return original(*args)
+        def recording(a, *args, **kwargs):
+            fallback_rows.append(len(a))
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(svm, "_resort_near_ties", counting)
+        monkeypatch.setattr(np, "argsort", recording)
         match(*ORACLE_CASES["grid"])
-        assert calls
+        assert sum(fallback_rows) > 0
+        fallback_rows.clear()
+        model, probe = bulk_batch("two-arc")
+        model.decision_function(probe)
+        assert fallback_rows == []
 
     def test_nan_distances_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(DataError, match="NaN"):
