@@ -15,7 +15,7 @@ from . import scale, svm, svr
 from .errors import DataError, NumericalError, ParameterError
 from .kernel import gaussian_gram
 from .persist import load_model, save_model
-from .solver import SolverConfig, resolve_eta
+from .solver import SolverConfig, _check_psd_gram, resolve_eta
 from .svr import SvrModel
 
 CV_GRID = [2.0 ** p for p in range(-5, 6)]
@@ -141,6 +141,13 @@ def _emit(rows) -> None:
         print(",".join(str(item) for item in row))
 
 
+def _score(model, X, y) -> float:
+    """The held-out score of ``eval`` and ``train --cv``: accuracy, or the SVR's relative error."""
+    if isinstance(model, SvrModel):
+        return svr.rmse(model.predict(X), y)
+    return svm.accuracy(model, X, y)
+
+
 def cmd_train(args) -> int:
     if args.mode == "scalable":
         if args.task != "svm":
@@ -161,26 +168,25 @@ def cmd_train(args) -> int:
     mode = dataio.CLASSIFICATION if args.task == "svm" else dataio.REGRESSION
     ds = _read_dataset(args.data, args.format, mode)
     config = _config_from_args(args)
-    sigma = args.sigma
-
-    if args.cv:
-        if args.mode == "scalable":
-            sigma, C, _ = scale.cross_validate_scalable(
-                ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config, v)
-        elif args.task == "svm":
-            sigma, C, _ = svm.cross_validate(
-                ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config)
-        else:
-            sigma, C, _ = svr.cross_validate_svr(
-                ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config, epsilon)
-        config = replace(config, C=C)
-
     if args.mode == "scalable":
-        model = scale.train_scalable(ds.X, ds.y, sigma, config, v, args.seed)
+        if not 1 <= v <= len(ds.y):
+            raise ParameterError(f"--clusters must lie between 1 and the {len(ds.y)} "
+                                 f"training points, got {v}")
+
+        def fit(X, y, sigma, config):
+            return scale.train_scalable(X, y, sigma, config, v, args.seed)
     elif args.task == "svm":
-        model = svm.train(ds.X, ds.y, sigma, config)
+        fit = svm.train
     else:
-        model = svr.train_svr(ds.X, ds.y, sigma, config, epsilon=epsilon)
+        def fit(X, y, sigma, config):
+            return svr.train_svr(X, y, sigma, config, epsilon=epsilon)
+
+    sigma = args.sigma
+    if args.cv:
+        sigma, C, _ = svm.grid_search(ds.X, ds.y, CV_GRID, CV_GRID, folds, args.seed, config,
+                                      fit, _score, lower_is_better=args.task == "svr")
+        config = replace(config, C=C)
+    model = fit(ds.X, ds.y, sigma, config)
     model.meta["seed"] = args.seed
     save_model(model, args.model)
 
@@ -218,18 +224,12 @@ def cmd_eval(args) -> int:
     is_svr = isinstance(model, SvrModel)
     mode = dataio.REGRESSION if is_svr else dataio.CLASSIFICATION
     ds = _read_dataset(args.data, args.format, mode)
-
-    def metric(idx):
-        if is_svr:
-            return svr.rmse(model.predict(ds.X[idx]), ds.y[idx])
-        return float(np.mean(model.predict(ds.X[idx]) == ds.y[idx]))
-
     name = "rmse" if is_svr else "accuracy"
     if args.repeats == 1:
-        _emit([("metric", "value"), (name, metric(np.arange(len(ds.y))))])
+        _emit([("metric", "value"), (name, _score(model, ds.X, ds.y))])
     else:
         folds = dataio.kfold(len(ds.y), args.repeats, args.seed)
-        scores = [metric(f) for f in folds]
+        scores = [_score(model, ds.X[f], ds.y[f]) for f in folds]
         _emit([("metric", "mean", "std"),
                (name, float(np.mean(scores)), float(np.std(scores)))])
     return 0
@@ -242,9 +242,10 @@ def cmd_bounds(args) -> int:
     ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
     config = _config_from_args(args)
     y, _, Xs = svm._training_inputs(ds.X, ds.y, args.sigma)
-    K = gaussian_gram(Xs, args.sigma)
-    config = resolve_eta(K, y, config)
-    exact = scale.exact_reference(K, y, config)
+    # Checked once for the eta solve and the exact reference.
+    gram = _check_psd_gram(gaussian_gram(Xs, args.sigma))
+    config = resolve_eta(gram, y, config)
+    exact = scale.exact_reference(gram, y, config)
     header = ("v", "Q_pi", "B1", "B2", "B",
               "measured_obj_gap", "obj_gap_bound",
               "measured_alpha_gap_sq", "alpha_gap_bound",
@@ -254,7 +255,7 @@ def cmd_bounds(args) -> int:
     for v in counts:
         partition = scale.kmeans_partition(Xs, v, args.seed)
         blocks = scale.solve_blocks(Xs, y, partition, args.sigma, config)
-        report = scale.bound_report(blocks, K, partition, config, y,
+        report = scale.bound_report(blocks, gram.K, partition, config, y,
                                     exact=exact, kappa=args.kappa)
         rows.append((v, report.Q_pi, report.B1, report.B2, report.B,
                      report.measured_objective_gap, report.objective_gap_bound,

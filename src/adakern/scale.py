@@ -14,8 +14,8 @@ import numpy as np
 from .adaptive import ClosedForm, Partition
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram, pairwise_sq_dists
-from .solver import SolverConfig, resolve_eta, solve
-from .svm import SvmModel, _grid_search, _model_meta, _training_inputs, accuracy
+from .solver import SolverConfig, _check_psd_gram, resolve_eta, solve
+from .svm import SvmModel, _model_meta, _training_inputs
 
 
 @dataclass
@@ -246,14 +246,16 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
 def exact_reference(K, y, config: SolverConfig):
     """Whole-problem solve of the no-bias, no-nuclear objective.
 
-    Returns the (alpha_star, F_star, H_star) triple that ``bound_report``
-    accepts as its ``exact`` argument.
+    K may be the :class:`solver._PsdGram` of a kernel checked before, which
+    the solve does not check again.  Returns the (alpha_star, F_star,
+    H_star) triple that ``bound_report`` accepts as its ``exact`` argument.
     """
     if config.eta is None:
         raise ParameterError("eta must be resolved for the exact reference")
     cfg = replace(config, tau=0.0)
-    state, F, _ = solve(K, y, cfg, with_equality=False)
-    H = decomposition_objective(state.alpha, y, K, F, cfg.eta)
+    gram = _check_psd_gram(K)
+    state, F, _ = solve(gram, y, cfg, with_equality=False)
+    H = decomposition_objective(state.alpha, y, gram.K, F, cfg.eta)
     return state.alpha, F, H
 
 
@@ -269,8 +271,11 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
     its rank is read off the block duals, with no n x n eigendecomposition.
     Only an unset eta builds the whole-data Gram matrix: the objective needs
     K on the support alone, since off it alpha is 0 and F's rows are 1.
+    Fewer than v points raise DataError before any solve.
     """
     y, scaler, Xs = _training_inputs(X, y, sigma)
+    if y.size < v:
+        raise DataError(f"{y.size} training points cannot form {v} clusters")
     if config.eta is None:
         config = resolve_eta(gaussian_gram(Xs, sigma), y, config)
     config = replace(config, tau=0.0)
@@ -288,26 +293,3 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
         bias=0.0, sigma=sigma, config=config, scaler=scaler,
         assignment=partition.assignment.copy(), meta=meta,
     )
-
-
-def cross_validate_scalable(X, y, sigma_grid, C_grid, folds: int, seed: int,
-                            config_template: SolverConfig, v: int):
-    """Grid-search (sigma, C) by the mean k-fold accuracy of decomposition models.
-
-    Each fold trains :func:`train_scalable` with v clusters and k-means
-    seed ``seed`` (see :func:`svm._grid_search`).  A training fold of fewer
-    than v points cannot be clustered and is skipped, as a single-class
-    fold is.  Returns (best_sigma, best_C, table) where table rows are
-    (sigma, C, mean_accuracy).
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def fit_score(rows, held, sigma, C):
-        if np.count_nonzero(rows) < v:
-            raise DataError(f"a training fold has fewer than {v} points to cluster")
-        model = train_scalable(X[rows], y[rows], sigma, replace(config_template, C=C, eta=None),
-                               v, seed)
-        return accuracy(model, X[held], y[held])
-
-    return _grid_search(len(y), sigma_grid, C_grid, folds, seed, fit_score)

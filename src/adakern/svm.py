@@ -316,47 +316,34 @@ def accuracy(model: SvmModel, X, y) -> float:
     return float(np.mean(predictions == np.asarray(y, dtype=float)))
 
 
-def cross_validate(X, y, sigma_grid, C_grid, folds: int, seed: int,
-                   config_template: SolverConfig, freeze_f: bool = False):
-    """Grid-search (sigma, C) by mean k-fold accuracy (see :func:`_grid_search`).
+def grid_search(X, y, sigma_grid, C_grid, folds: int, seed: int, config: SolverConfig,
+                fit, score, lower_is_better: bool = False):
+    """Grid-search (sigma, C) by the mean held-out score over k folds.
 
-    Returns (best_sigma, best_C, table) where table rows are
-    (sigma, C, mean_accuracy).
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def fit_score(rows, held, sigma, C):
-        model = train(X[rows], y[rows], sigma, replace(config_template, C=C, eta=None),
-                      freeze_f=freeze_f)
-        return accuracy(model, X[held], y[held])
-
-    return _grid_search(len(y), sigma_grid, C_grid, folds, seed, fit_score)
-
-
-def _grid_search(n: int, sigma_grid, C_grid, folds: int, seed: int, fit_score,
-                 lower_is_better: bool = False):
-    """Grid-search (sigma, C) by the mean score over k folds of range(n).
-
-    ``fit_score(rows, held, sigma, C)`` fits a model on the rows where the
-    boolean mask ``rows`` is set and scores it on the indices ``held``.  A
-    fold that raises DataError (a single-class training fold, or constant
+    Each cell trains ``fit(X, y, sigma, config)`` on each training fold
+    with ``config`` at the cell's C (an unset eta is resolved per fold) and
+    scores it with ``score(model, X, y)`` on the held-out fold.  A fold
+    that raises DataError (a single-class training fold, or constant
     held-out targets) is skipped; a cell with no fold left scores 0, or
     +inf when lower is better.  Ties break toward smaller C, then larger
     sigma (the smoother model).  Returns (best_sigma, best_C, table) where
     table rows are (sigma, C, mean score).
     """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     sign = -1.0 if lower_is_better else 1.0
-    fold_indices = kfold(n, folds, seed)
+    fold_indices = kfold(len(y), folds, seed)
     table = []
     for sigma in sigma_grid:
         for C in C_grid:
+            cell = replace(config, C=float(C))
             scores = []
             for held in fold_indices:
-                rows = np.ones(n, dtype=bool)
+                rows = np.ones(len(y), dtype=bool)
                 rows[held] = False
                 try:
-                    scores.append(fit_score(rows, held, float(sigma), float(C)))
+                    model = fit(X[rows], y[rows], float(sigma), cell)
+                    scores.append(score(model, X[held], y[held]))
                 except DataError:
                     continue
             worst = np.inf if lower_is_better else 0.0

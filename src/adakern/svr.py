@@ -1,6 +1,6 @@
 """Regression wrapper: the adaptive kernel inside epsilon-insensitive SVR."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .solver import (
     project_exact,
     resolve_eta,
 )
-from .svm import _expansion, _grid_search, _kkt_bias, _model_meta, _solved_form, _training_inputs
+from .svm import _expansion, _kkt_bias, _model_meta, _solved_form, _training_inputs
 
 DEFAULT_EPSILON = 0.1
 
@@ -219,25 +219,6 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
         adaptive=_solved_form(trace, Xs, w, sigma, config.eta), bias=bias, sigma=sigma,
         epsilon=epsilon, config=config, scaler=scaler, y_scaler=y_scaler, meta=meta,
     )
-
-
-def cross_validate_svr(X, y, sigma_grid, C_grid, folds: int, seed: int,
-                       config_template: SolverConfig, epsilon: float):
-    """Grid-search (sigma, C) by mean k-fold relative error (see :func:`svm._grid_search`).
-
-    Returns (best_sigma, best_C, table) where table rows are
-    (sigma, C, mean_rmse).
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def fit_score(rows, held, sigma, C):
-        model = train_svr(X[rows], y[rows], sigma, replace(config_template, C=C, eta=None),
-                          epsilon=epsilon)
-        return rmse(model.predict(X[held]), y[held])
-
-    return _grid_search(len(y), sigma_grid, C_grid, folds, seed, fit_score,
-                        lower_is_better=True)
 
 
 def rmse(predictions, targets) -> float:

@@ -33,7 +33,7 @@ from adakern.solver import (
     project_exact,
     solve,
 )
-from adakern.svm import cross_validate, train
+from adakern.svm import accuracy, grid_search, train
 from adakern.svr import (
     lipschitz_svr,
     rmse,
@@ -334,8 +334,11 @@ def test_c10_surface_regression():
 def test_c11_adaptive_matrix_structure():
     ds = gen_two_class_toy(200, seed=42)
     cfg = SolverConfig(C=1.0, tau=0.01, eta=None)
-    sigma, _, _ = cross_validate(ds.X, ds.y, CV_SIGMA_GRID, [1.0], folds=5,
-                                 seed=0, config_template=cfg, freeze_f=True)
+    def frozen(X, y, sigma, config):
+        return train(X, y, sigma, config, freeze_f=True)
+
+    sigma, _, _ = grid_search(ds.X, ds.y, CV_SIGMA_GRID, [1.0], folds=5, seed=0, config=cfg,
+                              fit=frozen, score=accuracy)
     model = train(ds.X, ds.y, sigma, cfg)
     f_min, f_max = model.meta["f_min"], model.meta["f_max"]
     rank = model.meta["f_rank"]

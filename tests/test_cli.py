@@ -539,6 +539,25 @@ class TestBoundsCommand:
             measured, bound = float(cells[5]), float(cells[6])
             assert measured <= bound
 
+    @pytest.mark.parametrize("eta", ["auto", "50"])
+    def test_checks_the_whole_data_kernel_once(self, eta, toy_file, monkeypatch, capsys):
+        # The eta solve and the exact reference share one PSD check of K:
+        # one n x n eigvalsh, the blocks' checks aside.
+        path, ds = toy_file
+        n = len(ds.y)
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        code, _, _ = run(["bounds", "--data", path, "--sigma", "0.3", "--tau", "0",
+                          "--eta", eta, "--clusters", "2", "--t-max", "20"], capsys)
+        assert code == 0
+        assert sizes.count((n, n)) == 1
+
 
 class TestWarnings:
     """bounds and train print the warnings of their reports and solves to stderr."""
@@ -611,6 +630,21 @@ class TestGridCommand:
         # 1e12 points per axis: numpy refuses the 8 TB axis at once.
         code, out, err = run(["grid", "--model", model_path, "--grid=0,1,0,1,1e12"], capsys)
         assert (code, out) == (1, "") and "too large" in err
+        for grid in ("1,2,3", "0,1,0,1,x"):
+            code, out, err = run(["grid", "--model", model_path, f"--grid={grid}"], capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("usage error: --grid expects x0,x1,y0,y1,res")
+
+    def test_svr_grid_writes_predictions(self, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        model_path = str(tmp_path / "m.txt")
+        assert run(["train", "--task", "svr", "--data", path, "--t-max", "5",
+                    "--model", model_path], capsys)[0] == 0
+        code, out, _ = run(["grid", "--model", model_path, "--grid=-2,3,-1,2,3"], capsys)
+        assert code == 0
+        table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        assert table.shape == (9, 3)
+        assert np.array_equal(table[:, 2], load_model(model_path).predict(table[:, :2]))
 
 
 class TestExitCodes:
@@ -778,7 +812,9 @@ class TestExitCodes:
         (["--task", "svm", "--epsilon", "0.1"], "--epsilon applies to --task svr only"),
         (["--folds", "3"], "--folds applies to --cv only"),
         (["--task", "svr", "--folds", "3"], "--folds applies to --cv only"),
-    ], ids=["svm-epsilon", "explicit-svm-epsilon", "folds-without-cv", "svr-folds-without-cv"])
+        (["--mode", "scalable", "--task", "svr"], "scalable mode applies to the svm task only"),
+    ], ids=["svm-epsilon", "explicit-svm-epsilon", "folds-without-cv", "svr-folds-without-cv",
+            "scalable-svr"])
     def test_train_flag_that_is_not_read_is_usage_error(self, argv, message, toy_file,
                                                         tmp_path, capsys):
         path, _ = toy_file
@@ -792,6 +828,17 @@ class TestExitCodes:
         code, _, err = run(["train", "--data", path, "--t-max", "5",
                             "--model", str(tmp_path / "missing" / "m.txt")], capsys)
         assert code == 2 and err.startswith("data error: cannot write model")
+
+    def test_numerical_error_exits_3(self, monkeypatch, capsys):
+        import adakern.cli as cli
+        from adakern.errors import NumericalError
+
+        def failing(args):
+            raise NumericalError("the solve diverged")
+
+        monkeypatch.setitem(cli.COMMANDS, "predict", failing)
+        code, out, err = run(["predict", "--model", "m", "--data", "d"], capsys)
+        assert (code, out, err) == (3, "", "numerical error: the solve diverged\n")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(["train", "--bogus"], capsys)
@@ -808,9 +855,10 @@ def test_cv_selects_from_grid(tmp_path, capsys):
     # tiny grid exercise of the --cv path through the library API
     ds = gen_two_class_toy(40, seed=9)
     from adakern.solver import SolverConfig
-    from adakern.svm import cross_validate
-    sigma, C, table = cross_validate(ds.X, ds.y, [0.25, 1.0], [1.0], folds=4,
-                                     seed=0, config_template=SolverConfig(C=1.0, tau=0.01))
+    from adakern.svm import accuracy, grid_search, train
+    sigma, C, table = grid_search(ds.X, ds.y, [0.25, 1.0], [1.0], folds=4, seed=0,
+                                  config=SolverConfig(C=1.0, tau=0.01), fit=train,
+                                  score=accuracy)
     assert sigma in (0.25, 1.0) and C == 1.0
     assert len(table) == 2
     best_row = max(table, key=lambda r: r[2])
@@ -846,15 +894,99 @@ def test_scalable_cv_scores_decomposition_models(toy_file, tmp_path, capsys, mon
     assert "\nprox_steps,0\n" in out
 
 
+class TestCrossValidation:
+    """train --cv runs svm.grid_search with the run's trainer, config and score."""
+
+    @pytest.mark.parametrize("task", ["svm", "svr", "scalable"])
+    def test_selects_what_grid_search_selects(self, task, tmp_path, capsys, monkeypatch):
+        import adakern.cli as cli
+        from adakern import scale, svr
+        from adakern.data import gen_step
+        from adakern.svm import grid_search, train
+
+        def svr_fit(X, y, sigma, config):
+            return svr.train_svr(X, y, sigma, config, epsilon=0.05)
+
+        def scalable_fit(X, y, sigma, config):
+            return scale.train_scalable(X, y, sigma, config, 2, 1)
+
+        flags, fit = {
+            "svm": ([], train),
+            "svr": (["--task", "svr", "--epsilon", "0.05"], svr_fit),
+            "scalable": (["--mode", "scalable", "--clusters", "2"], scalable_fit),
+        }[task]
+        ds = gen_step(np.linspace(-5.0, 5.0, 30)) if task == "svr" else gen_two_class_toy(40, 3)
+        path = str(tmp_path / "d.libsvm")
+        write_dataset(path, ds)
+        grid = [0.25, 1.0]
+        monkeypatch.setattr(cli, "CV_GRID", grid)
+        argv = ["train", "--data", path, "--cv", "--folds", "3", "--t-max", "30", "--seed", "1",
+                "--model", str(tmp_path / "m.model")] + flags
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        rows = dict(line.split(",", 1) for line in out.splitlines())
+        config = cli._config_from_args(cli.build_parser().parse_args(argv))
+        sigma, C, _ = grid_search(ds.X, ds.y, grid, grid, 3, 1, config, fit, cli._score,
+                                  lower_is_better=task == "svr")
+        assert (float(rows["sigma"]), float(rows["C"])) == (sigma, C)
+
+    def test_cells_train_at_the_run_eta(self, toy_file, tmp_path, capsys, monkeypatch):
+        import adakern.cli as cli
+        from adakern import svm
+
+        etas = []
+        original = svm.train
+
+        def recording(X, y, sigma, config):
+            etas.append(config.eta)
+            return original(X, y, sigma, config)
+
+        monkeypatch.setattr(svm, "train", recording)
+        monkeypatch.setattr(cli, "CV_GRID", [0.5, 1.0])
+        path, _ = toy_file
+        code, out, _ = run(["train", "--data", path, "--cv", "--folds", "2", "--t-max", "20",
+                            "--eta", "5", "--model", str(tmp_path / "m.model")], capsys)
+        assert code == 0 and "\neta,5.0\n" in out
+        # 2 sigmas x 2 Cs x 2 folds, then the model on all points
+        assert etas == [5.0] * 9
+
+    @pytest.mark.parametrize("cv", [[], ["--cv", "--folds", "2"]], ids=["fit", "cv"])
+    def test_more_clusters_than_points_trains_nothing(self, cv, toy_file, tmp_path, capsys,
+                                                      monkeypatch):
+        from adakern import scale
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a decomposition model was trained")
+
+        monkeypatch.setattr(scale, "train_scalable", forbidden)
+        path, ds = toy_file
+        n = len(ds.y)
+        model_path = str(tmp_path / "m.model")
+        code, out, err = run(["train", "--data", path, "--mode", "scalable", "--clusters",
+                              str(n + 1), "--model", model_path] + cv, capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: --clusters must lie between 1 and the {n} training "
+                       f"points, got {n + 1}\n")
+        assert not os.path.exists(model_path)
+
+
 def test_svr_cv_selects_from_grid():
     # tiny grid exercise of the --task svr --cv path through the library API
     from adakern.data import gen_step
     from adakern.solver import SolverConfig
-    from adakern.svr import cross_validate_svr
+    from adakern.svm import grid_search
+    from adakern.svr import rmse, train_svr
     ds = gen_step(np.linspace(-5.0, 5.0, 30))
-    sigma, C, table = cross_validate_svr(ds.X, ds.y, [0.05, 2.0], [0.5, 2.0], folds=3, seed=0,
-                                         config_template=SolverConfig(C=1.0, t_max=100),
-                                         epsilon=0.02)
+
+    def fit(X, y, sigma, config):
+        return train_svr(X, y, sigma, config, epsilon=0.02)
+
+    def score(model, X, y):
+        return rmse(model.predict(X), y)
+
+    sigma, C, table = grid_search(ds.X, ds.y, [0.05, 2.0], [0.5, 2.0], folds=3, seed=0,
+                                  config=SolverConfig(C=1.0, t_max=100), fit=fit, score=score,
+                                  lower_is_better=True)
     assert [row[:2] for row in table] == [(0.05, 0.5), (0.05, 2.0), (2.0, 0.5), (2.0, 2.0)]
     assert all(np.isfinite(row[2]) and row[2] > 0 for row in table)
     # the narrow kernel fits the step; the smallest mean error wins
@@ -971,6 +1103,34 @@ class TestMalformedModelFiles:
         code, _, err = run(["predict", "--model", _write(str(tmp_path / "bad.model"), mutated),
                             "--data", data], capsys)
         assert (code, err.startswith("data error")) == (2, True)
+
+    @pytest.mark.parametrize("name, mutate, message", [
+        ("svm", lambda t: "\n\n\n", "empty model file"),
+        ("svm", lambda t: re.sub(r"\nn \d+", "\nn 0", t, count=1), "bad sizes n = 0"),
+        ("svm", lambda t: re.sub(r"\nsigma \S+", "\nsigma 0", t, count=1), "sigma positive"),
+        ("svm", lambda t: re.sub(r"\nbias \S+", "\nbias inf", t, count=1), "must be finite"),
+        ("svm", lambda t: re.sub(r"\nalpha \S+", "\nalpha nan", t, count=1),
+         "stored arrays contain non-finite values"),
+        ("svm", lambda t: re.sub(r"\nX \S+", "\nX nan", t, count=1),
+         "stored X contains non-finite values"),
+        ("svr", lambda t: t.replace("\nmode exact\n", "\nmode scalable\nassignment"
+                                    + " 0" * 12 + "\n"), "needs an SVM model"),
+        ("svm", lambda t: t.replace("\nmeta_iterations", "\nblock 0 12\nmeta_iterations"),
+         "F blocks without a cluster assignment"),
+        ("scalable-v3", lambda t: re.sub(r"\nblock 0 (\d+)",
+                                         lambda m: f"\nblock 0 {int(m.group(1)) + 1}", t),
+         "block 0 declares"),
+    ], ids=["blank-lines", "n-zero", "sigma-zero", "bias-inf", "alpha-nan", "X-nan",
+            "svr-assignment", "block-without-assignment", "block-size-mismatch"])
+    def test_rejected_values_exit_2(self, name, mutate, message, saved_models, tmp_path,
+                                    capsys):
+        text, data = saved_models[name]
+        mutated = mutate(text)
+        assert mutated != text
+        code, out, err = run(["predict", "--model", _write(str(tmp_path / "bad.model"), mutated),
+                              "--data", data], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("data error:") and message in err and "Traceback" not in err
 
     def test_unreadable_model_file_exits_2(self, saved_models, tmp_path, capsys):
         text, data = saved_models["svm"]

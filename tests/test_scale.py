@@ -13,7 +13,6 @@ from adakern.scale import (
     cross_cluster_mass,
     decomposition_objective,
     exact_reference,
-    cross_validate_scalable,
     kmeans_partition,
     screen_nonsupport,
     solve_blocks,
@@ -387,7 +386,7 @@ class TestCrossValidateScalable:
         from dataclasses import replace
 
         from adakern.data import kfold
-        from adakern.svm import accuracy
+        from adakern.svm import accuracy, grid_search
 
         X, y = two_blobs(10, seed=4)
         cfg = SolverConfig(C=1.0, tau=0.0, eta=None, t_max=30)
@@ -399,9 +398,17 @@ class TestCrossValidateScalable:
                 model = train_scalable(X[rows], y[rows], 0.5, replace(cfg, C=2.0), 7, 1)
                 expected.append(accuracy(model, X[held], y[held]))
         assert len(expected) == 2
-        table = cross_validate_scalable(X, y, [0.5], [2.0], 3, 1, cfg, 7)[2]
-        assert table == [(0.5, 2.0, float(np.mean(expected)))]
-        assert cross_validate_scalable(X, y, [0.5], [2.0], 3, 1, cfg, 11)[2] == [(0.5, 2.0, 0.0)]
+
+        def table(v):
+            def fit(X, y, sigma, config):
+                return train_scalable(X, y, sigma, config, v, 1)
+
+            return grid_search(X, y, [0.5], [2.0], 3, 1, cfg, fit, accuracy)[2]
+
+        assert table(7) == [(0.5, 2.0, float(np.mean(expected)))]
+        assert table(11) == [(0.5, 2.0, 0.0)]
+        with pytest.raises(DataError, match="10 training points cannot form 11 clusters"):
+            train_scalable(X, y, 0.5, cfg, 11, 1)
 
 
 class TestClosedFormModel:

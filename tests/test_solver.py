@@ -366,6 +366,11 @@ class TestProjection:
         assert np.array_equal(out, np.clip(z, 0.0, C))
         np.testing.assert_allclose(out, oracle_project(z, y, C), rtol=0.0, atol=1e-12)
 
+    def test_one_class_projects_to_zero(self, rng):
+        # With every label +1, a = 0 is the one point with a.y = 0 in the box.
+        z = rng.uniform(-1.0, 2.0, 8)
+        assert np.array_equal(project_exact(z, np.ones(8), 1.0), np.zeros(8))
+
     def test_output_feasibility(self, rng):
         C = 0.7
         y = labels(9)[:9]

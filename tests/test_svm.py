@@ -8,7 +8,7 @@ from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram, pairwise_sq_dists
 from adakern.scale import train_scalable
 from adakern.solver import SolverConfig, SolveTrace, project_exact
-from adakern.svm import accuracy, reciprocal_match, train
+from adakern.svm import accuracy, reciprocal_match, recover_bias, train
 from adakern.svr import train_svr
 
 from conftest import decision_values_insample, oracle_reciprocal_similarity, two_blobs
@@ -264,6 +264,26 @@ class TestRecoverBias:
         lowers = [-1.0 - margins[i] for i in range(12) if y[i] < 0]
         uppers = [1.0 - margins[i] for i in range(12) if y[i] > 0]
         assert max(lowers) - 1e-12 <= model.bias <= min(uppers) + 1e-12
+
+    @pytest.mark.parametrize("label, at_cap, side", [
+        (1.0, False, "lower"), (1.0, True, "upper"), (-1.0, False, "upper"),
+        (-1.0, True, "lower"),
+    ], ids=["pos-at-zero", "pos-at-cap", "neg-at-zero", "neg-at-cap"])
+    def test_one_sided_fallback(self, label, at_cap, side, rng):
+        # One class and no interior dual bound the bias from one side only:
+        # it sits at that bound, the largest lower or the smallest upper one.
+        n, C = 7, 0.5
+        y = np.full(n, label)
+        alpha = np.full(n, C if at_cap else 0.0)
+        A = rng.normal(size=(n, n))
+        K, F = A @ A.T, 1.0 + 0.1 * rng.uniform(size=(n, n))
+        values = y - (F * K) @ (alpha * y)
+        expected = values.max() if side == "lower" else values.min()
+        assert recover_bias(alpha, y, F, K, C) == expected
+
+    def test_no_points_give_zero_bias(self):
+        empty = np.zeros(0)
+        assert recover_bias(empty, empty, np.zeros((0, 0)), np.zeros((0, 0)), 1.0) == 0.0
 
 
 def match(X_train, X_test):
