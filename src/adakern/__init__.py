@@ -11,7 +11,7 @@ from .solver import (
     lipschitz_svm,
     solve,
 )
-from .svm import SvmModel, reciprocal_match, recover_bias, train
+from .svm import SvmModel, reciprocal_match, train
 from .svr import SvrModel, lipschitz_svr, rmse, solve_svr, svr_objective, train_svr
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "lipschitz_svr",
     "pairwise_sq_dists",
     "reciprocal_match",
-    "recover_bias",
     "rmse",
     "solve",
     "solve_svr",

@@ -136,6 +136,14 @@ def _cluster_counts(text: str) -> list[int]:
                              f"got {text!r}") from exc
 
 
+def _check_cluster_counts(counts: list[int], n: int) -> None:
+    """Reject, before any solve, a --clusters count outside [1, n] (a usage error)."""
+    for v in counts:
+        if not 1 <= v <= n:
+            raise ParameterError(f"--clusters must lie between 1 and the {n} "
+                                 f"training points, got {v}")
+
+
 def _emit(rows) -> None:
     for row in rows:
         print(",".join(str(item) for item in row))
@@ -169,9 +177,7 @@ def cmd_train(args) -> int:
     ds = _read_dataset(args.data, args.format, mode)
     config = _config_from_args(args)
     if args.mode == "scalable":
-        if not 1 <= v <= len(ds.y):
-            raise ParameterError(f"--clusters must lie between 1 and the {len(ds.y)} "
-                                 f"training points, got {v}")
+        _check_cluster_counts(counts, len(ds.y))
 
         def fit(X, y, sigma, config):
             return scale.train_scalable(X, y, sigma, config, v, args.seed)
@@ -240,6 +246,7 @@ def cmd_bounds(args) -> int:
     counts = _cluster_counts(args.clusters)
     _check_zero_tau(args, "bounds")
     ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
+    _check_cluster_counts(counts, len(ds.y))
     config = _config_from_args(args)
     y, _, Xs = svm._training_inputs(ds.X, ds.y, args.sigma)
     # Checked once for the eta solve and the exact reference.

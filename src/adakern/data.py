@@ -17,7 +17,6 @@ class Dataset:
     y: np.ndarray
     mode: str
     feature_names: list | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -124,7 +123,7 @@ def parse_libsvm(lines, mode: str = CLASSIFICATION) -> Dataset:
         for idx, val in entries.items():
             X[i, idx - 1] = val
     y = _coerce_labels(np.asarray(labels), mode, "libsvm input")
-    return Dataset(X=X, y=y, mode=mode, provenance="libsvm")
+    return Dataset(X=X, y=y, mode=mode)
 
 
 def parse_csv(lines, mode: str = CLASSIFICATION, label_column: int = -1) -> Dataset:
@@ -170,7 +169,7 @@ def parse_csv(lines, mode: str = CLASSIFICATION, label_column: int = -1) -> Data
     if names is not None:
         feature_names = [c for j, c in enumerate(names) if j != label_column]
     y = _coerce_labels(y, mode, "csv input")
-    return Dataset(X=X, y=y, mode=mode, feature_names=feature_names, provenance="csv")
+    return Dataset(X=X, y=y, mode=mode, feature_names=feature_names)
 
 
 def _iter_lines(lines):
@@ -200,8 +199,7 @@ def gen_step(grid=None, s: float = 3.0, w: float = 2.0, a: float = 0.05) -> Data
     if grid is None:
         grid = np.linspace(-5.0, 5.0, 201)
     grid = np.asarray(grid, dtype=float)
-    return Dataset(X=grid[:, None], y=step_value(grid, s, w, a),
-                   mode=REGRESSION, provenance="step function")
+    return Dataset(X=grid[:, None], y=step_value(grid, s, w, a), mode=REGRESSION)
 
 
 def surface_value(u, v):
@@ -218,8 +216,7 @@ def gen_2d(resolution: int = 20) -> Dataset:
     axis = np.linspace(-0.5, 0.5, resolution)
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     X = np.column_stack([uu.ravel(), vv.ravel()])
-    return Dataset(X=X, y=surface_value(X[:, 0], X[:, 1]),
-                   mode=REGRESSION, provenance="2-D surface")
+    return Dataset(X=X, y=surface_value(X[:, 0], X[:, 1]), mode=REGRESSION)
 
 
 def gen_two_class_toy(n: int, seed: int, noise: float = 0.08) -> Dataset:
@@ -236,5 +233,4 @@ def gen_two_class_toy(n: int, seed: int, noise: float = 0.08) -> Dataset:
     X = np.vstack([pos, neg]) + rng.normal(0.0, noise, (n, 2))
     y = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
     order = rng.permutation(n)
-    return Dataset(X=X[order], y=y[order], mode=CLASSIFICATION,
-                   provenance="two-arc toy")
+    return Dataset(X=X[order], y=y[order], mode=CLASSIFICATION)

@@ -138,26 +138,26 @@ def decomposition_objective(alpha, y, K, F, eta: float) -> float:
             + eta * float((dev * dev).sum()))
 
 
-def screen_nonsupport(block_solution: BlockSolution, K, y, B: float, B2: float,
+def screen_nonsupport(block_solution: BlockSolution, K, B: float, B2: float,
                       C: float, kappa: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Indices safely identifiable as non-support vectors of the whole problem.
 
     Candidates have zero block duals; index i qualifies when the gradient
     component 1 - sum_j y_i y_j F_ij K_ij a_j over i's block falls at or
     below the threshold -(B + B2) C (||K_bar_i||_1 + kappa), where K_bar is
-    K with the cross-cluster entries zeroed.  Both are computed block by
-    block from the diagonal blocks of K and F.  Returns that strict set and
-    the positive-threshold variant reported alongside for diagnostics.
+    K with the cross-cluster entries zeroed.  The gradient is each block
+    solve's own, at its returned duals (``SolveTrace.gradient``); the
+    threshold comes block by block from the diagonal blocks of K.  Returns
+    that strict set and the positive-threshold variant reported alongside
+    for diagnostics.
     """
     K = np.asarray(K, dtype=float)
-    y = np.asarray(y, dtype=float)
     alpha = block_solution.alpha_bar
     grad = np.empty_like(alpha)
     mass = np.empty_like(alpha)
-    for idx, Fc in zip(block_solution.partition.clusters(), block_solution.blocks):
-        yc, Kc = y[idx], K[np.ix_(idx, idx)]
-        grad[idx] = 1.0 - yc * ((Fc * Kc) @ (yc * alpha[idx]))
-        mass[idx] = np.abs(Kc).sum(axis=0)
+    for idx, trace in zip(block_solution.partition.clusters(), block_solution.traces):
+        grad[idx] = trace.gradient
+        mass[idx] = np.abs(K[np.ix_(idx, idx)]).sum(axis=0)
     threshold = (B + B2) * C * (mass + kappa)
     candidate = alpha == 0.0
     return (np.flatnonzero(candidate & (grad <= -threshold)),
@@ -219,7 +219,7 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
     ) * C * C + C * C * Q / (4.0 * eta)
     exact_F_bound = n * max(np.sqrt(B), B)
 
-    screened, screened_pos = screen_nonsupport(approx, K, y, B, B2, C, kappa)
+    screened, screened_pos = screen_nonsupport(approx, K, B, B2, C, kappa)
 
     report = BoundReport(
         v=partition.n_clusters, Q_pi=Q, B1=B1, B2=B2, B=B,

@@ -105,6 +105,9 @@ class SolveTrace:
     eigendecompositions (:attr:`linalg.SpectralProx.steps`); all three
     stay 0 at tau = 0 and with F frozen.  ``factor`` is W with F = W W'
     for the returned F, None when F is not factored (tau = 0).
+    ``gradient`` is the envelope gradient at the returned duals, from the
+    solve's last evaluation, which also gives the returned F and, for
+    nesterov and pgd, the last entry of ``objective_history``.
     """
 
     iterations: int = 0
@@ -118,6 +121,7 @@ class SolveTrace:
     prox_rank: int = 0
     prox_steps: int = 0
     factor: np.ndarray | None = None
+    gradient: np.ndarray | None = None
 
     def record_prox(self, prox: SpectralProx) -> None:
         self.prox_fallbacks += int(prox.dense)
@@ -143,10 +147,10 @@ def _adaptive_term(K, tau: float, eta: float, lam_min_K: float, trace: SolveTrac
                    freeze_f: bool):
     """The adaptive part of one solve's oracle, and F at its end: (term, final).
 
-    ``term(w, base)`` gives (F(w) o K) w and the value
+    ``term(w, base, warm=True)`` gives (F(w) o K) w and the value
     base - w'(F o K)w / 2 + eta ||F - 11'||_F^2 + tau eta ||F||_* at the
-    dual weights w (a o y, or hat - check); ``final(w)`` gives F(w), with
-    its factor put on ``trace``.  Three regimes:
+    dual weights w (a o y, or hat - check); ``final()`` gives the F of the
+    last call, with its factor put on ``trace``.  Three regimes:
 
     - ``freeze_f``: F = 11', kept as its factor W = 1.
     - tau = 0: F = 11' + diag(w) K diag(w) / (4 eta) in closed form, with
@@ -155,51 +159,47 @@ def _adaptive_term(K, tau: float, eta: float, lam_min_K: float, trace: SolveTrac
       formed only by ``final``.
     - tau > 0: the certified prox's factor W, from which (F o K) w is
       sum_k W_k o (K (W_k o w)), O(n^2 r), and the deviation term comes
-      from :func:`_deviation_sq`.  Each call starts from the ``basis`` of
+      from :func:`_deviation_sq`.  A warm call starts from the ``basis`` of
       the call before, the leading Ritz vectors its trace test needed (as
       few as 2 at rank 1), so it needs fewer and cheaper subspace steps
-      when the duals move little; ``final`` starts from the fixed block,
-      so F is that of a cold :func:`_adaptive_prox` call, bit for bit,
+      when the duals move little; a cold call starts from the fixed block,
+      so its F is that of a cold :func:`_adaptive_prox` call, bit for bit,
       whatever path the iterates took.  Calls, fallbacks and steps are
       counted in ``trace``.
     """
     if tau == 0 and not freeze_f:
         K2 = K * K
+        last_w = None
 
-        def closed_term(w, base):
+        def closed_term(w, base, warm=True):
+            nonlocal last_w
+            last_w = w
             u = K2 @ (w * w)
             q = K @ w + w * u / (4.0 * eta)
             # eta ||F - 11'||_F^2 = (w o w)' K2 (w o w) / (16 eta).
             return q, base - 0.5 * float(w @ q) + float((w * w) @ u) / (16.0 * eta)
 
-        return closed_term, lambda w: _zero_tau_matrix(K, w, eta)
+        return closed_term, lambda: _zero_tau_matrix(K, last_w, eta)
 
     n = K.shape[0]
-    frozen = SpectralProx(np.ones((n, 1)), float(n), 1, False) if freeze_f else None
-    basis = None
+    last = SpectralProx(np.ones((n, 1)), float(n), 1, False) if freeze_f else None
 
-    def prox_at(w, warm=True):
-        nonlocal basis
-        if frozen is not None:
-            return frozen
-        prox = _adaptive_prox(w, K, tau, eta, lam_min_K, basis if warm else None)
-        basis = prox.basis
-        trace.record_prox(prox)
-        return prox
-
-    def term(w, base):
-        prox = prox_at(w)
-        W = prox.factor
+    def term(w, base, warm=True):
+        nonlocal last
+        if not freeze_f:
+            last = _adaptive_prox(w, K, tau, eta, lam_min_K,
+                                  last.basis if warm and last is not None else None)
+            trace.record_prox(last)
+        W = last.factor
         q = np.sum(W * (K @ (W * w[:, None])), axis=1)
         value = base - 0.5 * float(w @ q) + eta * _deviation_sq(W)
         if tau > 0:
-            value += tau * eta * prox.nuclear
+            value += tau * eta * last.nuclear
         return q, value
 
-    def final(w):
-        prox = prox_at(w, warm=False)
-        trace.factor = prox.factor
-        return prox.matrix
+    def final():
+        trace.factor = last.factor
+        return last.matrix
 
     return term, final
 
@@ -244,8 +244,8 @@ def _deviation_sq(W) -> float:
 def _svm_oracle(y, term):
     """The classifier dual's oracle: a -> (1 - Y(F(a) o K)Ya, h(a)), from one adaptive term."""
 
-    def evaluate(a):
-        q, h = term(y * a, float(np.sum(a)))
+    def evaluate(a, warm=True):
+        q, h = term(y * a, float(np.sum(a)), warm)
         return 1.0 - y * q, h
 
     return evaluate
@@ -415,7 +415,7 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
         return y * a
 
     a = _ascend(evaluate, proj, L, weights, y.size, config, trace, record_iterates)
-    return DualState(alpha=a, y=y), final(weights(a)), trace
+    return DualState(alpha=a, y=y), final(), trace
 
 
 def _setup(K, n: int, config: SolverConfig, freeze_f: bool, lipschitz):
@@ -452,16 +452,18 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
             trace: SolveTrace, record_iterates: bool) -> np.ndarray:
     """The projected-gradient ascent loop of both solvers; returns the final iterate.
 
-    Starts from z^(0) = 0 (``size`` entries).  ``evaluate(z)`` gives the
-    gradient and value at z, ``proj`` is the projection onto the feasible
-    set, L the step constant, and ``weights(z)`` the prox weights of z, on
-    which the step is measured.  Per iteration the pgd variant takes the
+    Starts from z^(0) = 0 (``size`` entries).  ``evaluate(z, warm)`` gives
+    the gradient and value at z, with the prox warm-started or not,
+    ``proj`` is the projection onto the feasible set, L the step constant,
+    and ``weights(z)`` the prox weights of z, on which the step is
+    measured.  Per iteration the pgd variant takes the
     projected step proj(z + g / L); the others take it as theta^(t), the
     weighted dual-averaging step beta^(t), and combine them as
     z^(t+1) = ((t+1) theta + 2 beta) / (t+3), where monotone-nesterov keeps
     the best theta seen.  Stops at t_max or when the step drops to
-    ``tol``.  Fills the histories, ``final_beta`` and the iterates (when
-    ``record_iterates``) of ``trace``.
+    ``tol``, then evaluates the returned point once more, cold, so that the
+    solve's ``final`` F is its F.  Fills the histories, ``gradient``,
+    ``final_beta`` and the iterates (when ``record_iterates``) of ``trace``.
     """
     if record_iterates:
         trace.iterates = {"alpha": [], "theta": [], "beta": []}
@@ -519,8 +521,10 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
     else:
         trace.terminated_by = "max_iter"
 
+    # One cold evaluation at the returned point: its F is the one returned.
+    trace.gradient, h_end = evaluate(z, warm=False)
     if config.variant != "monotone-nesterov":
-        trace.objective_history.append(evaluate(z)[1])
+        trace.objective_history.append(h_end)
     trace.final_beta = None if beta is None else beta.copy()
     return z
 

@@ -1,4 +1,4 @@
-"""Classification wrapper: training, bias recovery, out-of-sample extension."""
+"""Classification wrapper: training, the KKT bias, out-of-sample extension."""
 
 from dataclasses import dataclass, field, replace
 
@@ -9,13 +9,11 @@ from .data import Scaler, apply_minmax, fit_minmax, kfold
 from .errors import DataError
 from .kernel import (_check_sigma, chunk_length, gaussian_from_sq_dists, gaussian_gram,
                      pairwise_sq_dists)
+from .linalg import _COLUMN_BLOCK
 from .solver import SolverConfig, SolveTrace, _check_labels, _check_psd_gram, resolve_eta, solve
 
 # Relative margin for calling a dual coordinate interior to (0, C).
 _MARGIN_RTOL = 1e-6
-# Columns of F that prediction forms at a time: n x 256 floats, whatever
-# the batch size.
-_F_COLUMNS = 256
 
 
 @dataclass
@@ -76,8 +74,10 @@ def _expansion(model, coef, X_test) -> np.ndarray:
     Kx = pairwise_sq_dists(model.X, Xs)
     best = reciprocal_match(Kx)
     gaussian_from_sq_dists(Kx, model.sigma)
-    for lo in range(0, best.size, _F_COLUMNS):
-        Kx[:, lo:lo + _F_COLUMNS] *= model.adaptive.columns(best[lo:lo + _F_COLUMNS])
+    # F's columns in the blocks factor_columns forms: n x 256 floats at a
+    # time, whatever the batch size.
+    for lo in range(0, best.size, _COLUMN_BLOCK):
+        Kx[:, lo:lo + _COLUMN_BLOCK] *= model.adaptive.columns(best[lo:lo + _COLUMN_BLOCK])
     # One product over the whole C-ordered matrix: its summation order, and
     # so its bits, are those of the unchunked expansion.
     return coef @ Kx + model.bias
@@ -117,17 +117,17 @@ def train(X, y, sigma: float, config: SolverConfig,
 
     Min-max scales the features, builds the Gaussian Gram matrix, resolves
     eta when unset (:func:`solver.resolve_eta`), runs the saddle solver,
-    and recovers the decision bias from the KKT conditions.  ``freeze_f``
-    keeps F at the all-one matrix, which is the plain SVM baseline.
+    and takes the decision bias from the KKT conditions at the solve's
+    gradient (:func:`_kkt_bias`).  ``freeze_f`` keeps F at the all-one
+    matrix, which is the plain SVM baseline.
     """
     y, scaler, Xs = _training_inputs(X, y, sigma)
-    K = gaussian_gram(Xs, sigma)
-    gram = _check_psd_gram(K)
+    gram = _check_psd_gram(gaussian_gram(Xs, sigma))
     if not freeze_f:
         config = resolve_eta(gram, y, config)
     state, F, trace = solve(gram, y, config, freeze_f=freeze_f)
     state.validate(config.C)
-    bias = recover_bias(state.alpha, y, F, K, config.C)
+    bias = _kkt_bias(y * trace.gradient, y, state.alpha, config.C)
     w = y * state.alpha
     meta = _model_meta([trace], F, trace.factor, w, trace.objective_history[-1])
     return SvmModel(
@@ -191,21 +191,6 @@ def _f_rank(F: np.ndarray, factor: np.ndarray | None, w: np.ndarray) -> int:
     return int(np.sum(spectrum > 1e-6 * top)) if top > 0 else 0
 
 
-def recover_bias(alpha, y, F, K, C: float) -> float:
-    """Decision bias from the KKT conditions (see :func:`_kkt_bias`).
-
-    Uses the median of y_i - sum_j a_j y_j F_ij K_ij over margin support
-    vectors (0 < a_i < C up to a relative slack); when none exist, falls
-    back to the midpoint of the feasible interval implied by the
-    bound-active points: y_i (margin_i + b) >= 1 at a_i = 0 and <= 1 at
-    a_i = C.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    y = np.asarray(y, dtype=float)
-    margins = (np.asarray(F) * np.asarray(K)) @ (alpha * y)
-    return _kkt_bias(y - margins, y, alpha, C)
-
-
 def _kkt_bias(values, signs, duals, C: float) -> float:
     """Bias from the KKT conditions of a dual on the box [0, C].
 
@@ -214,6 +199,10 @@ def _kkt_bias(values, signs, duals, C: float) -> float:
     signs_i > 0 and from above when signs_i < 0; at C the other way round.
     Returns the median over the inside coordinates; with none, the
     midpoint of the interval the bounds leave, its one finite end, or 0.
+    The one bias rule of both trainers, from the solve's gradient g at
+    its returned duals z: ``_kkt_bias(u * g, u, z, C)``, with u the labels
+    y for the classifier (y o g = y - (F o K)(y o a)) and u = [1; -1] on
+    the SVR's [hat; check].
     """
     lo_cut, hi_cut = _MARGIN_RTOL * C, (1.0 - _MARGIN_RTOL) * C
     interior = (duals > lo_cut) & (duals < hi_cut)

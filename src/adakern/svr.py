@@ -86,11 +86,11 @@ def _svr_oracle(y, epsilon: float, term):
     """
     n = y.size
 
-    def evaluate(z):
+    def evaluate(z, warm=True):
         ah, ac = z[:n], z[n:]
         w = ah - ac
         base = float(w @ y) - epsilon * float(np.sum(ah + ac))
-        q, h = term(w, base)
+        q, h = term(w, base, warm)
         return np.concatenate([-epsilon - q + y, -epsilon + q - y]), h
 
     return evaluate
@@ -172,23 +172,7 @@ def solve_svr(K, y, config: SolverConfig, epsilon: float,
 
     z = _ascend(evaluate, proj, L, weights, 2 * n, config, trace, record_iterates)
     state = SvrDualState(alpha_hat=z[:n], alpha_check=z[n:], epsilon=epsilon)
-    return state, final(weights(z)), trace
-
-
-def recover_bias_svr(alpha_hat, alpha_check, y, F, K, C: float, epsilon: float) -> float:
-    """Bias from tube-edge support points; interval midpoint as fallback.
-
-    The KKT rule of the classifier (:func:`svm._kkt_bias`) on the stacked
-    duals [hat; check], whose blocks fix the bias at y - g0 -+ epsilon,
-    with g0 = (F o K)(hat - check), and bound it as labels +1 and -1 do.
-    """
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    alpha_check = np.asarray(alpha_check, dtype=float)
-    y = np.asarray(y, dtype=float)
-    g0 = (np.asarray(F) * np.asarray(K)) @ (alpha_hat - alpha_check)
-    values = np.concatenate([y - g0 - epsilon, y - g0 + epsilon])
-    signs = np.repeat([1.0, -1.0], y.size)
-    return _kkt_bias(values, signs, np.concatenate([alpha_hat, alpha_check]), C)
+    return state, final(), trace
 
 
 def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT_EPSILON,
@@ -200,17 +184,19 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
     the classifier (:func:`solver.resolve_eta` on the SVR dual).
     """
     y, scaler, Xs = _training_inputs(X, y, sigma, classes=False)
-    K = gaussian_gram(Xs, sigma)
     y_scaler = fit_minmax(y[:, None])
     ys = apply_minmax(y_scaler, y[:, None])[:, 0]
-    gram = _check_psd_gram(K)
+    gram = _check_psd_gram(gaussian_gram(Xs, sigma))
     if not freeze_f:
         config = resolve_eta(gram, ys, config, epsilon=epsilon)
 
     state, F, trace = solve_svr(gram, ys, config, epsilon, freeze_f=freeze_f)
     state.validate(config.C)
-    bias = recover_bias_svr(state.alpha_hat, state.alpha_check, ys, F, K,
-                            config.C, epsilon)
+    # u o g = [y - g0 - eps; y - g0 + eps] with g0 = (F o K)(hat - check):
+    # the hat and check blocks bound the bias as labels +1 and -1 do.
+    u = np.repeat([1.0, -1.0], ys.size)
+    bias = _kkt_bias(u * trace.gradient, u, np.concatenate([state.alpha_hat, state.alpha_check]),
+                     config.C)
     w = state.difference
     meta = _model_meta([trace], F, trace.factor, w, trace.objective_history[-1])
     meta["complementarity_gap"] = state.complementarity_gap()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adakern import solver
+from adakern import solver, svm
 from adakern.data import CLASSIFICATION
 from adakern.errors import ParameterError
 from adakern.kernel import gaussian_gram, pairwise_sq_dists
@@ -190,6 +190,25 @@ def block_kernel(K, partition) -> np.ndarray:
     K = np.asarray(K, dtype=float)
     assign = partition.assignment
     return np.where(assign[:, None] == assign[None, :], K, 0.0)
+
+
+def dense_kkt_bias(model) -> float:
+    """A trained model's bias from the dense KKT formula, with F o K formed.
+
+    The reference for the trainers, which read (F o K)w off the solve's
+    gradient.  For the classifier, y - (F o K)(a o y) on the duals a; for
+    the SVR, y - g0 -+ epsilon on [hat; check] with g0 = (F o K)(hat - check),
+    whose blocks bound the bias as labels +1 and -1 do.
+    """
+    FK = model.F * gaussian_gram(model.X, model.sigma)
+    if hasattr(model, "alpha_hat"):
+        g0 = FK @ (model.alpha_hat - model.alpha_check)
+        values = np.concatenate([model.y - g0 - model.epsilon, model.y - g0 + model.epsilon])
+        signs = np.repeat([1.0, -1.0], model.y.size)
+        duals = np.concatenate([model.alpha_hat, model.alpha_check])
+        return svm._kkt_bias(values, signs, duals, model.config.C)
+    values = model.y - FK @ (model.alpha * model.y)
+    return svm._kkt_bias(values, model.y, model.alpha, model.config.C)
 
 
 def decision_values_insample(model) -> np.ndarray:

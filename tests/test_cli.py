@@ -558,6 +558,29 @@ class TestBoundsCommand:
         assert code == 0
         assert sizes.count((n, n)) == 1
 
+    @pytest.mark.parametrize("counts, bad", [("2,41", 41), ("0,2", 0), ("41,2", 41)],
+                             ids=["last", "zero", "first"])
+    def test_cluster_count_outside_the_data_solves_nothing(self, counts, bad, toy_file,
+                                                           monkeypatch, capsys):
+        # Every count is checked against the 40 points before the eta solve.
+        from adakern import scale, solver
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        original = solver.solve
+        monkeypatch.setattr(solver, "solve", spy)
+        monkeypatch.setattr(scale, "solve", spy)
+        path, ds = toy_file
+        assert len(ds.y) == 40
+        code, out, err = run(["bounds", "--data", path, "--eta", "50", "--tau", "0",
+                              "--clusters", counts], capsys)
+        assert (code, out, calls) == (1, "", [])
+        assert err == (f"usage error: --clusters must lie between 1 and the 40 training "
+                       f"points, got {bad}\n")
+
 
 class TestWarnings:
     """bounds and train print the warnings of their reports and solves to stderr."""

@@ -205,7 +205,7 @@ class TestPsdSoftThreshold:
         value_dense = -0.5 * w @ q_dense + 2.5 * np.sum((A - 1.0) ** 2)
         assert np.max(np.abs(q - q_dense)) <= 1e-12 * np.max(np.abs(q_dense))
         assert value == pytest.approx(value_dense, rel=1e-12)
-        assert np.array_equal(final(w), A)
+        assert np.array_equal(final(), A)
         assert trace.factor is None and (trace.prox_rank, trace.prox_fallbacks) == (0, 0)
 
     @pytest.mark.parametrize("scale", [1e-4, 1e-2])

@@ -18,7 +18,7 @@ from adakern.scale import (
     solve_blocks,
     train_scalable,
 )
-from adakern.solver import SolverConfig, solve
+from adakern.solver import SolverConfig, SolveTrace, solve
 from adakern.svm import train
 
 from conftest import block_kernel, two_blobs
@@ -248,7 +248,7 @@ class TestBoundReport:
         blocks = BlockSolution(
             partition=p, alpha_bar=np.zeros(4),
             blocks=[np.array([[1.0, -0.2], [-0.2, 1.0]]), np.eye(2)],
-            traces=[None, None])
+            traces=[SolveTrace(gradient=np.ones(2))] * 2)
         K = np.eye(4)
         y = np.array([1.0, -1.0, 1.0, -1.0])
         report = bound_report(blocks, K, p, config(eta=1.0), y)
@@ -269,10 +269,10 @@ class TestScreening:
     def test_gradient_one_yields_empty_set(self):
         p = Partition(assignment=np.array([0, 0, 1, 1]), n_clusters=2)
         blocks = BlockSolution(partition=p, alpha_bar=np.zeros(4),
-                               blocks=[np.ones((2, 2))] * 2, traces=[None, None])
+                               blocks=[np.ones((2, 2))] * 2,
+                               traces=[SolveTrace(gradient=np.ones(2))] * 2)
         K = np.eye(4)
-        y = np.array([1.0, -1.0, 1.0, -1.0])
-        strict, positive = screen_nonsupport(blocks, K, y, B=0.1, B2=1.1, C=1.0)
+        strict, positive = screen_nonsupport(blocks, K, B=0.1, B2=1.1, C=1.0)
         assert strict.size == 0
         # the positive threshold 1.2 (1 + 1) lies above the gradient 1
         assert np.array_equal(positive, np.arange(4))
@@ -286,7 +286,7 @@ class TestScreening:
         for v, B, B2 in ((3, 0.0, 1e-3), (4, 1e-4, 1e-3), (8, 0.0, 1e-2)):
             p = kmeans_partition(Xs, v, seed=7)
             blocks = solve_blocks(Xs, y, p, 0.4, cfg)
-            sets = screen_nonsupport(blocks, K, y, B, B2, 1.0, kappa=0.5)
+            sets = screen_nonsupport(blocks, K, B, B2, 1.0, kappa=0.5)
             reference = dense_screen(blocks, K, p, y, B, B2, 1.0, kappa=0.5)
             assert sets[0].size and sets[1].size > sets[0].size
             for got, want in zip(sets, reference):
@@ -312,7 +312,8 @@ class TestScreening:
     def test_bad_kappa_rejected(self, kappa):
         p = Partition(assignment=np.array([0, 0, 1, 1]), n_clusters=2)
         blocks = BlockSolution(partition=p, alpha_bar=np.zeros(4),
-                               blocks=[np.ones((2, 2))] * 2, traces=[None, None])
+                               blocks=[np.ones((2, 2))] * 2,
+                               traces=[SolveTrace(gradient=np.ones(2))] * 2)
         with pytest.raises(ParameterError):
             bound_report(blocks, np.eye(4), p, config(), np.array([1.0, -1.0, 1.0, -1.0]),
                          kappa=kappa)

@@ -11,6 +11,7 @@ paper's datasets and documented API, so they are excepted.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,3 +78,16 @@ def test_a_perfbench_name_defined_in_perfbench_does_not_count(tmp_path):
                     "def run():\n    return write_libsvm(adakern.cli.main)\n",
                     encoding="utf-8")
     assert outside_references([path]) == {"adakern", "cli", "main", "p"}
+
+
+def test_the_benchmark_imports_and_traces_the_package(monkeypatch):
+    # The benchmark's workloads and tracer load what they name, the tracer
+    # gives each traced function its own span name, and the package's
+    # __all__ names only what it defines.  run.py is left out: importing it
+    # sets the BLAS thread variables.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    importlib.import_module("workloads")
+    importlib.import_module("tracer").Tracer()
+    namespace = {}
+    exec("from adakern import *", namespace)
+    assert set(importlib.import_module("adakern").__all__) <= set(namespace)

@@ -8,10 +8,11 @@ from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram, pairwise_sq_dists
 from adakern.scale import train_scalable
 from adakern.solver import SolverConfig, SolveTrace, project_exact
-from adakern.svm import accuracy, reciprocal_match, recover_bias, train
+from adakern.svm import _kkt_bias, accuracy, reciprocal_match, train
 from adakern.svr import train_svr
 
-from conftest import decision_values_insample, oracle_reciprocal_similarity, two_blobs
+from conftest import (decision_values_insample, dense_kkt_bias, oracle_reciprocal_similarity,
+                      two_blobs)
 from test_adaptive import bulk_batch
 
 
@@ -279,11 +280,25 @@ class TestRecoverBias:
         K, F = A @ A.T, 1.0 + 0.1 * rng.uniform(size=(n, n))
         values = y - (F * K) @ (alpha * y)
         expected = values.max() if side == "lower" else values.min()
-        assert recover_bias(alpha, y, F, K, C) == expected
+        assert _kkt_bias(values, y, alpha, C) == expected
 
     def test_no_points_give_zero_bias(self):
         empty = np.zeros(0)
-        assert recover_bias(empty, empty, np.zeros((0, 0)), np.zeros((0, 0)), 1.0) == 0.0
+        assert _kkt_bias(empty, empty, empty, 1.0) == 0.0
+
+    @pytest.mark.parametrize("tau", [0.0, 0.01])
+    @pytest.mark.parametrize("variant", ["nesterov", "pgd", "monotone-nesterov"])
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    def test_matches_dense_kkt_formula(self, task, variant, tau):
+        # The trainers read (F o K)w off the solve's gradient; the dense
+        # formula forms F o K from the model's F.
+        ds = gen_two_class_toy(60, seed=4, noise=0.2)
+        cfg = small_config(tau=tau, t_max=120, variant=variant)
+        if task == "svm":
+            model = train(ds.X, ds.y, 0.3, cfg)
+        else:
+            model = train_svr(ds.X, ds.X[:, 0] ** 2 + ds.X[:, 1], 0.3, cfg, epsilon=0.02)
+        assert abs(model.bias - dense_kkt_bias(model)) <= 1e-12 * max(1.0, abs(model.bias))
 
 
 def match(X_train, X_test):

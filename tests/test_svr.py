@@ -5,9 +5,9 @@ import adakern.solver as solver
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram
 from adakern.solver import SolverConfig
+from adakern.svm import _kkt_bias
 from adakern.svr import (
     lipschitz_svr,
-    recover_bias_svr,
     rmse,
     solve_svr,
     svr_gradients,
@@ -294,11 +294,11 @@ class TestSolve:
         worst = []
         for C in (1.0, 10.0, 100.0):
             cfg = config(C=C, tau=0.0, t_max=8000, tol=1e-12)
-            state, _, _ = solve_svr(K, y, cfg, epsilon=0.0, freeze_f=True)
-            resid = np.max(np.abs(K @ state.difference
-                                  + recover_bias_svr(state.alpha_hat, state.alpha_check,
-                                                     y, np.ones((n, n)), K, C, 0.0)
-                                  - y))
+            state, _, trace = solve_svr(K, y, cfg, epsilon=0.0, freeze_f=True)
+            u = np.repeat([1.0, -1.0], n)
+            bias = _kkt_bias(u * trace.gradient, u,
+                             np.concatenate([state.alpha_hat, state.alpha_check]), C)
+            resid = np.max(np.abs(K @ state.difference + bias - y))
             worst.append(resid)
         assert worst[2] <= worst[1] + 1e-6 <= worst[0] + 2e-6
         assert worst[2] < 0.05
