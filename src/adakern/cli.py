@@ -105,6 +105,17 @@ def _read_dataset(path: str, fmt: str, mode: str) -> dataio.Dataset:
                         f"text: {exc}") from exc
 
 
+def _read_test_set(args, model) -> dataio.Dataset:
+    """The data of ``predict`` and ``eval``: a libsvm file leaves out zero features,
+    so the model's trailing feature indices that no row uses are zero columns."""
+    mode = dataio.REGRESSION if isinstance(model, SvrModel) else dataio.CLASSIFICATION
+    ds = _read_dataset(args.data, args.format, mode)
+    missing = model.X.shape[1] - ds.X.shape[1]
+    if args.format == "libsvm" and missing > 0:
+        ds.X = np.pad(ds.X, ((0, 0), (0, missing)))
+    return ds
+
+
 def _resolve_eta_flag(value):
     if value == "auto":
         return None
@@ -198,9 +209,9 @@ def cmd_train(args) -> int:
 
     rows = [("key", "value"), ("task", args.task), ("sigma", sigma),
             ("C", model.config.C), ("eta", model.config.eta)]
-    rows += [(key, model.meta[key]) for key in ("iterations", "objective", "prox_fallbacks",
-                                                 "prox_rank", "prox_steps", "f_min", "f_max",
-                                                 "f_rank")]
+    rows += [(key, model.meta[key]) for key in ("iterations", "terminated_by", "objective",
+                                                 "prox_fallbacks", "prox_rank", "prox_steps",
+                                                 "f_min", "f_max", "f_rank")]
     _emit(rows)
     for text in model.meta["warnings"]:
         print(f"warning: {text}", file=sys.stderr)
@@ -209,13 +220,12 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
+    ds = _read_test_set(args, model)
     if isinstance(model, SvrModel):
-        ds = _read_dataset(args.data, args.format, dataio.REGRESSION)
         values = model.predict(ds.X)
         _emit([("index", "prediction")])
         _emit(enumerate(values))
     else:
-        ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
         decisions = model.decision_function(ds.X)
         labels = np.where(decisions >= 0.0, 1, -1)
         _emit([("index", "label", "decision")])
@@ -227,10 +237,8 @@ def cmd_eval(args) -> int:
     if args.repeats < 1:
         raise ParameterError(f"--repeats must be at least 1, got {args.repeats}")
     model = load_model(args.model)
-    is_svr = isinstance(model, SvrModel)
-    mode = dataio.REGRESSION if is_svr else dataio.CLASSIFICATION
-    ds = _read_dataset(args.data, args.format, mode)
-    name = "rmse" if is_svr else "accuracy"
+    ds = _read_test_set(args, model)
+    name = "rmse" if isinstance(model, SvrModel) else "accuracy"
     if args.repeats == 1:
         _emit([("metric", "value"), (name, _score(model, ds.X, ds.y))])
     else:

@@ -1,28 +1,33 @@
-"""Saddle-point solver for the adaptive-kernel SVM dual.
+"""Saddle-point solver for the adaptive-kernel SVM and SVR duals.
 
 The model learns an entry-wise multiplier F on a fixed Gram matrix K by
-solving
+solving one dual form for both tasks:
 
-    max_{alpha in A} min_{F PSD}  1'a - 1/2 a'Y(F o K)Ya
-                                  + eta ||F - 11'||_F^2 + tau*eta ||F||_*
+    max_{z in Z} min_{F PSD}  offset 1'(block sum of z) + w'targets
+                              - 1/2 w'(F o K)w + eta ||F - 11'||_F^2 + tau*eta ||F||_*
 
-where A is the usual SVM box-plus-hyperplane feasible set.  The inner
-minimization has a closed form: F(a) is the eigenvalue soft-threshold of
-11' + G(a), where G(a) is the dual-weighted Gram matrix.  The outer
-problem maximizes the resulting concave value function h(a), whose
-(envelope) gradient is 1 - Y(F(a) o K)Ya, by projected gradient ascent
-with optional Nesterov acceleration.
+z holds one block of n duals per sign block of u, the prox weights w
+are the block sum of u o z, and Z is the box [0, C] with u'z = 0.  The
+classifier has u = y, offset 1, targets 0 and one block (w = y o a);
+the SVR has u = [1; -1], offset -epsilon, targets y and the blocks
+[hat; check] (w = hat - check).  F(w), the inner minimizer, is the
+eigenvalue soft-threshold of 11' + G(w), G(w) = diag(w) K diag(w)/(4 eta).
+The outer problem maximizes the concave value function h(z), whose
+envelope gradient is offset - u o [q; ...] + u o [targets; ...] with
+q = (F(w) o K) w, by projected gradient ascent with optional Nesterov
+acceleration: one oracle (:func:`_dual_oracle`) and one solve body
+(:func:`_solve`) for both tasks.
 
-11' + G(a) is PSD.  At tau = 0 the threshold is the identity and F(a) is
-11' + G(a) itself; the gradient and value then come in closed form from
+11' + G(w) is PSD.  At tau = 0 the threshold is the identity and F(w) is
+11' + G(w) itself; the gradient and value then come in closed form from
 two products with K and K o K, and F is formed once, after the loop.  For
-tau > 0, F(a) is kept as its factor W (n x r, F = W W') from
+tau > 0, F(w) is kept as its factor W (n x r, F = W W') from
 :func:`linalg.gram_soft_threshold`, which computes only the eigenpairs
 above tau/2, after a trace test certifies that no others exceed it, by
 products with K alone; each call starts from the leading Ritz vectors
 that the test of the call before needed, and a dense eigendecomposition
 is the fallback when the test does not pass.  The gradient and value
-then come from W in O(n^2 r), so neither G(a) nor F(a) is formed inside
+then come from W in O(n^2 r), so neither G(w) nor F(w) is formed inside
 the loop; the solve returns F = W W' once, at the end.  The eigenvalues
 of K, taken once per solve by the check that K is symmetric and PSD,
 give the test's margin and the pgd step constant.
@@ -79,14 +84,19 @@ class DualState:
     y: np.ndarray
 
     def validate(self, C: float) -> None:
-        a = self.alpha
-        if np.any(a < 0) or np.any(a > C):
-            raise DataError("dual vector violates the box [0, C]")
-        residual = abs(float(a @ self.y))
-        if residual > 1e-6 * max(1.0, float(np.linalg.norm(a))):
-            raise DataError(
-                f"dual vector violates the hyperplane constraint: |a.y| = {residual:.3e}"
-            )
+        _check_feasible(self.alpha, self.y * self.alpha, C, "dual vector")
+
+
+def _check_feasible(z, w, C: float, what: str) -> None:
+    """Raise DataError unless the duals z lie in the box [0, C] and their prox weights w sum to 0.
+
+    The one check of both dual states: w is y o a, or hat - check.
+    """
+    if np.any(z < 0) or np.any(z > C):
+        raise DataError(f"{what} violates the box [0, C]")
+    residual = abs(float(w.sum()))
+    if residual > 1e-6 * max(1.0, float(np.linalg.norm(w))):
+        raise DataError(f"{what} violates the equality constraint: |1'w| = {residual:.3e}")
 
 
 @dataclass
@@ -116,7 +126,6 @@ class SolveTrace:
     terminated_by: str = "max_iter"
     warnings: list = field(default_factory=list)
     final_beta: np.ndarray | None = None
-    iterates: dict | None = None
     prox_fallbacks: int = 0
     prox_rank: int = 0
     prox_steps: int = 0
@@ -241,18 +250,56 @@ def _deviation_sq(W) -> float:
     return n * n * excess ** 2 + 2.0 * n * float(Ec @ Ec) + float(np.sum(np.square(E.T @ E)))
 
 
-def _svm_oracle(y, term):
-    """The classifier dual's oracle: a -> (1 - Y(F(a) o K)Ya, h(a)), from one adaptive term."""
+def _block_sum(v, n: int) -> np.ndarray:
+    """The sum of v's consecutive blocks of n entries: v itself for one block."""
+    return v if v.size == n else v.reshape(-1, n).sum(axis=0)
 
-    def evaluate(a, warm=True):
-        q, h = term(y * a, float(np.sum(a)), warm)
-        return 1.0 - y * q, h
+
+def _dual_form(y, epsilon: float | None = None, both_classes: bool = True):
+    """The checked (u, offset, targets) of a dual, in the module docstring's one form.
+
+    Labels y in {-1, +1} give the classifier's, of both classes when
+    ``both_classes``; with ``epsilon``, nonnegative and finite, the finite
+    targets y give the SVR's.  A defect raises DataError, a bad epsilon or a
+    single class ParameterError.
+    """
+    if epsilon is None:
+        y = _check_labels(y, both_classes)
+        return y, 1.0, np.zeros(y.size)
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise DataError("targets contain non-finite values")
+    if not 0 <= epsilon < np.inf:
+        raise ParameterError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    return np.repeat([1.0, -1.0], y.size), -epsilon, y
+
+
+def _dual_oracle(u, offset: float, targets, term):
+    """The dual's oracle z -> (gradient, value), from one adaptive term.
+
+    ``term`` gives q = (F(w) o K) w at the prox weights w.  The gradient is
+    offset - u o [q; ...], then plus u o [targets; ...] (taken once), so
+    each task's has the bits of its own closed form: 1 - y o q, and
+    -eps - q + y, -eps + q - y.  The value adds
+    offset 1'(block sum of z) + w'targets to the term's part.
+    """
+    n = targets.size
+    per_block = u.reshape(-1, n)
+    shift = (per_block * targets).ravel()
+
+    def evaluate(z, warm=True):
+        w = _block_sum(u * z, n)
+        base = offset * float(_block_sum(z, n).sum()) + float(w @ targets)
+        q, h = term(w, base, warm)
+        g = (offset - per_block * q).ravel()
+        g += shift
+        return g, h
 
     return evaluate
 
 
-def _at_point(oracle, z, K, config: SolverConfig, freeze_f: bool, y, *data):
-    """The gradient and value at z of the dual oracle ``oracle(y, *data, term)``.
+def _at_point(z, K, config: SolverConfig, freeze_f: bool, y, epsilon: float | None = None):
+    """The gradient and value at z of the classifier dual, or with ``epsilon`` the SVR's.
 
     The one body of the public value functions: the prox starts from the
     fixed block and takes K as PSD without the solver's check.
@@ -262,17 +309,17 @@ def _at_point(oracle, z, K, config: SolverConfig, freeze_f: bool, y, *data):
         raise DataError("dual weights and kernel matrix have inconsistent sizes")
     eta = _eta_for_frozen(config) if freeze_f else _require_eta(config)
     term = _adaptive_term(K, config.tau, eta, 0.0, SolveTrace(), freeze_f)[0]
-    return oracle(y, *data, term)(np.asarray(z, dtype=float))
+    return _dual_oracle(*_dual_form(y, epsilon, False), term)(np.asarray(z, dtype=float))
 
 
 def dual_objective(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> float:
     """Value function h(a) = H(a, F(a)) of the outer maximization."""
-    return _at_point(_svm_oracle, alpha, K, config, freeze_f, np.asarray(y, dtype=float))[1]
+    return _at_point(alpha, K, config, freeze_f, np.asarray(y, dtype=float))[1]
 
 
 def dual_gradient(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> np.ndarray:
     """Envelope gradient of h: 1 - Y(F(a) o K)Ya with F(a) held at its optimum."""
-    return _at_point(_svm_oracle, alpha, K, config, freeze_f, np.asarray(y, dtype=float))[0]
+    return _at_point(alpha, K, config, freeze_f, np.asarray(y, dtype=float))[0]
 
 
 def lipschitz_svm(n: int, C: float, K, eta: float) -> float:
@@ -383,7 +430,7 @@ def _check_psd_gram(K) -> _PsdGram:
 
 
 def solve(K, y, config: SolverConfig, freeze_f: bool = False,
-          with_equality: bool = True, record_iterates: bool = False):
+          with_equality: bool = True):
     """Run the accelerated projected-gradient saddle solver (see :func:`_ascend`).
 
     Iterates from a^(0) = 0 with envelope gradient 1 - Y(F(a) o K)Ya,
@@ -396,39 +443,27 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
     ``with_equality=False`` drops the hyperplane constraint so the
     projection is a plain box clip (used by the block-decomposition mode).
     Returns (DualState, F, SolveTrace).
-
-    The feasible-set projection inside the loop is computed exactly
-    (:func:`project_exact`): the dual-averaging step projects points far
-    outside the feasible set, where a fixed-round alternating scheme
-    (clip to the box, then shift onto the hyperplane) lands measurably
-    away from the true projection and stalls convergence.
     """
-    y = _check_labels(y, require_both_classes=with_equality)
-    L, trace, term, final = _setup(K, y.size, config, freeze_f, lipschitz_svm)
-    evaluate = _svm_oracle(y, term)
-    C = config.C
-
-    def proj(v):
-        return project_exact(v, y, C) if with_equality else np.clip(v, 0.0, C)
-
-    def weights(a):
-        return y * a
-
-    a = _ascend(evaluate, proj, L, weights, y.size, config, trace, record_iterates)
-    return DualState(alpha=a, y=y), final(), trace
+    y, offset, targets = _dual_form(y, both_classes=with_equality)
+    a, F, trace = _solve(K, y, offset, targets, config, freeze_f, lipschitz_svm, with_equality)
+    return DualState(alpha=a, y=y), F, trace
 
 
-def _setup(K, n: int, config: SolverConfig, freeze_f: bool, lipschitz):
-    """The set-up both solvers share.
+def _solve(K, u, offset: float, targets, config: SolverConfig, freeze_f: bool, lipschitz,
+           with_equality: bool = True):
+    """The one solve body of both duals (:func:`_dual_form`); returns (z, F, SolveTrace).
 
-    Checks that K is a PSD n x n matrix (once: a K that already passed
-    the check comes as a :class:`_PsdGram`), warns when tau >= 2n, and picks
-    eta and the step constant: ||K||_F with F frozen, the pgd constant from
-    lambda_max(K), else ``lipschitz(n, C, K, eta)``.  Returns the step
-    constant, a new trace and the solve's adaptive term and final F
-    (:func:`_adaptive_term`).
+    Checks K once (a :class:`_PsdGram` has passed already), warns when
+    tau >= 2n, and takes the step constant ||K||_F with F frozen, the pgd
+    constant from lambda_max(K), else ``lipschitz(n, C, K, eta)``.  The
+    SVR's paired dual steps by 1/(2L) for its stacked constant L, which is
+    2 ||K||_F with F frozen.  The projection is exact (:func:`project_exact`)
+    onto {0 <= z <= C, u'z = 0}, as clip-then-shift stalls the
+    dual-averaging step, whose points lie far outside the set; without
+    ``with_equality`` it is a box clip.
     """
     K, lam_min_K, lam_max_K = _check_psd_gram(K)
+    n = targets.size
     if K.shape[0] != n:
         raise DataError(f"kernel matrix has {K.shape[0]} rows for {n} training points")
     trace = SolveTrace()
@@ -444,12 +479,22 @@ def _setup(K, n: int, config: SolverConfig, freeze_f: bool, lipschitz):
             L = _pgd_constant(n, config.C, lam_max_K, eta, config.tau)
         else:
             L = lipschitz(n, config.C, K, eta)
+    if u.size > n:  # the paired dual: twice its stacked constant
+        L *= 4.0 if freeze_f else 2.0
     term, final = _adaptive_term(K, config.tau, eta, lam_min_K, trace, freeze_f)
-    return L, trace, term, final
+
+    def proj(v):
+        return project_exact(v, u, config.C) if with_equality else np.clip(v, 0.0, config.C)
+
+    def weights(z):
+        return _block_sum(u * z, n)
+
+    z = _ascend(_dual_oracle(u, offset, targets, term), proj, L, weights, u.size, config, trace)
+    return z, final(), trace
 
 
 def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
-            trace: SolveTrace, record_iterates: bool) -> np.ndarray:
+            trace: SolveTrace) -> np.ndarray:
     """The projected-gradient ascent loop of both solvers; returns the final iterate.
 
     Starts from z^(0) = 0 (``size`` entries).  ``evaluate(z, warm)`` gives
@@ -462,12 +507,9 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
     z^(t+1) = ((t+1) theta + 2 beta) / (t+3), where monotone-nesterov keeps
     the best theta seen.  Stops at t_max or when the step drops to
     ``tol``, then evaluates the returned point once more, cold, so that the
-    solve's ``final`` F is its F.  Fills the histories, ``gradient``,
-    ``final_beta`` and the iterates (when ``record_iterates``) of ``trace``.
+    solve's ``final`` F is its F.  Fills the histories, ``gradient`` and
+    ``final_beta`` of ``trace``.
     """
-    if record_iterates:
-        trace.iterates = {"alpha": [], "theta": [], "beta": []}
-
     z = np.zeros(size)
     z0 = z.copy()
     grad_sum = np.zeros(size)
@@ -504,11 +546,6 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
         w_next = weights(z_next)
         step = float(np.linalg.norm(w_next - w_prev))
         trace.alpha_step_history.append(step)
-        if record_iterates:
-            trace.iterates["alpha"].append(z_next.copy())
-            if config.variant != "pgd":
-                trace.iterates["theta"].append(np.asarray(theta).copy())
-                trace.iterates["beta"].append(beta.copy())
         z, w_prev = z_next, w_next
         trace.iterations = t + 1
         # The accelerated warmup can take steps far below tol before the
@@ -541,13 +578,9 @@ def resolve_eta(K, y, config: SolverConfig, epsilon: float | None = None) -> Sol
     if config.eta is not None:
         return config
     prelim = replace(config, tau=0.0, eta=None, variant="nesterov")
-    if epsilon is None:
-        state = solve(K, y, prelim, freeze_f=True)[0]
-        w = state.y * state.alpha
-    else:
-        from .svr import solve_svr  # svr imports this module
-
-        w = solve_svr(K, y, prelim, epsilon, freeze_f=True)[0].difference
+    u, offset, targets = _dual_form(y, epsilon)
+    z = _solve(K, u, offset, targets, prelim, True, None)[0]  # frozen: no Lipschitz constant
+    w = _block_sum(u * z, targets.size)
     eta = float(w @ w)
     if eta <= 1e-12:
         eta = 0.1 * config.C * config.C

@@ -10,7 +10,8 @@ from .errors import DataError
 from .kernel import (_check_sigma, chunk_length, gaussian_from_sq_dists, gaussian_gram,
                      pairwise_sq_dists)
 from .linalg import _COLUMN_BLOCK
-from .solver import SolverConfig, SolveTrace, _check_labels, _check_psd_gram, resolve_eta, solve
+from .solver import (SolverConfig, SolveTrace, _block_sum, _check_labels, _check_psd_gram,
+                     resolve_eta, solve)
 
 # Relative margin for calling a dual coordinate interior to (0, C).
 _MARGIN_RTOL = 1e-6
@@ -63,11 +64,11 @@ def _expansion(model, coef, X_test) -> np.ndarray:
     no other n x m float array is formed.
     """
     X_test = np.asarray(X_test, dtype=float)
-    if X_test.ndim != 2 or X_test.shape[1] != model.X.shape[1]:
-        raise DataError(
-            f"feature dimension mismatch: model has {model.X.shape[1]}, "
-            f"got {X_test.shape[1:]}"
-        )
+    if X_test.ndim != 2:
+        raise DataError(f"test features must form a 2-D array, got {X_test.ndim} dimensions")
+    if X_test.shape[1] != model.X.shape[1]:
+        raise DataError(f"feature dimension mismatch: model has {model.X.shape[1]}, "
+                        f"got {X_test.shape[1]}")
     if not np.all(np.isfinite(X_test)):
         raise DataError("test features contain non-finite values")
     Xs = apply_minmax(model.scaler, X_test)
@@ -126,21 +127,29 @@ def train(X, y, sigma: float, config: SolverConfig,
     if not freeze_f:
         config = resolve_eta(gram, y, config)
     state, F, trace = solve(gram, y, config, freeze_f=freeze_f)
-    state.validate(config.C)
-    bias = _kkt_bias(y * trace.gradient, y, state.alpha, config.C)
-    w = y * state.alpha
-    meta = _model_meta([trace], F, trace.factor, w, trace.objective_history[-1])
+    bias, adaptive, meta = _solved_model(state, F, trace, y, state.alpha, Xs, sigma, config)
     return SvmModel(
-        X=Xs, y=y, alpha=state.alpha, adaptive=_solved_form(trace, Xs, w, sigma, config.eta),
-        bias=bias, sigma=sigma, config=config, scaler=scaler, meta=meta,
+        X=Xs, y=y, alpha=state.alpha, adaptive=adaptive, bias=bias, sigma=sigma,
+        config=config, scaler=scaler, meta=meta,
     )
 
 
-def _solved_form(trace: SolveTrace, X, w, sigma: float, eta: float | None) -> AdaptiveMatrix:
-    """F as a whole-data solve left it: its factor, or at tau = 0 the one-cluster closed form."""
+def _solved_model(state, F: np.ndarray, trace: SolveTrace, u, z, X, sigma: float,
+                  config: SolverConfig):
+    """What both trainers keep of a whole-data solve: (bias, adaptive matrix, meta).
+
+    Checks the state, takes the bias at its duals z with signs u from the
+    solve's gradient (:func:`_kkt_bias`), and keeps F as the solve left it:
+    its factor, or at tau = 0 the one-cluster closed form.
+    """
+    state.validate(config.C)
+    w = _block_sum(u * z, X.shape[0])
+    bias = _kkt_bias(u * trace.gradient, u, z, config.C)
+    meta = _model_meta([trace], F, trace.factor, w, trace.objective_history[-1])
     if trace.factor is not None:
-        return Factor(trace.factor)
-    return ClosedForm(X, w, sigma, eta, Partition(np.zeros(w.size, dtype=int), 1))
+        return bias, Factor(trace.factor), meta
+    one_cluster = Partition(np.zeros(w.size, dtype=int), 1)
+    return bias, ClosedForm(X, w, sigma, config.eta, one_cluster), meta
 
 
 def _model_meta(traces: list[SolveTrace], F: np.ndarray, factor: np.ndarray | None,

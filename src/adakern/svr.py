@@ -1,4 +1,8 @@
-"""Regression wrapper: the adaptive kernel inside epsilon-insensitive SVR."""
+"""Regression wrapper: the adaptive kernel inside epsilon-insensitive SVR.
+
+The SVR dual is the two-block case of the solver's one dual form: signs
+u = [1; -1] on z = [hat; check], offset -epsilon and targets y.
+"""
 
 from dataclasses import dataclass, field
 
@@ -10,14 +14,14 @@ from .errors import DataError, ParameterError
 from .kernel import gaussian_gram
 from .solver import (
     SolverConfig,
-    _ascend,
     _at_point,
+    _check_feasible,
     _check_psd_gram,
-    _setup,
-    project_exact,
+    _dual_form,
+    _solve,
     resolve_eta,
 )
-from .svm import _expansion, _kkt_bias, _model_meta, _solved_form, _training_inputs
+from .svm import _expansion, _solved_model, _training_inputs
 
 DEFAULT_EPSILON = 0.1
 
@@ -35,15 +39,8 @@ class SvrDualState:
         return self.alpha_hat - self.alpha_check
 
     def validate(self, C: float) -> None:
-        for name, a in (("alpha_hat", self.alpha_hat), ("alpha_check", self.alpha_check)):
-            if np.any(a < 0) or np.any(a > C):
-                raise DataError(f"{name} violates the box [0, C]")
-        w = self.difference
-        residual = abs(float(w.sum()))
-        if residual > 1e-6 * max(1.0, float(np.linalg.norm(w))):
-            raise DataError(
-                f"dual pair violates the equality constraint: |1'(hat-check)| = {residual:.3e}"
-            )
+        z = np.concatenate([self.alpha_hat, self.alpha_check])
+        _check_feasible(z, self.difference, C, "dual pair")
 
     def complementarity_gap(self) -> float:
         """max_i min(hat_i, check_i); encouraged small, not enforced."""
@@ -77,40 +74,19 @@ class SvrModel:
         return inverse_minmax(self.y_scaler, scaled[:, None])[:, 0]
 
 
-def _svr_oracle(y, epsilon: float, term):
-    """The paired dual's oracle on the stacked z = [hat; check], from one adaptive term.
-
-    z -> (gradient, value); the gradient blocks are -eps 1 - q + y and
-    -eps 1 + q - y with q = (F o K)(hat - check), which ``term`` gives at
-    the prox weights hat - check.
-    """
-    n = y.size
-
-    def evaluate(z, warm=True):
-        ah, ac = z[:n], z[n:]
-        w = ah - ac
-        base = float(w @ y) - epsilon * float(np.sum(ah + ac))
-        q, h = term(w, base, warm)
-        return np.concatenate([-epsilon - q + y, -epsilon + q - y]), h
-
-    return evaluate
-
-
-def _stacked(alpha_hat, alpha_check, y) -> np.ndarray:
-    """[hat; check] for the public value functions, which check the lengths."""
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    alpha_check = np.asarray(alpha_check, dtype=float)
+def _stacked(alpha_hat, alpha_check, y):
+    """([hat; check], y) for the public value functions, which check the lengths."""
+    alpha_hat, alpha_check, y = (np.asarray(v, dtype=float) for v in (alpha_hat, alpha_check, y))
     if not alpha_hat.shape == alpha_check.shape == y.shape:
         raise DataError("dual vectors and targets must have equal lengths")
-    return np.concatenate([alpha_hat, alpha_check])
+    return np.concatenate([alpha_hat, alpha_check]), y
 
 
 def svr_objective(alpha_hat, alpha_check, y, K, epsilon: float,
                   config: SolverConfig, freeze_f: bool = False) -> float:
     """Value function of the outer maximization at the optimal F."""
-    y = np.asarray(y, dtype=float)
-    z = _stacked(alpha_hat, alpha_check, y)
-    return _at_point(_svr_oracle, z, K, config, freeze_f, y, epsilon)[1]
+    z, y = _stacked(alpha_hat, alpha_check, y)
+    return _at_point(z, K, config, freeze_f, y, epsilon)[1]
 
 
 def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
@@ -120,9 +96,8 @@ def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
     g_hat = -eps 1 - (F o K)(hat - check) + y and g_check = -g_hat - 2 eps 1,
     with F held at its optimum for the current point.
     """
-    y = np.asarray(y, dtype=float)
-    z = _stacked(alpha_hat, alpha_check, y)
-    g = _at_point(_svr_oracle, z, K, config, freeze_f, y, epsilon)[0]
+    z, y = _stacked(alpha_hat, alpha_check, y)
+    g = _at_point(z, K, config, freeze_f, y, epsilon)[0]
     return g[:y.size], g[y.size:]
 
 
@@ -135,44 +110,19 @@ def lipschitz_svr(n: int, C: float, K, eta: float) -> float:
     return 2.0 * (n + 9.0 * n * C * C * fro_sq / (4.0 * eta))
 
 
-def solve_svr(K, y, config: SolverConfig, epsilon: float,
-              freeze_f: bool = False, record_iterates: bool = False):
+def solve_svr(K, y, config: SolverConfig, epsilon: float, freeze_f: bool = False):
     """Accelerated projected-gradient solve of the paired SVR dual.
 
-    Runs the classifier's loop (:func:`solver._ascend`) on the concatenated
-    state [hat; check] with ascent step 1/(2L) and dual-averaging step
-    1/(4L); the feasible set is the box on both blocks plus the equality
-    constraint on the difference.  Stops when the step of hat - check
-    drops to ``tol`` or at t_max.  K must be symmetric and PSD, or the
-    :class:`solver._PsdGram` of such a K, as for the classifier solver
-    (DataError otherwise); the adaptive matrix comes
-    from the same adaptive term (:func:`solver._adaptive_term`).  epsilon
-    must be nonnegative and finite (ParameterError otherwise).  Returns
-    (SvrDualState, F, SolveTrace).
+    The classifier's solve (:func:`solver._solve`) on [hat; check], with
+    ascent step 1/(2L) and dual-averaging step 1/(4L), stopping when the
+    step of hat - check drops to ``tol`` or at t_max.  K is as for
+    :func:`solver.solve` (DataError otherwise); epsilon must be nonnegative
+    and finite (ParameterError otherwise).  Returns (SvrDualState, F,
+    SolveTrace).
     """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise DataError("targets contain non-finite values")
-    if not 0 <= epsilon < np.inf:
-        raise ParameterError(f"epsilon must be nonnegative and finite, got {epsilon}")
-    n = y.size
-    L, trace, term, final = _setup(K, n, config, freeze_f, lipschitz_svr)
-    # The loop steps by 1/L and the paired dual by 1/(2L), for its stacked
-    # constant L: lipschitz_svr, the pgd constant, or 2 ||K||_F with F frozen.
-    L *= 4.0 if freeze_f else 2.0
-    # +-1 constraint vector: equality 1'(hat - check) = 0 on the stacked state.
-    u = np.concatenate([np.ones(n), -np.ones(n)])
-    evaluate = _svr_oracle(y, epsilon, term)
-
-    def proj(z):
-        return project_exact(z, u, config.C)
-
-    def weights(z):
-        return z[:n] - z[n:]
-
-    z = _ascend(evaluate, proj, L, weights, 2 * n, config, trace, record_iterates)
-    state = SvrDualState(alpha_hat=z[:n], alpha_check=z[n:], epsilon=epsilon)
-    return state, final(), trace
+    z, F, trace = _solve(K, *_dual_form(y, epsilon), config, freeze_f, lipschitz_svr)
+    n = z.size // 2
+    return SvrDualState(alpha_hat=z[:n], alpha_check=z[n:], epsilon=epsilon), F, trace
 
 
 def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT_EPSILON,
@@ -181,7 +131,9 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
 
     Features and targets are both min-max scaled to [0, 1]; the tube width
     epsilon applies in the scaled target space.  eta is resolved as for
-    the classifier (:func:`solver.resolve_eta` on the SVR dual).
+    the classifier (:func:`solver.resolve_eta` on the SVR dual), and the
+    bias, F and ``meta`` are kept as the classifier keeps them
+    (:func:`svm._solved_model`, with u = [1; -1] on z = [hat; check]).
     """
     y, scaler, Xs = _training_inputs(X, y, sigma, classes=False)
     y_scaler = fit_minmax(y[:, None])
@@ -191,19 +143,14 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
         config = resolve_eta(gram, ys, config, epsilon=epsilon)
 
     state, F, trace = solve_svr(gram, ys, config, epsilon, freeze_f=freeze_f)
-    state.validate(config.C)
-    # u o g = [y - g0 - eps; y - g0 + eps] with g0 = (F o K)(hat - check):
-    # the hat and check blocks bound the bias as labels +1 and -1 do.
-    u = np.repeat([1.0, -1.0], ys.size)
-    bias = _kkt_bias(u * trace.gradient, u, np.concatenate([state.alpha_hat, state.alpha_check]),
-                     config.C)
-    w = state.difference
-    meta = _model_meta([trace], F, trace.factor, w, trace.objective_history[-1])
+    z = np.concatenate([state.alpha_hat, state.alpha_check])
+    bias, adaptive, meta = _solved_model(state, F, trace, _dual_form(ys, epsilon)[0], z, Xs,
+                                         sigma, config)
     meta["complementarity_gap"] = state.complementarity_gap()
     return SvrModel(
         X=Xs, y=ys, alpha_hat=state.alpha_hat, alpha_check=state.alpha_check,
-        adaptive=_solved_form(trace, Xs, w, sigma, config.eta), bias=bias, sigma=sigma,
-        epsilon=epsilon, config=config, scaler=scaler, y_scaler=y_scaler, meta=meta,
+        adaptive=adaptive, bias=bias, sigma=sigma, epsilon=epsilon, config=config,
+        scaler=scaler, y_scaler=y_scaler, meta=meta,
     )
 
 

@@ -220,3 +220,35 @@ def decision_values_insample(model) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """What the solves of a test evaluate and project: (points, projections).
+
+    ``points`` gets each point at which a dual oracle is evaluated, in
+    order: for nesterov and pgd z^(0) = 0, then z^(1), ..., and the
+    returned point last.  ``projections`` gets each exact projection a
+    solve takes: theta~ and beta per iteration in the accelerated
+    variants, the next iterate in pgd.  Both lists are copies.
+    """
+    points, projections = [], []
+    oracle, project = solver._dual_oracle, solver.project_exact
+
+    def recording_oracle(*args):
+        evaluate = oracle(*args)
+
+        def recording_evaluate(z, warm=True):
+            points.append(z.copy())
+            return evaluate(z, warm)
+
+        return recording_evaluate
+
+    def recording_project(*args):
+        result = project(*args)
+        projections.append(result.copy())
+        return result
+
+    monkeypatch.setattr(solver, "_dual_oracle", recording_oracle)
+    monkeypatch.setattr(solver, "project_exact", recording_project)
+    return points, projections

@@ -70,6 +70,14 @@ class TestTrainPredictEval:
         assert {"iterations", "prox_rank", "prox_steps", "f_min", "f_max",
                 "f_rank"} <= set(keys["svr"])
 
+    @pytest.mark.parametrize("t_max, stop", [("3", "max_iter"), ("2000", "tolerance")])
+    def test_train_prints_why_the_solve_stopped(self, t_max, stop, toy_file, tmp_path, capsys):
+        path, _ = toy_file
+        code, out, _ = run(["train", "--data", path, "--t-max", t_max,
+                            "--model", str(tmp_path / "m.txt")], capsys)
+        assert code == 0
+        assert dict(line.split(",", 1) for line in out.splitlines())["terminated_by"] == stop
+
     @pytest.mark.parametrize("flags, tau", [
         (["--mode", "scalable"], 0.0),
         (["--mode", "scalable", "--tau", "0"], 0.0),
@@ -562,17 +570,18 @@ class TestBoundsCommand:
                              ids=["last", "zero", "first"])
     def test_cluster_count_outside_the_data_solves_nothing(self, counts, bad, toy_file,
                                                            monkeypatch, capsys):
-        # Every count is checked against the 40 points before the eta solve.
-        from adakern import scale, solver
+        # Every count is checked against the 40 points before any solve: the
+        # eta solve, the exact reference and the block solves all run
+        # solver._solve.
+        from adakern import solver
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        original = solver.solve
-        monkeypatch.setattr(solver, "solve", spy)
-        monkeypatch.setattr(scale, "solve", spy)
+        original = solver._solve
+        monkeypatch.setattr(solver, "_solve", spy)
         path, ds = toy_file
         assert len(ds.y) == 40
         code, out, err = run(["bounds", "--data", path, "--eta", "50", "--tau", "0",
@@ -1241,3 +1250,48 @@ def _write(path, text):
     with open(path, "w") as stream:
         stream.write(text)
     return path
+
+
+class TestPredictionInputWidth:
+    """predict and eval read a libsvm test file's absent trailing features as zeros."""
+
+    @pytest.fixture(params=["svm", "svr"])
+    def model_path(self, request, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1.0, 1.0, (30, 3))
+        if request.param == "svm":
+            ds = Dataset(X, np.where(X[:, 0] + X[:, 2] > 0, 1.0, -1.0), "classification")
+        else:
+            ds = Dataset(X, X[:, 0] - X[:, 2], "regression")
+        data = str(tmp_path / "train.libsvm")
+        write_dataset(data, ds)
+        path = str(tmp_path / "m.txt")
+        code, _, _ = run(["train", "--task", request.param, "--data", data, "--t-max", "30",
+                          "--model", path], capsys)
+        assert code == 0
+        return path
+
+    ROWS = [(1, 0.3, -0.2), (-1, -0.7, 0.5), (1, 0.1, 0.9)]
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_rows_without_the_last_index_read_it_as_zero(self, command, model_path, tmp_path,
+                                                         capsys):
+        sparse = _write(str(tmp_path / "sparse.libsvm"),
+                        "".join(f"{y:+d} 1:{a} 2:{b}\n" for y, a, b in self.ROWS))
+        dense = _write(str(tmp_path / "dense.libsvm"),
+                       "".join(f"{y:+d} 1:{a} 2:{b} 3:0\n" for y, a, b in self.ROWS))
+        code, out, err = run([command, "--model", model_path, "--data", sparse], capsys)
+        assert (code, err) == (0, "")
+        assert run([command, "--model", model_path, "--data", dense], capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("fmt, text, got", [
+        ("libsvm", "+1 1:0.3 4:0.5\n-1 2:0.1\n", 4),
+        ("csv", "0.3,0.5,1\n0.1,0.2,-1\n", 2),
+    ], ids=["libsvm-larger-index", "csv-fewer-columns"])
+    def test_other_widths_exit_2(self, command, fmt, text, got, model_path, tmp_path, capsys):
+        path = _write(str(tmp_path / f"test.{fmt}"), text)
+        code, out, err = run([command, "--model", model_path, "--data", path,
+                              "--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"data error: feature dimension mismatch: model has 3, got {got}\n"

@@ -20,7 +20,7 @@ from adakern.solver import (
     solve,
 )
 
-from adakern.svr import solve_svr, svr_gradients
+from adakern.svr import solve_svr, svr_gradients, train_svr
 
 from conftest import (
     adaptive_matrix,
@@ -171,6 +171,18 @@ class TestAdaptiveMatrix:
 
 
 class TestObjectiveAndGradient:
+    def test_value_functions_check_their_data(self):
+        # the solves' own checks, less the two classes: a block of the
+        # decomposition mode may hold one
+        K, cfg, a = np.eye(3), SolverConfig(C=1.0, tau=0.0, eta=1.0), np.full(3, 0.5)
+        assert np.all(np.isfinite(dual_gradient(a, np.ones(3), K, cfg)))
+        with pytest.raises(DataError, match="labels"):
+            dual_objective(a, np.array([1.0, 0.5, -1.0]), K, cfg)
+        with pytest.raises(DataError, match="targets"):
+            svr_gradients(a, a, K, np.array([0.0, np.nan, 1.0]), 0.1, cfg)
+        with pytest.raises(ParameterError, match="epsilon"):
+            svr_gradients(a, a, K, np.zeros(3), -0.1, cfg)
+
     def test_zero_alpha_zero_tau(self, rng):
         K = toy_kernel(rng, 5)
         cfg = SolverConfig(C=1.0, tau=0.0, eta=1.0)
@@ -438,15 +450,18 @@ class TestSolve:
         assert len(hist) == trace.iterations
         assert np.all(np.diff(hist) >= 0.0)
 
-    def test_iterate_feasibility(self, rng):
+    def test_iterate_feasibility(self, rng, recorded):
         X, y = two_blobs(16, seed=7)
         K = gaussian_gram(X, 0.8)
         cfg = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=100, tol=1e-12)
-        _, _, trace = solve(K, y, cfg, record_iterates=True)
-        for key in ("alpha", "theta", "beta"):
-            for v in trace.iterates[key]:
-                assert np.all(v >= 0.0) and np.all(v <= 1.0)
-                assert abs(v @ y) <= 1e-6 * max(1.0, np.linalg.norm(v))
+        trace = solve(K, y, cfg)[2]
+        points, projections = recorded
+        # every iterate alpha, then theta and beta of each iteration
+        assert len(points) == trace.iterations + 1
+        assert len(projections) == 2 * trace.iterations
+        for v in points + projections:
+            assert np.all(v >= 0.0) and np.all(v <= 1.0)
+            assert abs(v @ y) <= 1e-6 * max(1.0, np.linalg.norm(v))
 
     def test_saddle_inequalities_at_solution(self, rng):
         n = 10
@@ -581,6 +596,35 @@ class TestResolveEta:
         C = 1e-18
         cfg = resolve_eta(K, y, SolverConfig(C=C, tau=0.01, tol=1e-30))
         assert cfg.eta == 0.1 * C * C
+
+    def test_svr_fills_difference_norm(self):
+        # w'w for w = hat - check of a frozen SVR solve at the preliminary config
+        X = np.linspace(-1.0, 1.0, 25)[:, None]
+        y = np.sin(3.0 * X[:, 0])
+        K = gaussian_gram(X, 0.3)
+        cfg = SolverConfig(C=2.0, tau=0.01, t_max=300, variant="pgd")
+        prelim = replace(cfg, tau=0.0, variant="nesterov")
+        w = solve_svr(K, y, prelim, epsilon=0.05, freeze_f=True)[0].difference
+        assert resolve_eta(K, y, cfg, epsilon=0.05).eta == float(w @ w) > 0.0
+
+    def test_svr_constant_targets_fall_back(self):
+        # constant targets leave every SVR dual at 0: the bias fits them
+        X = np.linspace(0.0, 1.0, 8)[:, None]
+        C = 2.0
+        cfg = resolve_eta(gaussian_gram(X, 0.5), np.zeros(8), SolverConfig(C=C), epsilon=0.1)
+        assert cfg.eta == 0.1 * C * C
+        # train_svr scales constant targets to 0
+        model = train_svr(X, np.full(8, 3.5), 0.5, SolverConfig(C=C, t_max=50), epsilon=0.1)
+        assert model.config.eta == 0.1 * C * C
+
+    @pytest.mark.parametrize("targets, epsilon, error", [
+        ([0.0, np.nan, 1.0], 0.1, DataError),
+        ([0.0, 0.5, 1.0], -0.1, ParameterError),
+        ([0.0, 0.5, 1.0], np.inf, ParameterError),
+    ], ids=["nan-target", "negative-epsilon", "infinite-epsilon"])
+    def test_svr_checks_its_inputs(self, targets, epsilon, error):
+        with pytest.raises(error):
+            resolve_eta(np.eye(3), np.array(targets), SolverConfig(C=1.0), epsilon=epsilon)
 
 
 def test_dual_state_validation(rng):
@@ -755,6 +799,25 @@ class TestZeroTauClosedForm:
             assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
             assert abs(dual_objective(a, y, K, cfg) - h_ref) <= 1e-12 * abs(h_ref)
 
+    def test_gradients_keep_the_bits_of_their_closed_forms(self, rng):
+        # The one dual oracle forms each task's gradient in the order of its
+        # own closed form, so trained duals keep their bits.
+        n, eta, eps = 40, 0.7, 0.05
+        K = toy_kernel(rng, n)
+        K2 = K * K
+        cfg = SolverConfig(C=1.0, tau=0.0, eta=eta)
+
+        def q_of(w):
+            return K @ w + w * (K2 @ (w * w)) / (4.0 * eta)
+
+        y, targets = labels(n), rng.normal(size=n)
+        a, hat, check = rng.uniform(0.0, 1.0, (3, n))
+        assert dual_gradient(a, y, K, cfg).tobytes() == (1.0 - y * q_of(y * a)).tobytes()
+        q = q_of(hat - check)
+        g_hat, g_check = svr_gradients(hat, check, K, targets, eps, cfg)
+        assert g_hat.tobytes() == (-eps - q + targets).tobytes()
+        assert g_check.tobytes() == (-eps + q - targets).tobytes()
+
 
 def exact_deviation_sq(W):
     """||W W' - 11'||_F^2 in exact rational arithmetic on the float entries of W."""
@@ -823,7 +886,7 @@ class TestFactoredEvaluation:
         assert np.array_equal(trace.factor, np.ones((n, 1)))
         assert (trace.prox_fallbacks, trace.prox_rank) == (0, 0)
 
-    def test_warm_started_prox_matches_cold_along_a_solve(self, monkeypatch):
+    def test_warm_started_prox_matches_cold_along_a_solve(self, monkeypatch, recorded):
         # Rayleigh-Ritz steps are counted by the small eigh calls they make.
         count = [0]
         original = np.linalg.eigh
@@ -844,14 +907,18 @@ class TestFactoredEvaluation:
         ys = apply_minmax(fit_minmax(ds.y[:, None]), ds.y[:, None])[:, 0]
         K_svr = gaussian_gram(Xs, 0.05)
         cfg_svr = SolverConfig(C=2.0, tau=0.01, eta=20.0, t_max=600, tol=1e-300)
+        # The iterates z^(1), ..., z^(t_max): every evaluated point but z^(0) = 0.
+        points = recorded[0]
         cases = []
         for K, y, cfg in criteria_fixtures()[1:]:
-            alphas = np.array(solve(K, y, cfg, record_iterates=True)[2].iterates["alpha"])
-            cases.append((K, cfg, alphas * y))
+            points.clear()
+            solve(K, y, cfg)
+            cases.append((K, cfg, np.array(points[1:]) * y))
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        z = solve_svr(K_svr, ys, cfg_svr, epsilon=0.02, record_iterates=True)[2].iterates["alpha"]
+        points.clear()
+        solve_svr(K_svr, ys, cfg_svr, epsilon=0.02)
         solve_steps = count[0]
-        z = np.array(z)
+        z = np.array(points[1:])
         cases.append((K_svr, cfg_svr, z[:, :120] - z[:, 120:]))
         for K, cfg, weights in cases:
             _, lam_min_K, _ = solver._check_psd_gram(K)

@@ -14,6 +14,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "adakern"
 
@@ -91,3 +93,40 @@ def test_the_benchmark_imports_and_traces_the_package(monkeypatch):
     namespace = {}
     exec("from adakern import *", namespace)
     assert set(importlib.import_module("adakern").__all__) <= set(namespace)
+
+
+def test_the_trainers_open_the_spans_the_benchmark_counts(monkeypatch, tmp_path, capsys):
+    # perfbench counts solver iterations on the solver.solve and svr.solve_svr
+    # spans, so each trainer reaches its main solve through those public
+    # names, once; eta's preliminary solve is not counted there.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from adakern import SolverConfig, cli, svm, svr
+    from adakern.persist import load_model
+
+    X = np.linspace(-1.0, 1.0, 24)[:, None]
+    y = np.where(np.sin(4.0 * X[:, 0]) > 0, 1.0, -1.0)
+    config = SolverConfig(C=1.0, t_max=20)
+
+    def cli_train():
+        data, model = tmp_path / "train.libsvm", tmp_path / "m"
+        data.write_text("".join(f"{label:+.0f} 1:{x:.17g}\n" for x, label in zip(X[:, 0], y)))
+        assert cli.main(["train", "--task", "svm", "--data", str(data), "--t-max", "20",
+                         "--model", str(model)]) == 0
+        return load_model(str(model))
+
+    runs = [("solver.solve", lambda: svm.train(X, y, 0.5, config)),
+            ("svr.solve_svr", lambda: svr.train_svr(X, X[:, 0] ** 2, 0.5, config)),
+            ("solver.solve", cli_train)]
+    iterations = lambda args, result: result[2].iterations  # noqa: E731
+    tracer = importlib.import_module("tracer").Tracer(
+        {span: (span, iterations) for span in ("solver.solve", "svr.solve_svr")})
+    tracer.install()
+    try:
+        for span, train in runs:
+            first, before = len(tracer.spans), tracer.counts[span]
+            model = train()
+            assert [row[0] for row in tracer.spans[first:]].count(span) == 1
+            assert tracer.counts[span] - before == model.meta["iterations"] > 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()

@@ -240,13 +240,16 @@ class TestSolve:
         with pytest.raises(DataError):
             solve_svr(K, np.array([0.0, 1.0]), config(), epsilon=0.1)
 
-    def test_iterate_feasibility(self, rng):
+    def test_iterate_feasibility(self, rng, recorded):
         n = 8
         K = gaussian_gram(rng.normal(size=(n, 1)), 0.8)
         y = rng.normal(size=n)
-        _, _, trace = solve_svr(K, y, config(t_max=60, tol=1e-14), epsilon=0.05,
-                                record_iterates=True)
-        for z in trace.iterates["alpha"]:
+        trace = solve_svr(K, y, config(t_max=60, tol=1e-14), epsilon=0.05)[2]
+        points, projections = recorded
+        # every iterate [hat; check], then theta and beta of each iteration
+        assert len(points) == trace.iterations + 1
+        assert len(projections) == 2 * trace.iterations
+        for z in points + projections:
             assert np.all(z >= 0.0) and np.all(z <= 1.0)
             w = z[:n] - z[n:]
             assert abs(w.sum()) <= 1e-6 * max(1.0, np.linalg.norm(w))
