@@ -184,9 +184,9 @@ def cmd_train(args) -> int:
         raise ParameterError("--folds applies to --cv only")
     epsilon = svr.DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     folds = CV_FOLDS if args.folds is None else args.folds
+    config = _config_from_args(args)
     mode = dataio.CLASSIFICATION if args.task == "svm" else dataio.REGRESSION
     ds = _read_dataset(args.data, args.format, mode)
-    config = _config_from_args(args)
     if args.mode == "scalable":
         _check_cluster_counts(counts, len(ds.y))
 
@@ -253,9 +253,9 @@ def cmd_bounds(args) -> int:
     scale.check_kappa(args.kappa)
     counts = _cluster_counts(args.clusters)
     _check_zero_tau(args, "bounds")
+    config = _config_from_args(args)
     ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
     _check_cluster_counts(counts, len(ds.y))
-    config = _config_from_args(args)
     y, _, Xs = svm._training_inputs(ds.X, ds.y, args.sigma)
     # Checked once for the eta solve and the exact reference.
     gram = _check_psd_gram(gaussian_gram(Xs, args.sigma))

@@ -16,7 +16,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     mode: str
-    feature_names: list | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -126,13 +125,12 @@ def parse_libsvm(lines, mode: str = CLASSIFICATION) -> Dataset:
     return Dataset(X=X, y=y, mode=mode)
 
 
-def parse_csv(lines, mode: str = CLASSIFICATION, label_column: int = -1) -> Dataset:
-    """Parse delimited rows with the label in ``label_column`` (default last).
+def parse_csv(lines, mode: str = CLASSIFICATION) -> Dataset:
+    """Parse delimited rows with the label in the last column.
 
-    A first row with any non-numeric cell is treated as a header.
+    A first row with any non-numeric cell is treated as a header and skipped.
     """
     rows: list[list[float]] = []
-    names: list[str] | None = None
     width = None
     for lineno, raw in enumerate(_iter_lines(lines), start=1):
         text = raw.strip()
@@ -143,8 +141,8 @@ def parse_csv(lines, mode: str = CLASSIFICATION, label_column: int = -1) -> Data
             width = len(cells)
             try:
                 rows.append([float(c) for c in cells])
-            except ValueError:
-                names = cells
+            except ValueError:  # a header
+                pass
             continue
         if len(cells) != width:
             raise DataError(f"line {lineno}: ragged row ({len(cells)} cells, expected {width})")
@@ -158,18 +156,10 @@ def parse_csv(lines, mode: str = CLASSIFICATION, label_column: int = -1) -> Data
     if not rows:
         raise DataError("no data rows found")
     table = np.asarray(rows)
-    if not (-table.shape[1] <= label_column < table.shape[1]):
-        raise DataError(f"label column {label_column} out of range")
-    label_column = label_column % table.shape[1]
-    y = table[:, label_column]
-    X = np.delete(table, label_column, axis=1)
-    if X.shape[1] == 0:
+    if table.shape[1] == 1:
         raise DataError("no feature columns remain after removing the label column")
-    feature_names = None
-    if names is not None:
-        feature_names = [c for j, c in enumerate(names) if j != label_column]
-    y = _coerce_labels(y, mode, "csv input")
-    return Dataset(X=X, y=y, mode=mode, feature_names=feature_names)
+    y = _coerce_labels(table[:, -1], mode, "csv input")
+    return Dataset(X=table[:, :-1], y=y, mode=mode)
 
 
 def _iter_lines(lines):

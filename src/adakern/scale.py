@@ -14,7 +14,7 @@ import numpy as np
 from .adaptive import ClosedForm, Partition
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram, pairwise_sq_dists
-from .solver import SolverConfig, _check_psd_gram, resolve_eta, solve
+from .solver import SolverConfig, resolve_eta, solve
 from .svm import SvmModel, _model_meta, _training_inputs
 
 
@@ -40,7 +40,6 @@ class BoundReport:
     alpha_gap_bound: float
     F_gap_bound: float
     exact_F_bound: float
-    kappa: float
     screened_indices: np.ndarray
     screened_positive_indices: np.ndarray
     measured_objective_gap: float | None = None
@@ -227,7 +226,6 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
         alpha_gap_bound=alpha_gap_bound,
         F_gap_bound=float(F_gap_bound),
         exact_F_bound=float(exact_F_bound),
-        kappa=kappa,
         screened_indices=screened,
         screened_positive_indices=screened_pos,
         warnings=warnings,
@@ -248,15 +246,14 @@ def exact_reference(K, y, config: SolverConfig):
 
     K may be the :class:`solver._PsdGram` of a kernel checked before, which
     the solve does not check again.  Returns the (alpha_star, F_star,
-    H_star) triple that ``bound_report`` accepts as its ``exact`` argument.
+    H_star) triple that ``bound_report`` accepts as its ``exact`` argument;
+    H_star is the solve's own value at alpha_star, the last entry of its
+    ``objective_history``.
     """
     if config.eta is None:
         raise ParameterError("eta must be resolved for the exact reference")
-    cfg = replace(config, tau=0.0)
-    gram = _check_psd_gram(K)
-    state, F, _ = solve(gram, y, cfg, with_equality=False)
-    H = decomposition_objective(state.alpha, y, gram.K, F, cfg.eta)
-    return state.alpha, F, H
+    state, F, trace = solve(K, y, replace(config, tau=0.0), with_equality=False)
+    return state.alpha, F, trace.objective_history[-1]
 
 
 def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,

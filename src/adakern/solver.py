@@ -106,9 +106,7 @@ class SolveTrace:
     ``objective_history`` holds h(alpha^(t)) for t = 0..iterations for the
     nesterov and pgd variants (one extra entry for the final iterate), and
     the carried h(theta^(t)) sequence (length ``iterations``) for the
-    monotone variant.  ``alpha_step_history[t]`` is the step of the prox
-    weights, ||w^(t+1) - w^(t)||_2; for the classifier that is
-    ||a^(t+1) - a^(t)||_2.
+    monotone variant, which returns the last theta.
     ``prox_fallbacks`` counts the spectral prox calls that fell back to
     the dense eigendecomposition, ``prox_rank`` is the largest number of
     eigenpairs one call kept, and ``prox_steps`` sums the calls'
@@ -122,10 +120,8 @@ class SolveTrace:
 
     iterations: int = 0
     objective_history: list = field(default_factory=list)
-    alpha_step_history: list = field(default_factory=list)
     terminated_by: str = "max_iter"
     warnings: list = field(default_factory=list)
-    final_beta: np.ndarray | None = None
     prox_fallbacks: int = 0
     prox_rank: int = 0
     prox_steps: int = 0
@@ -298,7 +294,7 @@ def _dual_oracle(u, offset: float, targets, term):
     return evaluate
 
 
-def _at_point(z, K, config: SolverConfig, freeze_f: bool, y, epsilon: float | None = None):
+def _at_point(z, K, config: SolverConfig, y, epsilon: float | None = None):
     """The gradient and value at z of the classifier dual, or with ``epsilon`` the SVR's.
 
     The one body of the public value functions: the prox starts from the
@@ -307,19 +303,18 @@ def _at_point(z, K, config: SolverConfig, freeze_f: bool, y, epsilon: float | No
     K = np.asarray(K, dtype=float)
     if K.shape != (y.size, y.size):
         raise DataError("dual weights and kernel matrix have inconsistent sizes")
-    eta = _eta_for_frozen(config) if freeze_f else _require_eta(config)
-    term = _adaptive_term(K, config.tau, eta, 0.0, SolveTrace(), freeze_f)[0]
+    term = _adaptive_term(K, config.tau, _require_eta(config), 0.0, SolveTrace(), False)[0]
     return _dual_oracle(*_dual_form(y, epsilon, False), term)(np.asarray(z, dtype=float))
 
 
-def dual_objective(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> float:
+def dual_objective(alpha, y, K, config: SolverConfig) -> float:
     """Value function h(a) = H(a, F(a)) of the outer maximization."""
-    return _at_point(alpha, K, config, freeze_f, np.asarray(y, dtype=float))[1]
+    return _at_point(alpha, K, config, np.asarray(y, dtype=float))[1]
 
 
-def dual_gradient(alpha, y, K, config: SolverConfig, freeze_f: bool = False) -> np.ndarray:
+def dual_gradient(alpha, y, K, config: SolverConfig) -> np.ndarray:
     """Envelope gradient of h: 1 - Y(F(a) o K)Ya with F(a) held at its optimum."""
-    return _at_point(alpha, K, config, freeze_f, np.asarray(y, dtype=float))[0]
+    return _at_point(alpha, K, config, np.asarray(y, dtype=float))[0]
 
 
 def lipschitz_svm(n: int, C: float, K, eta: float) -> float:
@@ -505,15 +500,14 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
     projected step proj(z + g / L); the others take it as theta^(t), the
     weighted dual-averaging step beta^(t), and combine them as
     z^(t+1) = ((t+1) theta + 2 beta) / (t+3), where monotone-nesterov keeps
-    the best theta seen.  Stops at t_max or when the step drops to
-    ``tol``, then evaluates the returned point once more, cold, so that the
-    solve's ``final`` F is its F.  Fills the histories, ``gradient`` and
-    ``final_beta`` of ``trace``.
+    the best theta seen and returns it.  Stops at t_max or when the step
+    drops to ``tol``, then evaluates the returned point once more, cold, so
+    that the solve's ``final`` F is its F.  Fills ``objective_history`` and
+    ``gradient`` of ``trace``.
     """
     z = np.zeros(size)
     z0 = z.copy()
     grad_sum = np.zeros(size)
-    beta = None
     theta = None
     h_theta = -np.inf
     w_prev = weights(z)
@@ -545,7 +539,6 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
 
         w_next = weights(z_next)
         step = float(np.linalg.norm(w_next - w_prev))
-        trace.alpha_step_history.append(step)
         z, w_prev = z_next, w_next
         trace.iterations = t + 1
         # The accelerated warmup can take steps far below tol before the
@@ -558,11 +551,12 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
     else:
         trace.terminated_by = "max_iter"
 
+    if config.variant == "monotone-nesterov":
+        z = theta  # the point whose value the history carries
     # One cold evaluation at the returned point: its F is the one returned.
     trace.gradient, h_end = evaluate(z, warm=False)
     if config.variant != "monotone-nesterov":
         trace.objective_history.append(h_end)
-    trace.final_beta = None if beta is None else beta.copy()
     return z
 
 

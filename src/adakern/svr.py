@@ -82,22 +82,20 @@ def _stacked(alpha_hat, alpha_check, y):
     return np.concatenate([alpha_hat, alpha_check]), y
 
 
-def svr_objective(alpha_hat, alpha_check, y, K, epsilon: float,
-                  config: SolverConfig, freeze_f: bool = False) -> float:
+def svr_objective(alpha_hat, alpha_check, y, K, epsilon: float, config: SolverConfig) -> float:
     """Value function of the outer maximization at the optimal F."""
     z, y = _stacked(alpha_hat, alpha_check, y)
-    return _at_point(z, K, config, freeze_f, y, epsilon)[1]
+    return _at_point(z, K, config, y, epsilon)[1]
 
 
-def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float,
-                  config: SolverConfig, freeze_f: bool = False):
+def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float, config: SolverConfig):
     """Partial derivatives of the value function in both dual blocks.
 
     g_hat = -eps 1 - (F o K)(hat - check) + y and g_check = -g_hat - 2 eps 1,
     with F held at its optimum for the current point.
     """
     z, y = _stacked(alpha_hat, alpha_check, y)
-    g = _at_point(z, K, config, freeze_f, y, epsilon)[0]
+    g = _at_point(z, K, config, y, epsilon)[0]
     return g[:y.size], g[y.size:]
 
 
@@ -138,14 +136,14 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
     y, scaler, Xs = _training_inputs(X, y, sigma, classes=False)
     y_scaler = fit_minmax(y[:, None])
     ys = apply_minmax(y_scaler, y[:, None])[:, 0]
+    u = _dual_form(ys, epsilon)[0]  # checks epsilon before the kernel is built
     gram = _check_psd_gram(gaussian_gram(Xs, sigma))
     if not freeze_f:
         config = resolve_eta(gram, ys, config, epsilon=epsilon)
 
     state, F, trace = solve_svr(gram, ys, config, epsilon, freeze_f=freeze_f)
     z = np.concatenate([state.alpha_hat, state.alpha_check])
-    bias, adaptive, meta = _solved_model(state, F, trace, _dual_form(ys, epsilon)[0], z, Xs,
-                                         sigma, config)
+    bias, adaptive, meta = _solved_model(state, F, trace, u, z, Xs, sigma, config)
     meta["complementarity_gap"] = state.complementarity_gap()
     return SvrModel(
         X=Xs, y=ys, alpha_hat=state.alpha_hat, alpha_check=state.alpha_check,

@@ -805,14 +805,28 @@ class TestExitCodes:
         assert err == f"usage error: --repeats must be at least 1, got {repeats}\n"
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
-    def test_svr_non_finite_epsilon_is_usage_error(self, epsilon, toy_file, tmp_path, capsys):
+    def test_svr_non_finite_epsilon_is_usage_error(self, epsilon, toy_file, tmp_path,
+                                                   monkeypatch, capsys):
+        # The check comes before the kernel is built and checked.
+        from adakern import svr
+        built = []
+        for name in ("gaussian_gram", "_check_psd_gram"):
+            monkeypatch.setattr(svr, name, lambda *args, name=name: built.append(name))
         path, _ = toy_file
         model_path = str(tmp_path / "m.txt")
         code, out, err = run(["train", "--task", "svr", "--data", path, "--t-max", "5",
                               "--epsilon", epsilon, "--model", model_path], capsys)
-        assert (code, out) == (1, "")
+        assert (code, out, built) == (1, "", [])
         assert err.startswith("usage error: epsilon must be nonnegative and finite")
         assert not os.path.exists(model_path)
+
+    @pytest.mark.parametrize("command", ["train", "bounds"])
+    def test_solver_flags_are_checked_before_the_data_is_read(self, command, tmp_path, capsys):
+        argv = [command, "--data", str(tmp_path / "nonexistent"), "--C", "-1"]
+        if command == "train":
+            argv += ["--model", str(tmp_path / "m.txt")]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (1, "", "usage error: C must be positive and finite, got -1.0\n")
 
     @pytest.mark.parametrize("kappa", ["nan", "inf", "-5"])
     def test_bounds_bad_kappa_is_usage_error(self, kappa, toy_file, capsys):

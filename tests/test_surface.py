@@ -8,6 +8,12 @@ in ``__init__.py``, does not count, and neither does a perfbench reference
 to a name that perfbench defines at top level itself (its own
 ``write_libsvm``, say).  The synthetic generators ``data.gen_*`` are the
 paper's datasets and documented API, so they are excepted.
+
+The same rule holds for fields: every annotated field and property of a
+class in ``src/adakern`` must be read as an attribute somewhere in ``src/``
+or ``perfbench/``.  A read that only receives ``.append`` or ``.extend``
+fills a record without reading it, so it does not count.  NamedTuples are
+left out, since unpacking reads their fields by position.
 """
 
 import ast
@@ -54,6 +60,33 @@ def outside_references(paths: list[Path]) -> set[str]:
     return used - set().union(*(top_level_definitions(path) for path in paths))
 
 
+def class_fields(path: Path) -> list[str]:
+    """``Class.field`` for each annotated field and property of a file's classes, less NamedTuples."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or any(
+                isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                found.append(f"{cls.name}.{item.target.id}")
+            elif isinstance(item, ast.FunctionDef) and any(
+                    isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list):
+                found.append(f"{cls.name}.{item.name}")
+    return found
+
+
+def read_attributes(path: Path) -> set[str]:
+    """The attribute names a file reads; a read that only receives ``.append`` or ``.extend`` does not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    receivers = {id(node.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("append", "extend")}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in receivers}
+
+
 def test_public_names_are_used_outside_the_tests():
     sources = sorted(PACKAGE.glob("*.py"))
     used = outside_references(sorted((ROOT / "perfbench").glob("*.py")))
@@ -63,6 +96,26 @@ def test_public_names_are_used_outside_the_tests():
                  for name in public_definitions(path)
                  if name not in used and not (path.stem == "data" and name.startswith("gen_"))]
     assert not test_only, f"public but referenced only from tests/: {test_only}"
+
+
+def test_fields_are_read_outside_the_tests():
+    sources = sorted(PACKAGE.glob("*.py"))
+    read = set().union(*(read_attributes(path)
+                         for path in sources + sorted((ROOT / "perfbench").glob("*.py"))))
+    unread = [name for path in sources for name in class_fields(path)
+              if name.split(".")[1] not in read]
+    assert not unread, f"fields read only from tests/: {unread}"
+
+
+def test_a_field_that_is_only_appended_to_counts_as_unread(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from typing import NamedTuple\n\n\nclass Record:\n    log: list\n"
+                    "    size: int\n\n    @property\n    def half(self):\n"
+                    "        return self.size / 2\n\n\nclass Pair(NamedTuple):\n    first: int\n\n\n"
+                    "def fill(record):\n    record.log.append(record.half)\n    record.log.extend([])\n",
+                    encoding="utf-8")
+    assert class_fields(path) == ["Record.log", "Record.size", "Record.half"]
+    assert read_attributes(path) == {"size", "half", "append", "extend"}
 
 
 def test_a_name_used_only_by_itself_counts_as_unused(tmp_path):

@@ -348,6 +348,16 @@ class TestTrainPredict:
         assert model.meta["f_rank"] == np.sum(evals > 1e-6 * evals[-1]) == rank
         assert (model.meta["f_min"], model.meta["f_max"]) == (model.F.min(), model.F.max())
 
+    def test_bad_epsilon_builds_no_kernel(self, monkeypatch):
+        import adakern.svr as svr
+        built = []
+        for name in ("gaussian_gram", "_check_psd_gram"):
+            monkeypatch.setattr(svr, name, lambda *args, name=name: built.append(name))
+        X = np.linspace(0.0, 1.0, 8)[:, None]
+        with pytest.raises(ParameterError, match="epsilon must be nonnegative and finite"):
+            train_svr(X, X[:, 0], 0.5, config(), epsilon=-1.0)
+        assert built == []
+
     def test_dual_state_validates(self):
         X = np.linspace(0, 1, 10)[:, None]
         y = np.cos(2 * X[:, 0])
