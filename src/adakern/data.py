@@ -15,7 +15,6 @@ REGRESSION = "regression"
 class Dataset:
     X: np.ndarray
     y: np.ndarray
-    mode: str
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -24,8 +23,6 @@ class Dataset:
             raise DataError("X and y have inconsistent shapes")
         if self.X.shape[0] < 1:
             raise DataError("dataset is empty")
-        if self.mode not in (CLASSIFICATION, REGRESSION):
-            raise DataError(f"unknown label mode {self.mode!r}")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise DataError("dataset contains non-finite values")
 
@@ -60,8 +57,10 @@ def inverse_minmax(scaler: Scaler, X) -> np.ndarray:
 
 
 def _coerce_labels(y: np.ndarray, mode: str, where: str) -> np.ndarray:
-    if mode != CLASSIFICATION:
+    if mode == REGRESSION:
         return y
+    if mode != CLASSIFICATION:
+        raise DataError(f"unknown label mode {mode!r}")
     present = set(np.unique(y))
     if 0.0 in present and present <= {0.0, 1.0}:
         warnings.warn(f"{where}: coercing {{0, 1}} labels to {{-1, +1}}")
@@ -122,13 +121,14 @@ def parse_libsvm(lines, mode: str = CLASSIFICATION) -> Dataset:
         for idx, val in entries.items():
             X[i, idx - 1] = val
     y = _coerce_labels(np.asarray(labels), mode, "libsvm input")
-    return Dataset(X=X, y=y, mode=mode)
+    return Dataset(X=X, y=y)
 
 
 def parse_csv(lines, mode: str = CLASSIFICATION) -> Dataset:
     """Parse delimited rows with the label in the last column.
 
-    A first row with any non-numeric cell is treated as a header and skipped.
+    A first row with any non-numeric cell is treated as a header and skipped;
+    every data row, the first one too, must be numeric and finite.
     """
     rows: list[list[float]] = []
     width = None
@@ -137,18 +137,16 @@ def parse_csv(lines, mode: str = CLASSIFICATION) -> Dataset:
         if not text:
             continue
         cells = [c.strip() for c in text.split(",")]
-        if width is None:
+        first = width is None
+        if first:
             width = len(cells)
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:  # a header
-                pass
-            continue
         if len(cells) != width:
             raise DataError(f"line {lineno}: ragged row ({len(cells)} cells, expected {width})")
         try:
             values = [float(c) for c in cells]
         except ValueError as exc:
+            if first:  # a header
+                continue
             raise DataError(f"line {lineno}: non-numeric cell") from exc
         if not all(np.isfinite(v) for v in values):
             raise DataError(f"line {lineno}: non-finite value")
@@ -159,7 +157,7 @@ def parse_csv(lines, mode: str = CLASSIFICATION) -> Dataset:
     if table.shape[1] == 1:
         raise DataError("no feature columns remain after removing the label column")
     y = _coerce_labels(table[:, -1], mode, "csv input")
-    return Dataset(X=table[:, :-1], y=y, mode=mode)
+    return Dataset(X=table[:, :-1], y=y)
 
 
 def _iter_lines(lines):
@@ -189,7 +187,7 @@ def gen_step(grid=None, s: float = 3.0, w: float = 2.0, a: float = 0.05) -> Data
     if grid is None:
         grid = np.linspace(-5.0, 5.0, 201)
     grid = np.asarray(grid, dtype=float)
-    return Dataset(X=grid[:, None], y=step_value(grid, s, w, a), mode=REGRESSION)
+    return Dataset(X=grid[:, None], y=step_value(grid, s, w, a))
 
 
 def surface_value(u, v):
@@ -206,7 +204,7 @@ def gen_2d(resolution: int = 20) -> Dataset:
     axis = np.linspace(-0.5, 0.5, resolution)
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     X = np.column_stack([uu.ravel(), vv.ravel()])
-    return Dataset(X=X, y=surface_value(X[:, 0], X[:, 1]), mode=REGRESSION)
+    return Dataset(X=X, y=surface_value(X[:, 0], X[:, 1]))
 
 
 def gen_two_class_toy(n: int, seed: int, noise: float = 0.08) -> Dataset:
@@ -223,4 +221,4 @@ def gen_two_class_toy(n: int, seed: int, noise: float = 0.08) -> Dataset:
     X = np.vstack([pos, neg]) + rng.normal(0.0, noise, (n, 2))
     y = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
     order = rng.permutation(n)
-    return Dataset(X=X[order], y=y[order], mode=CLASSIFICATION)
+    return Dataset(X=X[order], y=y[order])

@@ -15,8 +15,10 @@ eigenvalue soft-threshold of 11' + G(w), G(w) = diag(w) K diag(w)/(4 eta).
 The outer problem maximizes the concave value function h(z), whose
 envelope gradient is offset - u o [q; ...] + u o [targets; ...] with
 q = (F(w) o K) w, by projected gradient ascent with optional Nesterov
-acceleration: one oracle (:func:`_dual_oracle`) and one solve body
-(:func:`_solve`) for both tasks.
+acceleration: one oracle (:func:`_dual_oracle`) and one solve
+(:func:`_solve`) for both tasks.  The solve owns the loop and the step
+rule, 1/L for L from :func:`lipschitz_svm`, :func:`lipschitz_svr` or the
+pgd constant.
 
 11' + G(w) is PSD.  At tau = 0 the threshold is the identity and F(w) is
 11' + G(w) itself; the gradient and value then come in closed form from
@@ -103,10 +105,11 @@ def _check_feasible(z, w, C: float, what: str) -> None:
 class SolveTrace:
     """Per-solve diagnostics.
 
-    ``objective_history`` holds h(alpha^(t)) for t = 0..iterations for the
-    nesterov and pgd variants (one extra entry for the final iterate), and
-    the carried h(theta^(t)) sequence (length ``iterations``) for the
-    monotone variant, which returns the last theta.
+    ``objective_history`` has ``iterations + 1`` entries, the value at the
+    returned duals last.  For the nesterov and pgd variants they are
+    h(z^(t)) for t = 0..iterations; for the monotone variant, the carried
+    h(theta^(t)) for t < iterations, then the larger of the last carried
+    value and h(z^(T)) at the last iterate: the value of the point returned.
     ``prox_fallbacks`` counts the spectral prox calls that fell back to
     the dense eigendecomposition, ``prox_rank`` is the largest number of
     eigenpairs one call kept, and ``prox_steps`` sums the calls'
@@ -114,8 +117,9 @@ class SolveTrace:
     stay 0 at tau = 0 and with F frozen.  ``factor`` is W with F = W W'
     for the returned F, None when F is not factored (tau = 0).
     ``gradient`` is the envelope gradient at the returned duals, from the
-    solve's last evaluation, which also gives the returned F and, for
-    nesterov and pgd, the last entry of ``objective_history``.
+    solve's last evaluation, which also gives the returned F and, unless
+    monotone-nesterov returns its carried theta, the last entry of
+    ``objective_history``.
     """
 
     iterations: int = 0
@@ -326,6 +330,15 @@ def lipschitz_svm(n: int, C: float, K, eta: float) -> float:
     return n + 3.0 * n * C * C * fro_sq / (4.0 * eta)
 
 
+def lipschitz_svr(n: int, C: float, K, eta: float) -> float:
+    """Gradient-Lipschitz constant of the SVR's h: 2 (n + 9 n C^2 ||K||_F^2 / (4 eta))."""
+    if not eta > 0:
+        raise ParameterError(f"eta must be positive, got {eta}")
+    K = np.asarray(K, dtype=float)
+    fro_sq = float((K * K).sum())
+    return 2.0 * (n + 9.0 * n * C * C * fro_sq / (4.0 * eta))
+
+
 def _pgd_constant(n: int, C: float, lam_max_K: float, eta: float, tau: float) -> float:
     return n - 0.5 * tau + n * C * C * lam_max_K / (4.0 * eta)
 
@@ -374,12 +387,6 @@ def _require_eta(config: SolverConfig) -> float:
     return config.eta
 
 
-def _eta_for_frozen(config: SolverConfig) -> float:
-    # The frozen objective uses eta only in the constant tau*eta*n term;
-    # with eta unresolved the constant is dropped (plain SVM dual value).
-    return config.eta if config.eta is not None else 0.0
-
-
 def _check_labels(y, require_both_classes: bool) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isin(y, (-1.0, 1.0))):
@@ -426,11 +433,11 @@ def _check_psd_gram(K) -> _PsdGram:
 
 def solve(K, y, config: SolverConfig, freeze_f: bool = False,
           with_equality: bool = True):
-    """Run the accelerated projected-gradient saddle solver (see :func:`_ascend`).
+    """Run the accelerated projected-gradient saddle solver (:func:`_solve`) on the classifier.
 
-    Iterates from a^(0) = 0 with envelope gradient 1 - Y(F(a) o K)Ya,
-    where F(a) is the adaptive matrix at a, and stops at t_max or when
-    the iterate step drops to ``tol``.
+    Iterates from a^(0) = 0 with envelope gradient 1 - Y(F(a) o K)Ya and
+    step 1/:func:`lipschitz_svm` (pgd: the pgd constant), and stops at
+    t_max or when the iterate step drops to ``tol``.
 
     K is a symmetric PSD n x n matrix, or the :class:`_PsdGram` of one
     that passed the check before.  ``freeze_f`` pins F to the all-one
@@ -440,22 +447,29 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
     Returns (DualState, F, SolveTrace).
     """
     y, offset, targets = _dual_form(y, both_classes=with_equality)
-    a, F, trace = _solve(K, y, offset, targets, config, freeze_f, lipschitz_svm, with_equality)
+    a, F, trace = _solve(K, y, offset, targets, config, freeze_f, with_equality)
     return DualState(alpha=a, y=y), F, trace
 
 
-def _solve(K, u, offset: float, targets, config: SolverConfig, freeze_f: bool, lipschitz,
+def _solve(K, u, offset: float, targets, config: SolverConfig, freeze_f: bool,
            with_equality: bool = True):
-    """The one solve body of both duals (:func:`_dual_form`); returns (z, F, SolveTrace).
+    """The one solve of both duals (:func:`_dual_form`), and its step rule; returns (z, F, SolveTrace).
 
-    Checks K once (a :class:`_PsdGram` has passed already), warns when
-    tau >= 2n, and takes the step constant ||K||_F with F frozen, the pgd
-    constant from lambda_max(K), else ``lipschitz(n, C, K, eta)``.  The
-    SVR's paired dual steps by 1/(2L) for its stacked constant L, which is
-    2 ||K||_F with F frozen.  The projection is exact (:func:`project_exact`)
-    onto {0 <= z <= C, u'z = 0}, as clip-then-shift stalls the
-    dual-averaging step, whose points lie far outside the set; without
-    ``with_equality`` it is a box clip.
+    Checks K once (a :class:`_PsdGram` has passed already) and warns when
+    tau >= 2n.  The step constant L is ||K||_F with F frozen, the pgd
+    constant from lambda_max(K) for pgd, else :func:`lipschitz_svm`, or
+    :func:`lipschitz_svr` for the paired dual (u.size > n), which doubles
+    it (quadruples it with F frozen).  From z^(0) = 0, each iteration takes
+    theta~ = proj(z + g / L) at the gradient g of z.  pgd steps to theta~;
+    the others take theta = theta~ (monotone-nesterov: the best of theta~, z
+    and the theta before) and the dual-averaging step beta, and step to
+    ((t+1) theta + 2 beta) / (t+3).  The projection is exact
+    (:func:`project_exact`) onto {0 <= z <= C, u'z = 0}, as clip-then-shift
+    stalls the dual-averaging step, whose points lie far outside the set;
+    without ``with_equality`` it is a box clip.  The loop stops at t_max or
+    when the step of the prox weights (block sum of u o z) drops to
+    ``tol``; the returned point, the last iterate or a better carried
+    theta, is then evaluated once more, cold, so that F is its F.
     """
     K, lam_min_K, lam_max_K = _check_psd_gram(K)
     n = targets.size
@@ -466,78 +480,57 @@ def _solve(K, u, offset: float, targets, config: SolverConfig, freeze_f: bool, l
         trace.warnings.append(
             f"tau = {config.tau} >= 2n = {2 * n}: the adaptive matrix may collapse to zero"
         )
+    C, paired = config.C, u.size > n
     if freeze_f:
-        L, eta = float(np.linalg.norm(K)), _eta_for_frozen(config)
+        # eta enters the frozen value only in its constant tau eta n term;
+        # unresolved, the constant is dropped (the plain SVM dual value).
+        L, eta = float(np.linalg.norm(K)), config.eta if config.eta is not None else 0.0
     else:
         eta = _require_eta(config)
         if config.variant == "pgd":
-            L = _pgd_constant(n, config.C, lam_max_K, eta, config.tau)
+            L = _pgd_constant(n, C, lam_max_K, eta, config.tau)
         else:
-            L = lipschitz(n, config.C, K, eta)
-    if u.size > n:  # the paired dual: twice its stacked constant
+            L = (lipschitz_svr if paired else lipschitz_svm)(n, C, K, eta)
+    if paired:  # twice its stacked constant
         L *= 4.0 if freeze_f else 2.0
     term, final = _adaptive_term(K, config.tau, eta, lam_min_K, trace, freeze_f)
+    evaluate = _dual_oracle(u, offset, targets, term)
+    monotone = config.variant == "monotone-nesterov"
 
-    def proj(v):
-        return project_exact(v, u, config.C) if with_equality else np.clip(v, 0.0, config.C)
-
-    def weights(z):
-        return _block_sum(u * z, n)
-
-    z = _ascend(_dual_oracle(u, offset, targets, term), proj, L, weights, u.size, config, trace)
-    return z, final(), trace
-
-
-def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
-            trace: SolveTrace) -> np.ndarray:
-    """The projected-gradient ascent loop of both solvers; returns the final iterate.
-
-    Starts from z^(0) = 0 (``size`` entries).  ``evaluate(z, warm)`` gives
-    the gradient and value at z, with the prox warm-started or not,
-    ``proj`` is the projection onto the feasible set, L the step constant,
-    and ``weights(z)`` the prox weights of z, on which the step is
-    measured.  Per iteration the pgd variant takes the
-    projected step proj(z + g / L); the others take it as theta^(t), the
-    weighted dual-averaging step beta^(t), and combine them as
-    z^(t+1) = ((t+1) theta + 2 beta) / (t+3), where monotone-nesterov keeps
-    the best theta seen and returns it.  Stops at t_max or when the step
-    drops to ``tol``, then evaluates the returned point once more, cold, so
-    that the solve's ``final`` F is its F.  Fills ``objective_history`` and
-    ``gradient`` of ``trace``.
-    """
-    z = np.zeros(size)
+    z = np.zeros(u.size)
     z0 = z.copy()
-    grad_sum = np.zeros(size)
+    grad_sum = np.zeros(u.size)
     theta = None
     h_theta = -np.inf
-    w_prev = weights(z)
+    w_prev = np.zeros(n)
     moved = False
 
     for t in range(config.t_max):
         g, h_here = evaluate(z)
+        v = z + g / L
+        theta_tilde = project_exact(v, u, C) if with_equality else np.clip(v, 0.0, C)
+        if monotone:
+            h_tilde = evaluate(theta_tilde)[1]
+            # Carry the stored h(theta) so the sequence is exactly monotone.
+            candidates = [(h_tilde, theta_tilde), (h_here, z)]
+            if theta is not None:
+                candidates.append((h_theta, theta))
+            h_theta, theta = max(candidates, key=lambda c: c[0])
+            trace.objective_history.append(h_theta)
+        else:
+            theta = theta_tilde
+            trace.objective_history.append(h_here)
 
         if config.variant == "pgd":
-            trace.objective_history.append(h_here)
-            z_next = proj(z + g / L)
+            z_next = theta
         else:
-            theta_tilde = proj(z + g / L)
-            if config.variant == "monotone-nesterov":
-                h_tilde = evaluate(theta_tilde)[1]
-                # Carry the stored h(theta) so the sequence is exactly monotone.
-                candidates = [(h_tilde, theta_tilde), (h_here, z)]
-                if theta is not None:
-                    candidates.append((h_theta, theta))
-                h_theta, theta = max(candidates, key=lambda c: c[0])
-                trace.objective_history.append(h_theta)
-            else:
-                theta = theta_tilde
-                trace.objective_history.append(h_here)
             grad_sum += (t + 1) * g
             # Ascent form of the dual-averaging step; see the solver notes.
-            beta = proj(z0 + grad_sum / (2.0 * L))
+            v = z0 + grad_sum / (2.0 * L)
+            beta = project_exact(v, u, C) if with_equality else np.clip(v, 0.0, C)
             z_next = ((t + 1) * theta + 2.0 * beta) / (t + 3.0)
 
-        w_next = weights(z_next)
+        w_next = _block_sum(u * z_next, n)
         step = float(np.linalg.norm(w_next - w_prev))
         z, w_prev = z_next, w_next
         trace.iterations = t + 1
@@ -548,16 +541,15 @@ def _ascend(evaluate, proj, L: float, weights, size: int, config: SolverConfig,
         if moved and step <= config.tol:
             trace.terminated_by = "tolerance"
             break
-    else:
-        trace.terminated_by = "max_iter"
 
-    if config.variant == "monotone-nesterov":
-        z = theta  # the point whose value the history carries
     # One cold evaluation at the returned point: its F is the one returned.
+    # monotone-nesterov returns z^(T) unless the carried theta is better.
     trace.gradient, h_end = evaluate(z, warm=False)
-    if config.variant != "monotone-nesterov":
-        trace.objective_history.append(h_end)
-    return z
+    if monotone and h_end < h_theta:
+        z, h_end = theta, h_theta
+        trace.gradient = evaluate(z, warm=False)[0]
+    trace.objective_history.append(h_end)
+    return z, final(), trace
 
 
 def resolve_eta(K, y, config: SolverConfig, epsilon: float | None = None) -> SolverConfig:
@@ -573,7 +565,7 @@ def resolve_eta(K, y, config: SolverConfig, epsilon: float | None = None) -> Sol
         return config
     prelim = replace(config, tau=0.0, eta=None, variant="nesterov")
     u, offset, targets = _dual_form(y, epsilon)
-    z = _solve(K, u, offset, targets, prelim, True, None)[0]  # frozen: no Lipschitz constant
+    z = _solve(K, u, offset, targets, prelim, True)[0]
     w = _block_sum(u * z, targets.size)
     eta = float(w @ w)
     if eta <= 1e-12:

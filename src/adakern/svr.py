@@ -1,7 +1,9 @@
 """Regression wrapper: the adaptive kernel inside epsilon-insensitive SVR.
 
 The SVR dual is the two-block case of the solver's one dual form: signs
-u = [1; -1] on z = [hat; check], offset -epsilon and targets y.
+u = [1; -1] on z = [hat; check], offset -epsilon and targets y.  Its step
+constant :func:`lipschitz_svr` lives in :mod:`solver`, beside the
+classifier's, and is re-exported here.
 """
 
 from dataclasses import dataclass, field
@@ -10,7 +12,7 @@ import numpy as np
 
 from .adaptive import AdaptiveMatrix
 from .data import Scaler, apply_minmax, fit_minmax, inverse_minmax
-from .errors import DataError, ParameterError
+from .errors import DataError
 from .kernel import gaussian_gram
 from .solver import (
     SolverConfig,
@@ -19,6 +21,7 @@ from .solver import (
     _check_psd_gram,
     _dual_form,
     _solve,
+    lipschitz_svr,
     resolve_eta,
 )
 from .svm import _expansion, _solved_model, _training_inputs
@@ -99,26 +102,18 @@ def svr_gradients(alpha_hat, alpha_check, K, y, epsilon: float, config: SolverCo
     return g[:y.size], g[y.size:]
 
 
-def lipschitz_svr(n: int, C: float, K, eta: float) -> float:
-    """Gradient-Lipschitz constant 2 (n + 9 n C^2 ||K||_F^2 / (4 eta))."""
-    if not eta > 0:
-        raise ParameterError(f"eta must be positive, got {eta}")
-    K = np.asarray(K, dtype=float)
-    fro_sq = float((K * K).sum())
-    return 2.0 * (n + 9.0 * n * C * C * fro_sq / (4.0 * eta))
-
-
 def solve_svr(K, y, config: SolverConfig, epsilon: float, freeze_f: bool = False):
     """Accelerated projected-gradient solve of the paired SVR dual.
 
-    The classifier's solve (:func:`solver._solve`) on [hat; check], with
-    ascent step 1/(2L) and dual-averaging step 1/(4L), stopping when the
-    step of hat - check drops to ``tol`` or at t_max.  K is as for
+    The one solve (:func:`solver._solve`) on [hat; check], with ascent step
+    1/(2L) and dual-averaging step 1/(4L) for L = :func:`lipschitz_svr`
+    (pgd: step 1/L for the stacked pgd constant), stopping when the step of
+    hat - check drops to ``tol`` or at t_max.  K is as for
     :func:`solver.solve` (DataError otherwise); epsilon must be nonnegative
     and finite (ParameterError otherwise).  Returns (SvrDualState, F,
     SolveTrace).
     """
-    z, F, trace = _solve(K, *_dual_form(y, epsilon), config, freeze_f, lipschitz_svr)
+    z, F, trace = _solve(K, *_dual_form(y, epsilon), config, freeze_f)
     n = z.size // 2
     return SvrDualState(alpha_hat=z[:n], alpha_check=z[n:], epsilon=epsilon), F, trace
 

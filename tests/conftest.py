@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from adakern import solver, svm
-from adakern.data import CLASSIFICATION
 from adakern.errors import ParameterError
 from adakern.kernel import gaussian_gram, pairwise_sq_dists
 from adakern.solver import project_exact
@@ -45,12 +44,13 @@ def paired_blobs(n, modes=10, spread=0.05, pair_offset=0.01, seed=0):
 
 
 def write_libsvm(dataset, stream) -> None:
-    """Emit a Dataset in sparse libsvm text (nonzero features only)."""
+    """Emit a Dataset in sparse libsvm text (nonzero features only).
+
+    Labels that are all +-1 are written as class labels, others in full precision.
+    """
+    classes = bool(np.all(np.isin(dataset.y, (-1.0, 1.0))))
     for xi, yi in zip(dataset.X, dataset.y):
-        if dataset.mode == CLASSIFICATION:
-            parts = [f"{int(yi):+d}"]
-        else:
-            parts = [f"{yi:.17e}"]
+        parts = [f"{int(yi):+d}" if classes else f"{yi:.17e}"]
         parts.extend(
             f"{j + 1}:{v:.17e}" for j, v in enumerate(xi) if v != 0.0
         )
@@ -183,6 +183,16 @@ def adaptive_matrix(w, K, tau: float, eta: float) -> np.ndarray:
     if tau == 0:
         return 1.0 + np.asarray(K, dtype=float) * np.outer(w, w) / (4.0 * eta)
     return solver._adaptive_prox(w, K, tau, eta).matrix
+
+
+def lipschitz_pgd(n, C, K, eta, tau):
+    """The pgd step constant n - tau/2 + n C^2 lam_max(K) / (4 eta), from lam_max of K."""
+    return solver._pgd_constant(n, C, float(np.linalg.eigvalsh(K)[-1]), eta, tau)
+
+
+def lipschitz_svr_pgd(n, C, K, eta, tau):
+    """The stacked pgd step constant of the SVR: twice the classifier's, from lam_max of K."""
+    return 2.0 * lipschitz_pgd(n, C, K, eta, tau)
 
 
 def block_kernel(K, partition) -> np.ndarray:

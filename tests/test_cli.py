@@ -107,8 +107,7 @@ class TestTrainPredictEval:
         rng = np.random.default_rng(0)
         X = np.linspace(0, 1, 30)[:, None]
         y = np.sin(3 * X[:, 0])
-        from adakern.data import REGRESSION
-        ds = Dataset(X=X, y=y, mode=REGRESSION)
+        ds = Dataset(X=X, y=y)
         path = str(tmp_path / "reg.libsvm")
         write_dataset(path, ds)
         model_path = str(tmp_path / "reg_model.txt")
@@ -157,8 +156,7 @@ class TestPersistence:
 
     def test_scalable_model_roundtrip(self, tmp_path, capsys):
         X, y = two_blobs(40, seed=4)
-        from adakern.data import CLASSIFICATION
-        ds = Dataset(X=X, y=y, mode=CLASSIFICATION)
+        ds = Dataset(X=X, y=y)
         path = str(tmp_path / "blobs.libsvm")
         write_dataset(path, ds)
         model_path = str(tmp_path / "m.txt")
@@ -500,8 +498,7 @@ class TestScalableVsExact:
         # --mode scalable --clusters 1 must predict exactly like the exact
         # solver run without bias or nuclear terms
         X, y = two_blobs(30, seed=10)
-        from adakern.data import CLASSIFICATION
-        ds = Dataset(X=X, y=y, mode=CLASSIFICATION)
+        ds = Dataset(X=X, y=y)
         path = str(tmp_path / "d.libsvm")
         write_dataset(path, ds)
         model_path = str(tmp_path / "m.txt")
@@ -531,8 +528,7 @@ class TestBoundsCommand:
     def test_emits_full_table(self, tmp_path, capsys):
         from conftest import paired_blobs
         X, y = paired_blobs(60, seed=5)
-        from adakern.data import CLASSIFICATION
-        ds = Dataset(X=X, y=y, mode=CLASSIFICATION)
+        ds = Dataset(X=X, y=y)
         path = str(tmp_path / "d.libsvm")
         write_dataset(path, ds)
         code, out, _ = run(["bounds", "--data", path, "--sigma", "0.04",
@@ -638,8 +634,7 @@ class TestGridCommand:
     def test_grid_requires_2d_model(self, tmp_path, capsys):
         X = np.linspace(0, 1, 10)[:, None]
         y = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
-        from adakern.data import CLASSIFICATION
-        ds = Dataset(X=X, y=y, mode=CLASSIFICATION)
+        ds = Dataset(X=X, y=y)
         path = str(tmp_path / "d1.libsvm")
         write_dataset(path, ds)
         model_path = str(tmp_path / "m.txt")
@@ -1047,7 +1042,6 @@ def saved_models(tmp_path_factory):
     Also the scalable model as a format 3 file with its F blocks, and an
     exact SVM trained at tau = 0, whose format 4 file holds no F.
     """
-    from adakern.data import CLASSIFICATION, REGRESSION
     from adakern.scale import train_scalable
     from adakern.solver import SolverConfig
     from adakern.svm import train
@@ -1057,9 +1051,9 @@ def saved_models(tmp_path_factory):
     X, y = two_blobs(12, seed=8)
     config = SolverConfig(C=1.0, tau=0.01, eta=1.0, t_max=30)
     classes = str(root / "classes.libsvm")
-    write_dataset(classes, Dataset(X=X, y=y, mode=CLASSIFICATION))
+    write_dataset(classes, Dataset(X=X, y=y))
     targets = str(root / "targets.libsvm")
-    write_dataset(targets, Dataset(X=X, y=X[:, 0], mode=REGRESSION))
+    write_dataset(targets, Dataset(X=X, y=X[:, 0]))
     cases = {}
     scalable = train_scalable(X, y, 0.6, config, 3, 0)
     for name, model, data in [
@@ -1274,9 +1268,9 @@ class TestPredictionInputWidth:
         rng = np.random.default_rng(8)
         X = rng.uniform(-1.0, 1.0, (30, 3))
         if request.param == "svm":
-            ds = Dataset(X, np.where(X[:, 0] + X[:, 2] > 0, 1.0, -1.0), "classification")
+            ds = Dataset(X, np.where(X[:, 0] + X[:, 2] > 0, 1.0, -1.0))
         else:
-            ds = Dataset(X, X[:, 0] - X[:, 2], "regression")
+            ds = Dataset(X, X[:, 0] - X[:, 2])
         data = str(tmp_path / "train.libsvm")
         write_dataset(data, ds)
         path = str(tmp_path / "m.txt")

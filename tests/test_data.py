@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from adakern.data import (
-    CLASSIFICATION,
     REGRESSION,
     Dataset,
     apply_minmax,
@@ -40,7 +39,7 @@ class TestLibsvm:
         y = np.where(rng.uniform(size=5) > 0.5, 1.0, -1.0)
         y[0] = 1.0
         y[1] = -1.0
-        ds = Dataset(X=X, y=y, mode=CLASSIFICATION)
+        ds = Dataset(X=X, y=y)
         buf = io.StringIO()
         write_libsvm(ds, buf)
         again = parse_libsvm(buf.getvalue())
@@ -48,7 +47,7 @@ class TestLibsvm:
         assert np.array_equal(again.y, y)
 
     def test_regression_round_trip(self, rng):
-        ds = Dataset(X=rng.normal(size=(4, 2)), y=rng.normal(size=4), mode=REGRESSION)
+        ds = Dataset(X=rng.normal(size=(4, 2)), y=rng.normal(size=4))
         buf = io.StringIO()
         write_libsvm(ds, buf)
         again = parse_libsvm(buf.getvalue(), mode=REGRESSION)
@@ -94,6 +93,12 @@ class TestCsv:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError, match="line 2"):
             parse_csv("1,2,1\n1,nan,-1\n")
+
+    @pytest.mark.parametrize("text, line", [("1,nan,1\n2,3,-1\n", 1),
+                                            ("a,b,label\n1,nan,1\n2,3,-1\n", 2)])
+    def test_first_data_row_is_checked_like_the_others(self, text, line):
+        with pytest.raises(DataError, match=f"^line {line}: non-finite value$"):
+            parse_csv(text)
 
 
 class TestMinMax:
@@ -160,7 +165,6 @@ class TestStepFunction:
     def test_default_grid(self):
         ds = gen_step()
         assert ds.X.min() == -5.0 and ds.X.max() == 5.0
-        assert ds.mode == REGRESSION
 
 
 class TestSurface:
@@ -211,8 +215,12 @@ class TestTwoClassToy:
 
 def test_dataset_validates():
     with pytest.raises(DataError):
-        Dataset(X=np.ones((2, 2)), y=np.ones(3), mode=CLASSIFICATION)
+        Dataset(X=np.ones((2, 2)), y=np.ones(3))
     with pytest.raises(DataError):
-        Dataset(X=np.array([[np.inf]]), y=np.ones(1), mode=REGRESSION)
-    with pytest.raises(DataError):
-        Dataset(X=np.ones((1, 1)), y=np.ones(1), mode="other")
+        Dataset(X=np.array([[np.inf]]), y=np.ones(1))
+
+
+@pytest.mark.parametrize("parse, text", [(parse_libsvm, "1 1:1\n"), (parse_csv, "1,1\n")])
+def test_parsers_reject_an_unknown_label_mode(parse, text):
+    with pytest.raises(DataError, match="unknown label mode 'other'"):
+        parse(text, mode="other")

@@ -15,6 +15,7 @@ from adakern.solver import (
     dual_gradient,
     dual_objective,
     lipschitz_svm,
+    lipschitz_svr,
     project_exact,
     resolve_eta,
     solve,
@@ -27,6 +28,8 @@ from conftest import (
     adaptive_matrix,
     convergence_bound,
     dense_soft_threshold,
+    lipschitz_pgd,
+    lipschitz_svr_pgd,
     oracle_project,
     random_feasible,
     reference_pgd_qp,
@@ -302,11 +305,6 @@ class TestLipschitz:
             assert lhs <= L * np.linalg.norm(a1 - a2) + 1e-10
 
 
-def lipschitz_pgd(n, C, K, eta, tau):
-    """The pgd step constant n - tau/2 + n C^2 lam_max(K) / (4 eta), from lam_max of K."""
-    return solver._pgd_constant(n, C, float(np.linalg.eigvalsh(K)[-1]), eta, tau)
-
-
 def brute_force_projection(z, y, C):
     """Exact projection onto {0 <= a <= C, a.y = 0} by active-set enumeration."""
     n = len(z)
@@ -424,7 +422,8 @@ class TestSolve:
     @pytest.mark.parametrize("task", ["svm", "svr"])
     @pytest.mark.parametrize("variant", solver.VARIANTS)
     def test_meta_objective_is_the_value_at_the_returned_duals(self, variant, task):
-        # monotone-nesterov returns the theta whose value its history carries.
+        # monotone-nesterov returns its last iterate or the carried theta,
+        # with the value its history carries.
         cfg = SolverConfig(C=1.0, tau=0.01, t_max=100, variant=variant)
         if task == "svm":
             ds = gen_two_class_toy(80, seed=6, noise=0.3)
@@ -479,8 +478,21 @@ class TestSolve:
                            variant="monotone-nesterov")
         _, _, trace = solve(K, y, cfg)
         hist = np.asarray(trace.objective_history)
-        assert len(hist) == trace.iterations
+        assert len(hist) == trace.iterations + 1
         assert np.all(np.diff(hist) >= 0.0)
+
+    def test_monotone_returns_no_worse_than_its_last_iterate(self, recorded):
+        # On c06's fixture at t_max 100 the last iterate z^(100) is better
+        # than every theta the loop carries.  A run one iteration longer
+        # evaluates z^(100) first in its last iteration.
+        K, y, cfg = criteria_fixtures()[1]
+        cfg = replace(cfg, t_max=100, variant="monotone-nesterov")
+        points = recorded[0]
+        points.clear()
+        solve(K, y, replace(cfg, t_max=101))
+        last = points[2 * 100]
+        state = solve(K, y, cfg)[0]
+        assert dual_objective(state.alpha, y, K, cfg) >= dual_objective(last, y, K, cfg)
 
     def test_iterate_feasibility(self, rng, recorded):
         X, y = two_blobs(16, seed=7)
@@ -1022,20 +1034,37 @@ class TestFactoredEvaluation:
         _, F, trace = solve(K, y, replace(cfg, tau=0.0))
         assert trace.factor is None
 
-    def test_pgd_step_constant_reuses_the_psd_check(self, rng, monkeypatch):
-        # One eigvalsh of K per solve: the PSD check's; the step constant
-        # keeps the value lipschitz_pgd gives.
+    @pytest.mark.parametrize("task", ["svm", "svr"])
+    @pytest.mark.parametrize("step", ["frozen", "pgd", "nesterov"])
+    def test_step_constant_reuses_the_psd_check(self, task, step, monkeypatch):
+        # One eigvalsh of K per solve: the PSD check's.  The first projection
+        # takes g^(0) / L, which gives the step constant L bit for bit against
+        # the tests' formulas: ||K||_F with F frozen, lipschitz_pgd for pgd,
+        # lipschitz_svm for nesterov.  The paired SVR dual steps by 1/(2L) for
+        # its stacked L: 4 ||K||_F frozen, 2 lipschitz_svr for nesterov; for
+        # pgd it steps by 1/L for its stacked constant lipschitz_svr_pgd.
         X, y = two_blobs(30, seed=3)
         K = gaussian_gram(X, 0.8)
-        cfg = SolverConfig(C=1.0, tau=0.01, eta=2.0, t_max=5, variant="pgd")
-        expected = lipschitz_pgd(30, 1.0, K, 2.0, 0.01)
-        calls = []
+        n, C, eta, tau, epsilon = 30, 1.0, 2.0, 0.01, 0.1
+        cfg = SolverConfig(C=C, tau=tau, eta=eta, t_max=5,
+                           variant="pgd" if step == "pgd" else "nesterov")
+        frozen = step == "frozen"
+        if task == "svm":
+            L = {"frozen": float(np.linalg.norm(K)), "pgd": lipschitz_pgd(n, C, K, eta, tau),
+                 "nesterov": lipschitz_svm(n, C, K, eta)}[step]
+            g0 = np.ones(n)
+            run = lambda: solve(K, y, cfg, freeze_f=frozen)  # noqa: E731
+        else:
+            L = {"frozen": 4.0 * float(np.linalg.norm(K)),
+                 "pgd": lipschitz_svr_pgd(n, C, K, eta, tau),
+                 "nesterov": 2.0 * lipschitz_svr(n, C, K, eta)}[step]
+            g0 = np.concatenate([y - epsilon, -y - epsilon])
+            run = lambda: solve_svr(K, y, cfg, epsilon, freeze_f=frozen)  # noqa: E731
+        calls, seen = [], []
         original = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(1) or original(A))
-        seen = []
         monkeypatch.setattr(solver, "project_exact",
                             lambda v, y_, C: seen.append(v) or project_exact(v, y_, C))
-        solve(K, y, cfg)
-        solve_svr(K, y, cfg, epsilon=0.1)
-        assert len(calls) == 2
-        assert np.array_equal(seen[0], np.zeros(30) + 1.0 / expected)
+        run()
+        assert len(calls) == 1
+        assert np.array_equal(seen[0], g0 / L)

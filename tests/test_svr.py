@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import adakern.solver as solver
 from adakern.errors import DataError, ParameterError
 from adakern.kernel import gaussian_gram
 from adakern.solver import SolverConfig
@@ -15,7 +14,7 @@ from adakern.svr import (
     train_svr,
 )
 
-from conftest import adaptive_matrix
+from conftest import adaptive_matrix, lipschitz_svr_pgd
 
 
 def config(**kwargs):
@@ -31,11 +30,6 @@ def box_pair(rng, n, C=1.0):
 def svr_weighted_gram(alpha_hat, alpha_check, K, eta):
     """diag(hat - check) K diag(hat - check) / (4 eta), read off the tau = 0 adaptive matrix."""
     return adaptive_matrix(alpha_hat - alpha_check, K, 0.0, eta) - 1.0
-
-
-def lipschitz_svr_pgd(n, C, K, eta, tau):
-    """The stacked pgd step constant: twice the classifier's, from lam_max of K."""
-    return 2.0 * solver._pgd_constant(n, C, float(np.linalg.eigvalsh(K)[-1]), eta, tau)
 
 
 class TestWeightedGram:
