@@ -256,7 +256,7 @@ def cmd_bounds(args) -> int:
     config = _config_from_args(args)
     ds = _read_dataset(args.data, args.format, dataio.CLASSIFICATION)
     _check_cluster_counts(counts, len(ds.y))
-    y, _, Xs = svm._training_inputs(ds.X, ds.y, args.sigma)
+    y, _, _, Xs = svm._training_inputs(ds.X, ds.y, args.sigma)
     # Checked once for the eta solve and the exact reference.
     gram = _check_psd_gram(gaussian_gram(Xs, args.sigma))
     config = resolve_eta(gram, y, config)

@@ -29,7 +29,7 @@ import numpy as np
 from .adaptive import ClosedForm, Dense, Factor, Partition
 from .data import Scaler
 from .errors import DataError, ParameterError
-from .solver import SolverConfig
+from .solver import SolverConfig, _check_epsilon
 from .svm import SvmModel
 from .svr import SvrModel
 
@@ -178,10 +178,11 @@ def load_model(path: str):
     """Read a model written by ``save_model``.
 
     Any defect in the file (wrong header or version, a missing, repeated or
-    unknown key, a value that does not parse, an array of the wrong length,
-    a non-finite array entry, a cluster assignment that does not fit the
-    ``clusters`` line, an exact-mode ``clusters`` line other than 1, no
-    closing ``end`` line) raises ``DataError``.
+    unknown key, a value that does not parse or that no solve accepts, as
+    a negative epsilon, an array of the wrong length, a non-finite array
+    entry, a cluster assignment that does not fit the ``clusters`` line, an
+    exact-mode ``clusters`` line other than 1, no closing ``end`` line)
+    raises ``DataError``.
     """
     try:
         with open(path, encoding="utf-8") as stream:
@@ -242,12 +243,13 @@ def _build(fields, rows, blocks, version: str):
             "seed": int(fields["seed"]),
         }
         epsilon = float(fields.get("epsilon", 0.0))
+        _check_epsilon(epsilon)
     except (ValueError, ParameterError) as exc:
         raise DataError(f"bad scalar value: {exc}") from exc
     if n < 1 or d < 1:
         raise DataError(f"bad sizes n = {n}, d = {d}")
-    if not (sigma > 0 and np.all(np.isfinite([sigma, bias, epsilon]))):
-        raise DataError("sigma, bias and epsilon must be finite, sigma positive")
+    if not (sigma > 0 and np.all(np.isfinite([sigma, bias]))):
+        raise DataError("sigma and bias must be finite, sigma positive")
     sizes = {"n": n, "d": d}
     for key, value in fields.items():
         if key in _VECTOR_LENGTHS:

@@ -14,7 +14,7 @@ import numpy as np
 from .adaptive import ClosedForm, Partition
 from .errors import DataError, ParameterError
 from .kernel import gaussian_gram, pairwise_sq_dists
-from .solver import SolverConfig, resolve_eta, solve
+from .solver import SolverConfig, _require_eta, resolve_eta, solve
 from .svm import SvmModel, _model_meta, _training_inputs
 
 
@@ -101,8 +101,7 @@ def solve_blocks(X, y, partition: Partition, sigma: float,
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if config.eta is None:
-        raise ParameterError("eta must be resolved before solving blocks")
+    _require_eta(config)
     block_config = replace(config, tau=0.0)
     alpha = np.zeros(y.size)
     blocks = []
@@ -185,9 +184,7 @@ def bound_report(approx: BlockSolution, K, partition: Partition,
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
-    eta = config.eta
-    if eta is None:
-        raise ParameterError("eta must be resolved for bound evaluation")
+    eta = _require_eta(config)
     check_kappa(kappa)
     C = config.C
     n = y.size
@@ -250,8 +247,7 @@ def exact_reference(K, y, config: SolverConfig):
     H_star is the solve's own value at alpha_star, the last entry of its
     ``objective_history``.
     """
-    if config.eta is None:
-        raise ParameterError("eta must be resolved for the exact reference")
+    _require_eta(config)
     state, F, trace = solve(K, y, replace(config, tau=0.0), with_equality=False)
     return state.alpha, F, trace.objective_history[-1]
 
@@ -270,7 +266,7 @@ def train_scalable(X, y, sigma: float, config: SolverConfig, v: int,
     K on the support alone, since off it alpha is 0 and F's rows are 1.
     Fewer than v points raise DataError before any solve.
     """
-    y, scaler, Xs = _training_inputs(X, y, sigma)
+    y, _, scaler, Xs = _training_inputs(X, y, sigma)
     if y.size < v:
         raise DataError(f"{y.size} training points cannot form {v} clusters")
     if config.eta is None:

@@ -255,22 +255,31 @@ def _block_sum(v, n: int) -> np.ndarray:
     return v if v.size == n else v.reshape(-1, n).sum(axis=0)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Reject an SVR tube width that is negative or not finite (ParameterError)."""
+    if not 0 <= epsilon < np.inf:
+        raise ParameterError(f"epsilon must be nonnegative and finite, got {epsilon}")
+
+
 def _dual_form(y, epsilon: float | None = None, both_classes: bool = True):
     """The checked (u, offset, targets) of a dual, in the module docstring's one form.
 
-    Labels y in {-1, +1} give the classifier's, of both classes when
-    ``both_classes``; with ``epsilon``, nonnegative and finite, the finite
-    targets y give the SVR's.  A defect raises DataError, a bad epsilon or a
-    single class ParameterError.
+    The one check of labels, targets and epsilon, for every solve, value
+    function and trainer.  Labels y in {-1, +1} give the classifier's, of
+    both classes when ``both_classes``; with ``epsilon`` the finite targets
+    y give the SVR's.  A defect or a single class raises DataError, a bad
+    epsilon (:func:`_check_epsilon`) ParameterError.
     """
-    if epsilon is None:
-        y = _check_labels(y, both_classes)
-        return y, 1.0, np.zeros(y.size)
     y = np.asarray(y, dtype=float)
+    if epsilon is None:
+        if not np.all(np.isin(y, (-1.0, 1.0))):
+            raise DataError("labels must be in {-1, +1}")
+        if both_classes and (np.all(y == 1.0) or np.all(y == -1.0)):
+            raise DataError("training labels contain a single class")
+        return y, 1.0, np.zeros(y.size)
     if not np.all(np.isfinite(y)):
         raise DataError("targets contain non-finite values")
-    if not 0 <= epsilon < np.inf:
-        raise ParameterError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    _check_epsilon(epsilon)
     return np.repeat([1.0, -1.0], y.size), -epsilon, y
 
 
@@ -387,15 +396,6 @@ def _require_eta(config: SolverConfig) -> float:
     return config.eta
 
 
-def _check_labels(y, require_both_classes: bool) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise DataError("labels must be in {-1, +1}")
-    if require_both_classes and (np.all(y == 1.0) or np.all(y == -1.0)):
-        raise ParameterError("training labels contain a single class")
-    return y
-
-
 class _PsdGram(NamedTuple):
     """A kernel matrix that passed :func:`_check_psd_gram`, with its extreme eigenvalues."""
 
@@ -444,7 +444,9 @@ def solve(K, y, config: SolverConfig, freeze_f: bool = False,
     matrix (standard SVM dual; step constant ||K||_F).
     ``with_equality=False`` drops the hyperplane constraint so the
     projection is a plain box clip (used by the block-decomposition mode).
-    Returns (DualState, F, SolveTrace).
+    y is checked by :func:`_dual_form`: labels outside {-1, +1}, or a
+    single class when ``with_equality``, raise DataError.  Returns
+    (DualState, F, SolveTrace).
     """
     y, offset, targets = _dual_form(y, both_classes=with_equality)
     a, F, trace = _solve(K, y, offset, targets, config, freeze_f, with_equality)
@@ -559,7 +561,8 @@ def resolve_eta(K, y, config: SolverConfig, epsilon: float | None = None) -> Sol
     on targets y; K may be the :class:`_PsdGram` of a kernel checked
     before, which that solve does not check again.  eta is w'w for the
     solve's prox weights w (y o alpha, or hat - check); when they vanish it
-    falls back to 0.1 C^2.
+    falls back to 0.1 C^2.  An unset eta checks y and epsilon as the solves
+    do (:func:`_dual_form`), so a single class raises DataError.
     """
     if config.eta is not None:
         return config

@@ -5,12 +5,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adaptive import AdaptiveMatrix, ClosedForm, Factor, Partition
-from .data import Scaler, apply_minmax, fit_minmax, kfold
+from .data import Dataset, Scaler, apply_minmax, fit_minmax, kfold
 from .errors import DataError
 from .kernel import (_check_sigma, chunk_length, gaussian_from_sq_dists, gaussian_gram,
                      pairwise_sq_dists)
 from .linalg import _COLUMN_BLOCK
-from .solver import (SolverConfig, SolveTrace, _block_sum, _check_labels, _check_psd_gram,
+from .solver import (SolverConfig, SolveTrace, _block_sum, _check_psd_gram, _dual_form,
                      resolve_eta, solve)
 
 # Relative margin for calling a dual coordinate interior to (0, C).
@@ -84,32 +84,24 @@ def _expansion(model, coef, X_test) -> np.ndarray:
     return coef @ Kx + model.bias
 
 
-def _training_inputs(X, y, sigma: float, classes: bool = True):
+def _training_inputs(X, y, sigma: float, epsilon: float | None = None):
     """Check the training inputs and min-max scale X.
 
-    The one input check of the three trainers.  X must be a finite n x d
-    array with n >= 2 and y n values: +-1 labels of both classes when
-    ``classes``, finite regression targets otherwise.  A defect raises
-    DataError; sigma <= 0 raises ParameterError.  Returns y, the scaler
-    and the scaled X.
+    The one input check of the three trainers, which delegates: X and y
+    to :class:`data.Dataset` (shapes, at least one row, finite values),
+    the labels, or with ``epsilon`` the targets and epsilon, to
+    :func:`solver._dual_form` (+-1 labels of both classes), and sigma to
+    :func:`kernel._check_sigma`.  Fewer than 2 points, a data defect or a
+    single class raise DataError; a bad epsilon or sigma ParameterError.
+    Returns y, the dual's signs u, the scaler and the scaled X.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise DataError("X and y have inconsistent shapes")
-    if X.shape[0] < 2:
+    ds = Dataset(X, y)
+    if ds.X.shape[0] < 2:
         raise DataError("need at least 2 training points")
-    if not np.all(np.isfinite(X)):
-        raise DataError("features contain non-finite values")
-    if classes:
-        _check_labels(y, require_both_classes=False)
-        if np.all(y == y[0]):
-            raise DataError("training labels contain a single class")
-    elif not np.all(np.isfinite(y)):
-        raise DataError("targets contain non-finite values")
+    u = _dual_form(ds.y, epsilon)[0]
     _check_sigma(sigma)
-    scaler = fit_minmax(X)
-    return y, scaler, apply_minmax(scaler, X)
+    scaler = fit_minmax(ds.X)
+    return ds.y, u, scaler, apply_minmax(scaler, ds.X)
 
 
 def train(X, y, sigma: float, config: SolverConfig,
@@ -122,7 +114,7 @@ def train(X, y, sigma: float, config: SolverConfig,
     gradient (:func:`_kkt_bias`).  ``freeze_f`` keeps F at the all-one
     matrix, which is the plain SVM baseline.
     """
-    y, scaler, Xs = _training_inputs(X, y, sigma)
+    y, _, scaler, Xs = _training_inputs(X, y, sigma)
     gram = _check_psd_gram(gaussian_gram(Xs, sigma))
     if not freeze_f:
         config = resolve_eta(gram, y, config)

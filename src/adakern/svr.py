@@ -128,10 +128,9 @@ def train_svr(X, y, sigma: float, config: SolverConfig, epsilon: float = DEFAULT
     bias, F and ``meta`` are kept as the classifier keeps them
     (:func:`svm._solved_model`, with u = [1; -1] on z = [hat; check]).
     """
-    y, scaler, Xs = _training_inputs(X, y, sigma, classes=False)
+    y, u, scaler, Xs = _training_inputs(X, y, sigma, epsilon)
     y_scaler = fit_minmax(y[:, None])
     ys = apply_minmax(y_scaler, y[:, None])[:, 0]
-    u = _dual_form(ys, epsilon)[0]  # checks epsilon before the kernel is built
     gram = _check_psd_gram(gaussian_gram(Xs, sigma))
     if not freeze_f:
         config = resolve_eta(gram, ys, config, epsilon=epsilon)

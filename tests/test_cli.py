@@ -694,6 +694,14 @@ class TestExitCodes:
                           "--model", str(tmp_path / "m.txt")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["# a comment\n# another\n", "\n   \n"],
+                             ids=["comments-only", "blank-only"])
+    def test_file_without_data_rows_is_data_error(self, text, tmp_path, capsys):
+        path = _write(str(tmp_path / "empty.libsvm"), text)
+        code, out, err = run(["train", "--data", path, "--model", str(tmp_path / "m.txt")],
+                             capsys)
+        assert (code, out, err) == (2, "", "data error: no data rows found\n")
+
     @pytest.mark.parametrize("flags", [["--eta", "auto"], ["--tau", "0", "--eta", "10"]],
                              ids=["eta-auto", "tau-0-eta-10"])
     def test_bounds_single_class_is_data_error(self, flags, tmp_path, capsys):
@@ -1160,8 +1168,11 @@ class TestMalformedModelFiles:
         ("scalable-v3", lambda t: re.sub(r"\nblock 0 (\d+)",
                                          lambda m: f"\nblock 0 {int(m.group(1)) + 1}", t),
          "block 0 declares"),
+        ("svr", lambda t: re.sub(r"\nepsilon \S+", "\nepsilon -1.0", t, count=1),
+         "bad scalar value: epsilon must be nonnegative and finite, got -1.0"),
     ], ids=["blank-lines", "n-zero", "sigma-zero", "bias-inf", "alpha-nan", "X-nan",
-            "svr-assignment", "block-without-assignment", "block-size-mismatch"])
+            "svr-assignment", "block-without-assignment", "block-size-mismatch",
+            "epsilon-negative"])
     def test_rejected_values_exit_2(self, name, mutate, message, saved_models, tmp_path,
                                     capsys):
         text, data = saved_models[name]

@@ -69,6 +69,11 @@ class TestLibsvm:
         with pytest.raises(DataError):
             parse_libsvm("3 1:1\n-1 1:2")
 
+    def test_comment_and_blank_lines_between_rows_skipped(self):
+        ds = parse_libsvm("# header\n+1 1:0.5 3:2\n\n   \n  # note\n-1 2:1\n")
+        assert np.allclose(ds.X, [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
+        assert np.array_equal(ds.y, [1.0, -1.0])
+
     def test_zero_one_labels_coerced_with_warning(self):
         with pytest.warns(UserWarning, match="coercing"):
             ds = parse_libsvm("1 1:1\n0 1:2")
@@ -85,6 +90,11 @@ class TestCsv:
         ds = parse_csv("a,b,label\n1,2,1\n3,4,-1\n")
         assert np.array_equal(ds.y, [1.0, -1.0])
         assert ds.X.shape == (2, 2)
+
+    def test_blank_lines_skipped(self):
+        ds = parse_csv("\na,b,label\n\n1.0,2.0,1\n   \n3.0,4.0,-1\n\n")
+        assert np.allclose(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(ds.y, [1.0, -1.0])
 
     def test_ragged_row_reports_line(self):
         with pytest.raises(DataError, match="line 3"):
@@ -212,6 +222,10 @@ class TestTwoClassToy:
         b = gen_two_class_toy(50, seed=2)
         assert not np.array_equal(a.X, b.X)
 
+    def test_one_point_rejected(self):
+        with pytest.raises(ParameterError, match="need at least 2 points, got 1"):
+            gen_two_class_toy(1, seed=0)
+
 
 def test_dataset_validates():
     with pytest.raises(DataError):
@@ -224,3 +238,14 @@ def test_dataset_validates():
 def test_parsers_reject_an_unknown_label_mode(parse, text):
     with pytest.raises(DataError, match="unknown label mode 'other'"):
         parse(text, mode="other")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_libsvm, "# only a comment\n", "no data rows found"),
+    (parse_libsvm, "\n   \n", "no data rows found"),
+    (parse_csv, "a,b,label\n", "no data rows found"),
+    (parse_csv, "1\n-1\n", "no feature columns remain after removing the label column"),
+], ids=["libsvm-comments-only", "libsvm-blank-only", "csv-header-only", "csv-one-column"])
+def test_parsers_reject_text_without_a_dataset(parse, text, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        parse(text)

@@ -86,6 +86,13 @@ class TestCrossGram:
         with pytest.raises(DataError):
             cross_gram(np.ones((3, 2)), np.ones((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("A, B", [(np.ones(3), np.ones((2, 3))),
+                                      (np.ones((2, 3)), np.ones(3))],
+                             ids=["rows-1-D", "columns-1-D"])
+    def test_one_dimensional_features_rejected(self, A, B):
+        with pytest.raises(DataError, match="^feature matrices must be 2-D$"):
+            pairwise_sq_dists(A, B)
+
     def test_in_place_with_the_bits_of_the_plain_formula(self, rng):
         D = pairwise_sq_dists(rng.normal(size=(9, 2)), rng.normal(size=(13, 2)))
         expected = np.exp(-D / (2.0 * 0.7 * 0.7))

@@ -254,6 +254,13 @@ class TestBoundReport:
         report = bound_report(blocks, K, p, config(eta=1.0), y)
         assert report.warnings
 
+    def test_no_positive_entry_rejected(self):
+        p = Partition(assignment=np.zeros(2, dtype=int), n_clusters=1)
+        blocks = BlockSolution(partition=p, alpha_bar=np.zeros(2), blocks=[np.zeros((2, 2))],
+                               traces=[SolveTrace(gradient=np.ones(2))])
+        with pytest.raises(DataError, match="^no positive adaptive-matrix entries"):
+            bound_report(blocks, np.eye(2), p, config(eta=1.0), np.array([1.0, -1.0]))
+
 
 def dense_screen(blocks, K, partition, y, B, B2, C, kappa=1.0):
     """The screening sets from the assembled F_bar and the masked K_bar."""

@@ -21,6 +21,7 @@ from adakern.solver import (
     solve,
 )
 
+from adakern.scale import train_scalable
 from adakern.svm import train
 from adakern.svr import solve_svr, svr_gradients, svr_objective, train_svr
 
@@ -277,6 +278,12 @@ class TestLipschitz:
         assert np.isclose(lipschitz_svm(n, C, K, eta),
                           n + 3 * n * C * C * fro_sq / (4 * eta), rtol=1e-12)
 
+    @pytest.mark.parametrize("constant", [lipschitz_svm, lipschitz_svr])
+    @pytest.mark.parametrize("eta", [0.0, -1.0])
+    def test_nonpositive_eta_rejected(self, constant, eta):
+        with pytest.raises(ParameterError, match=f"^eta must be positive, got {eta}$"):
+            constant(2, 1.0, np.eye(2), eta)
+
     def test_pgd_formula(self):
         assert np.isclose(lipschitz_pgd(2, 1.0, np.eye(2), 1.0, 0.5),
                           2 - 0.25 + 2 * 1 / 4)
@@ -481,18 +488,28 @@ class TestSolve:
         assert len(hist) == trace.iterations + 1
         assert np.all(np.diff(hist) >= 0.0)
 
-    def test_monotone_returns_no_worse_than_its_last_iterate(self, recorded):
-        # On c06's fixture at t_max 100 the last iterate z^(100) is better
-        # than every theta the loop carries.  A run one iteration longer
-        # evaluates z^(100) first in its last iteration.
+    @pytest.mark.parametrize("t_max", [100, 1])
+    def test_monotone_returns_no_worse_than_its_last_iterate(self, recorded, t_max):
+        # On c06's fixture the last iterate z^(100) is better than every
+        # theta the loop carries at t_max 100, so the solve returns it; at
+        # t_max 1 the carried theta is better than z^(1) and is returned.
+        # A run one iteration longer evaluates z^(t_max) first in its last
+        # iteration.  F, the gradient and the last history entry are those
+        # of the returned point either way.
         K, y, cfg = criteria_fixtures()[1]
-        cfg = replace(cfg, t_max=100, variant="monotone-nesterov")
+        cfg = replace(cfg, t_max=t_max, variant="monotone-nesterov")
         points = recorded[0]
         points.clear()
-        solve(K, y, replace(cfg, t_max=101))
-        last = points[2 * 100]
-        state = solve(K, y, cfg)[0]
-        assert dual_objective(state.alpha, y, K, cfg) >= dual_objective(last, y, K, cfg)
+        solve(K, y, replace(cfg, t_max=t_max + 1))
+        last = points[2 * t_max]
+        state, F, trace = solve(K, y, cfg)
+        h = dual_objective(state.alpha, y, K, cfg)
+        assert np.array_equal(state.alpha, last) == (t_max == 100)
+        assert h >= dual_objective(last, y, K, cfg)
+        assert np.array_equal(trace.gradient, dual_gradient(state.alpha, y, K, cfg))
+        assert abs(trace.objective_history[-1] - h) <= 1e-15 * abs(h)
+        w = state.alpha * y
+        assert np.max(np.abs(F - adaptive_matrix(w, K, cfg.tau, cfg.eta))) <= 1e-10
 
     def test_iterate_feasibility(self, rng, recorded):
         X, y = two_blobs(16, seed=7)
@@ -555,10 +572,16 @@ class TestSolve:
         _, _, trace = solve(K, y, cfg)
         assert any("collapse" in w for w in trace.warnings)
 
-    def test_single_class_rejected(self, rng):
-        K = np.eye(4)
-        with pytest.raises(ParameterError):
-            solve(K, np.ones(4), SolverConfig(C=1.0, eta=1.0))
+    @pytest.mark.parametrize("entry", ["solve", "resolve_eta", "train", "train_scalable"])
+    def test_single_class_rejected(self, entry):
+        # One check (solver._dual_form), so one exception and one message from every entry.
+        X, y, K, cfg = np.arange(8.0).reshape(4, 2), np.ones(4), np.eye(4), SolverConfig(C=1.0)
+        run = {"solve": lambda: solve(K, y, replace(cfg, eta=1.0)),
+               "resolve_eta": lambda: resolve_eta(K, y, cfg),
+               "train": lambda: train(X, y, 1.0, cfg),
+               "train_scalable": lambda: train_scalable(X, y, 1.0, cfg, 1, 0)}[entry]
+        with pytest.raises(DataError, match="^training labels contain a single class$"):
+            run()
 
     def test_non_psd_rejected(self):
         K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1

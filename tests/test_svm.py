@@ -63,12 +63,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("trainer", ["svm", "svr", "scalable"])
     @pytest.mark.parametrize("defect", ["nan-feature", "nan-label", "shape-mismatch",
-                                        "one-point", "single-class", "sigma-zero"])
+                                        "no-rows", "one-point", "single-class", "sigma-zero"])
     def test_every_trainer_rejects_malformed_input(self, trainer, defect):
         error, message = {
             "nan-feature": (DataError, "non-finite"),
             "nan-label": (DataError, "non-finite|labels"),
             "shape-mismatch": (DataError, "inconsistent shapes"),
+            "no-rows": (DataError, "dataset is empty"),
             "one-point": (DataError, "at least 2"),
             "single-class": (DataError, "single class"),
             "sigma-zero": (ParameterError, "sigma"),
@@ -81,6 +82,8 @@ class TestTrain:
             y[3] = np.nan
         elif defect == "shape-mismatch":
             y = y[:-1]
+        elif defect == "no-rows":
+            X, y = X[:0], y[:0]
         elif defect == "one-point":
             X, y = X[:1], y[:1]
         elif defect == "single-class":
@@ -480,6 +483,12 @@ class TestReciprocalOracle:
         regressor = train_svr(X, X[:, 0], 0.6, SolverConfig(C=1.0, eta=1.0, t_max=50))
         with pytest.raises(DataError, match="non-finite"):
             regressor.predict(probe)
+
+    def test_one_dimensional_test_features_rejected(self):
+        X, y = two_blobs(12, seed=2)
+        model = train(X, y, 0.6, small_config(tau=0.0))
+        with pytest.raises(DataError, match="^test features must form a 2-D array, got 1 "):
+            model.decision_function(np.zeros(2))
 
 
 class TestExtendAdaptive:
